@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import FiniteLattice, beta_gamma_iteration, interval  # noqa: F401
+from .lattice import FiniteLattice, interval
 from .limits import SizeLimitError
 from .partitions import EqRelLattice, Partition, p_join, p_leq, p_meet
 

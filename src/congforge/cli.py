@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import algebras, fixtures, jsonio, subspaces, terms, verify
+from .lattice import LatticeError
 from .limits import SizeLimitError
 from .partitions import Partition, full_partition_lattice
 
@@ -258,6 +259,9 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except terms.BudgetExceededError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except LatticeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -1,9 +1,9 @@
 """Finite lattices stored as dense order/join/meet tables.
 
 Elements are the integers 0..size-1.  The order matrix is computed once,
-at construction, from a cover relation or an explicit order; join and
-meet tables are derived from the order (or validated against it when a
-builder supplies its own tables).  Everything downstream is table-bound,
+at construction, from a cover relation or an explicit order, and it is
+all a builder supplies: join and meet tables are always derived from it
+by one routine, an up-set lookup.  Everything downstream is table-bound,
 so all checkers are simple scans over these arrays.
 
 All objects here are immutable after construction and safe to share.
@@ -15,11 +15,11 @@ import itertools
 
 import numpy as np
 
-from .limits import check_cap
+from .limits import check_cap, chunk_rows
 
-# Full n^3 validation/scans are vectorised up to this size; beyond it a
-# seeded spot check is used instead (only reachable for deliberately
-# huge builds such as the full partition lattice on 7+ points).
+# The n^3 modularity scan runs as one vectorised pass up to this size and
+# row by row beyond it (reached by large builds such as the full
+# partition lattice on 7+ points).
 _FULL_SCAN_LIMIT = 600
 
 
@@ -64,68 +64,81 @@ def _first_true(mask):
     return np.unravel_index(flat[0], mask.shape)
 
 
-def _tables_from_leq(leq):
-    """Compute join/meet tables from an order matrix, or raise NotALatticeError.
+def _is_transitive(leq, up):
+    """a <= b must imply up(b) <= up(a); tested on the comparable pairs only."""
+    n, width = up.shape
+    rows = chunk_rows(n * (2 * width + 16))
+    for lo in range(0, n, rows):
+        a, b = np.nonzero(leq[lo:lo + rows])
+        if (up[b] & ~up[a + lo]).any():
+            return False
+    return True
 
-    The least upper bound of a pair, when it exists, is the common upper
-    bound with the largest up-set; the candidate is verified to lie below
-    every common upper bound.  Deterministic: the offending pair reported
-    on failure is the lexicographically first one.  Meets are the dual
-    computation on the transposed order.
+
+def _bound_table(packed, kind):
+    """Least-bound table of an order from its up-sets, packed row by row.
+
+    The least upper bound of a and b is the unique c with
+    up(c) = up(a) & up(b).  Up-sets are packed into byte keys, which are
+    distinct in a partial order; the AND of each pair's keys is looked up
+    among the sorted keys, and a miss means the pair has no least bound.
+    The table is symmetric, so each chunk of rows is computed from the
+    diagonal on and written to both triangles; the first miss is then
+    the lexicographically first offending pair.  Meets are the same
+    computation on the transpose.
     """
-    n = leq.shape[0]
-
-    def bounds(above, kind):
-        # candidate order: |above-set| descending, ties by index; the
-        # extremum of a bounded set always maximises |above-set| in it
-        order = np.lexsort((np.arange(n), -above.sum(axis=1)))
-        table = np.empty((n, n), dtype=np.int64)
-        chunk = max(1, min(n, (1 << 24) // max(1, n * n)))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            com = above[lo:hi, None, :] & above[None, :, :]  # (c, n, n)
-            exists = com.any(axis=2)
-            first = np.argmax(com[:, :, order], axis=2)
-            cand = order[first]
-            least_ok = ~(com & ~above[cand]).any(axis=2)
-            bad = _first_true(~exists | ~least_ok)
-            if bad is not None:
-                raise NotALatticeError((int(bad[0]) + lo, int(bad[1])), kind)
-            table[lo:hi] = cand
-        return table
-
-    join = bounds(leq, "least upper bound")
-    meet = bounds(np.ascontiguousarray(leq.T), "greatest lower bound")
-    return join, meet
+    packed = np.ascontiguousarray(packed)
+    n, width = packed.shape
+    key = np.dtype((np.void, width))
+    keys = packed.view(key)[:, 0]
+    order = np.argsort(keys)
+    keys = keys[order]
+    table = np.empty((n, n), dtype=np.int64)
+    rows = chunk_rows(n * (2 * width + 24))
+    for lo in range(0, n, rows):
+        common = (packed[lo:lo + rows, None, :] & packed[None, lo:, :]).view(key)[..., 0]
+        pos = np.searchsorted(keys, common)
+        missing = keys.take(pos, mode="clip") != common
+        if missing.any():
+            bad = _first_true(missing)
+            raise NotALatticeError((int(bad[0]) + lo, int(bad[1]) + lo), kind)
+        cand = order[pos]
+        table[lo:lo + rows, lo:] = cand
+        table[lo:, lo:lo + rows] = cand.T
+    return table
 
 
 class FiniteLattice:
     """A finite lattice on elements 0..size-1 with full operation tables."""
 
-    def __init__(self, leq, join=None, meet=None, labels=None):
+    def __init__(self, leq, labels=None):
         leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
         n = leq.shape[0]
         if leq.shape != (n, n) or n == 0:
             raise ValueError("order matrix must be square and nonempty")
         if not leq.diagonal().all():
             raise ValueError("order matrix is not reflexive")
-        bad = _first_true(leq & leq.T & ~np.eye(n, dtype=bool))
-        if bad is not None:
+        both = leq & leq.T
+        if np.count_nonzero(both) != n:
+            bad = _first_true(both & ~np.eye(n, dtype=bool))
             raise NotAPartialOrderError((int(bad[0]), int(bad[1])))
-        if ((leq.astype(np.uint8) @ leq.astype(np.uint8) > 0) & ~leq).any():
-            raise ValueError("order matrix is not transitive")
-
-        cjoin, cmeet = _tables_from_leq(leq)
-        for given, computed, name in ((join, cjoin, "join"), (meet, cmeet, "meet")):
-            if given is not None and not np.array_equal(np.asarray(given), computed):
-                raise ValueError("supplied %s table disagrees with the order" % name)
+        up = np.packbits(leq, axis=1)
+        # For a <= b the lookup can only find a v b = b, which needs
+        # up(b) <= up(a): a complete join table implies transitivity, so a
+        # non-transitive order always ends in a miss and is reported here.
+        try:
+            join = _bound_table(up, "least upper bound")
+        except NotALatticeError:
+            if not _is_transitive(leq, up):
+                raise ValueError("order matrix is not transitive") from None
+            raise
 
         self.size = n
         self.leq = leq
-        self.join = cjoin
-        self.meet = cmeet
-        self.bottom = int(np.flatnonzero(leq.all(axis=1))[0])
-        self.top = int(np.flatnonzero(leq.all(axis=0))[0])
+        self.join = join
+        self.meet = _bound_table(np.packbits(leq.T, axis=1), "greatest lower bound")
+        self.bottom = int(leq.all(axis=1).argmax())
+        self.top = int(leq.all(axis=0).argmax())
         self.labels = list(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count does not match size")
@@ -143,7 +156,7 @@ class FiniteLattice:
     def covers(self):
         """Hasse diagram as a sorted list of (lower, upper) pairs."""
         strict = self.leq & ~np.eye(self.size, dtype=bool)
-        through = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
+        through = strict @ strict
         lo, hi = np.nonzero(strict & ~through)
         return sorted(zip(lo.tolist(), hi.tolist()))
 
@@ -206,7 +219,7 @@ def from_cover_relation(size, covers, labels=None):
     # reflexive-transitive closure by repeated boolean squaring
     reach = adj
     while True:
-        nxt = (reach.astype(np.uint8) @ reach.astype(np.uint8)) > 0
+        nxt = reach @ reach
         if np.array_equal(nxt, reach):
             break
         reach = nxt
@@ -214,11 +227,6 @@ def from_cover_relation(size, covers, labels=None):
     if bad is not None:
         raise NotAPartialOrderError((int(bad[0]), int(bad[1])))
     return FiniteLattice(reach, labels=labels)
-
-
-def chain(n, labels=None):
-    """The n-element chain 0 < 1 < ... < n-1."""
-    return from_cover_relation(n, [(i, i + 1) for i in range(n - 1)], labels=labels)
 
 
 # -- structural predicates ------------------------------------------------

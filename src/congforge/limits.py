@@ -4,11 +4,16 @@ Every constructor that can explode (direct products, closures, full
 partition lattices, subspace enumerations) checks against a single cap.
 The default is 20000 elements; the environment variable CONGFORGE_CAP
 overrides it.  Exceeding the cap raises, never silently truncates.
+Vectorised scans take their chunk sizes from one byte budget, so their
+temporaries stay bounded whatever the element count.
 """
 
 import os
 
 DEFAULT_SIZE_CAP = 20_000
+
+# Byte budget for the temporaries of one chunk of a vectorised scan.
+CHUNK_BYTES = 1 << 24
 
 
 class SizeLimitError(Exception):
@@ -33,3 +38,8 @@ def check_cap(requested, what):
             "(set CONGFORGE_CAP to raise it)" % (what, requested, cap)
         )
     return requested
+
+
+def chunk_rows(bytes_per_row):
+    """Rows per chunk that keep one chunk's temporaries within CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // max(1, bytes_per_row))

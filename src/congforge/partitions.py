@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import FiniteLattice
-from .limits import check_cap
+from .lattice import FiniteLattice, NotALatticeError
+from .limits import check_cap, chunk_rows
 from . import terms
 
 
@@ -145,7 +145,7 @@ def permutes(a, b):
     _check_sizes(a, b)
     A = _relation_matrix(a)
     B = _relation_matrix(b)
-    ab = (A.astype(np.uint8) @ B.astype(np.uint8)) > 0
+    ab = A @ B
     return np.array_equal(ab, ab.T)
 
 
@@ -154,7 +154,81 @@ def relation_compose(a, b):
     _check_sizes(a, b)
     A = _relation_matrix(a)
     B = _relation_matrix(b)
-    return (A.astype(np.uint8) @ B.astype(np.uint8)) > 0
+    return A @ B
+
+
+def _narrow_dtype(limit):
+    """Narrowest dtype holding the integers 0..limit-1."""
+    return np.uint8 if limit <= 1 << 8 else np.uint16 if limit <= 1 << 16 else np.int64
+
+
+def _refinement_order(reps):
+    """leq[a, b] iff partition a refines b: rep_b[rep_a[i]] == rep_b[i] for all i."""
+    m, n = reps.shape
+    leq = np.empty((m, m), dtype=bool)
+    rows = chunk_rows(m * n * (reps.itemsize + 9))
+    for lo in range(0, m, rows):
+        lifted = reps[:, reps[lo:lo + rows]]  # [b, a, i] = rep_b[rep_a[i]]
+        leq[lo:lo + rows] = (lifted == reps[:, None, :]).all(axis=2).T
+    return leq
+
+
+def _distinct_counts(codes):
+    """Number of distinct values in each row."""
+    ordered = np.sort(codes, axis=1)
+    return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
+
+
+def _component_counts(ra, rb):
+    """Blocks of the join of each row pair: components of the union graph.
+
+    Every point is joined to its representative in either partition; the
+    least point of each component spreads by pushing to representatives
+    (scatter-min), pulling from them (gather) and pointer jumping.
+    """
+    k, n = ra.shape
+    offset = (np.arange(k) * n)[:, None]
+    to_a, to_b = (ra + offset).ravel(), (rb + offset).ravel()
+    lab = np.minimum(to_a, to_b)
+    while True:
+        nxt = lab.copy()
+        np.minimum.at(nxt, to_a, lab)
+        np.minimum.at(nxt, to_b, lab)
+        np.minimum(nxt, nxt[to_a], out=nxt)
+        np.minimum(nxt, nxt[to_b], out=nxt)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, lab):
+            roots = lab.reshape(k, n) == np.arange(n) + offset
+            return np.count_nonzero(roots, axis=1)
+        lab = nxt
+
+
+def _closed_in_eq(reps, lattice):
+    """True iff the derived join and meet of every pair are those of Eq(A).
+
+    The derived meet c of a and b refines their meet in Eq(A), and the
+    derived join coarsens their join, so each is equal to it exactly when
+    the block counts agree: the meet has one block per distinct pair
+    (rep_a[i], rep_b[i]), the join one per component of the union.  A
+    canonical partition has one block per point with rep[i] == i.
+    Comparable pairs are skipped, since their bounds are a and b.
+    """
+    m, n = reps.shape
+    blocks = np.count_nonzero(reps == np.arange(n), axis=1)
+    codes = reps.astype(_narrow_dtype(n * n)) * n
+    incomparable = ~(lattice.leq | lattice.leq.T)
+    rows = chunk_rows(m * n * 64)
+    for lo in range(0, m, rows):
+        a, b = np.nonzero(incomparable[lo:lo + rows])
+        a += lo
+        a, b = a[a < b], b[a < b]
+        if a.size == 0:
+            continue
+        if (_distinct_counts(codes[a] + reps[b]) != blocks[lattice.meet[a, b]]).any():
+            return False
+        if (_component_counts(reps[a], reps[b]) != blocks[lattice.join[a, b]]).any():
+            return False
+    return True
 
 
 class EqRelLattice:
@@ -168,32 +242,24 @@ class EqRelLattice:
         for p in parts:
             if p.base_size != base:
                 raise SizeMismatchError("mixed base sizes")
-        m = len(parts)
         index = {p: i for i, p in enumerate(parts)}
-        leq = np.zeros((m, m), dtype=bool)
-        join = np.empty((m, m), dtype=np.int64)
-        meet = np.empty((m, m), dtype=np.int64)
+        reps = np.array([p.rep for p in parts], dtype=_narrow_dtype(base))
+        reps = reps.reshape(len(parts), base)
+        # A family closed in Eq(A) is a lattice under refinement, so a
+        # non-lattice order already proves it is not closed; otherwise the
+        # derived tables are compared with the operations of Eq(A).
         try:
-            for i, p in enumerate(parts):
-                for j, q in enumerate(parts):
-                    if j < i:
-                        join[i, j] = join[j, i]
-                        meet[i, j] = meet[j, i]
-                        leq[i, j] = p_leq(p, q)
-                        continue
-                    join[i, j] = index[p_join(p, q)]
-                    meet[i, j] = index[p_meet(p, q)]
-                    leq[i, j] = p_leq(p, q)
-        except KeyError:
-            raise ValueError("partitions are not closed under join/meet") from None
-        # The FiniteLattice constructor re-derives the tables from the
-        # order and cross-checks the ones computed here.
+            lattice = FiniteLattice(
+                _refinement_order(reps), labels=[p.label() for p in parts]
+            )
+        except NotALatticeError:
+            lattice = None
+        if lattice is None or not _closed_in_eq(reps, lattice):
+            raise ValueError("partitions are not closed under join/meet")
         self.base_size = base
         self.partitions = tuple(parts)
         self.index = index
-        self.lattice = FiniteLattice(
-            leq, join=join, meet=meet, labels=[p.label() for p in parts]
-        )
+        self.lattice = lattice
 
     def __len__(self):
         return len(self.partitions)

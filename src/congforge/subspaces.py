@@ -20,7 +20,7 @@ from .lattice import (
     find_sublattice,
     is_modular,
 )
-from .limits import check_cap
+from .limits import check_cap, chunk_rows
 
 
 class FieldMismatchError(Exception):
@@ -183,6 +183,44 @@ def all_subspaces(dim, p):
     return out
 
 
+def _containment_order(subs, dim, p):
+    """leq[u, w] iff subspace u lies in w, for subspaces sorted by dimension.
+
+    Each subspace becomes a bitset over the p^dim vectors, a vector being
+    encoded base p: its members are all combinations of its basis rows.
+    u lies in w exactly when every basis vector of u is a member of w;
+    missing basis slots point at the zero vector, which every subspace
+    contains.
+    """
+    m = len(subs)
+    weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    members = np.zeros((m, p**dim), dtype=bool)
+    basis_codes = np.zeros((m, dim), dtype=np.int64)
+    start = 0
+    while start < m:
+        k = subs[start].dim
+        stop = start
+        while stop < m and subs[stop].dim == k:
+            stop += 1
+        coeffs = np.indices((p,) * k).reshape(k, p**k).T  # all of GF(p)^k
+        rows = chunk_rows(p**k * dim * 16)
+        for lo in range(start, stop, rows):
+            hi = min(stop, lo + rows)
+            bases = np.array([s.basis for s in subs[lo:hi]], dtype=np.int64)
+            bases = bases.reshape(hi - lo, k, dim)
+            basis_codes[lo:hi, :k] = bases @ weights
+            codes = (coeffs @ bases) % p @ weights  # (rows, p^k)
+            members[np.arange(lo, hi)[:, None], codes] = True
+        start = stop
+    leq = np.empty((m, m), dtype=bool)
+    rows = chunk_rows(m * dim * 9)
+    for lo in range(0, m, rows):
+        # [w, u, j] = the j-th basis vector of u lies in w
+        inside = members[:, basis_codes[lo:lo + rows]]
+        leq[lo:lo + rows] = inside.all(axis=2).T
+    return leq
+
+
 class SubspaceLattice:
     """The full lattice of subspaces of GF(p)^dim with element dictionary."""
 
@@ -196,27 +234,13 @@ class SubspaceLattice:
         if len(subs) != expected or len(set(subs)) != expected:
             raise RuntimeError("subspace enumeration does not match the count formula")
         subs.sort(key=lambda s: (s.dim, s.basis))
-        m = len(subs)
         index = {s: i for i, s in enumerate(subs)}
-        leq = np.zeros((m, m), dtype=bool)
-        join = np.empty((m, m), dtype=np.int64)
-        meet = np.empty((m, m), dtype=np.int64)
-        for i, u in enumerate(subs):
-            for j, w in enumerate(subs):
-                if j < i:
-                    join[i, j] = join[j, i]
-                    meet[i, j] = meet[j, i]
-                else:
-                    join[i, j] = index[s_sum(u, w)]
-                    meet[i, j] = index[s_intersect(u, w)]
-                leq[i, j] = join[i, j] == j
+        leq = _containment_order(subs, dim, p)
         self.p = p
         self.dim = dim
         self.subspaces = tuple(subs)
         self.index = index
-        self.lattice = FiniteLattice(
-            leq, join=join, meet=meet, labels=[s.notation() for s in subs]
-        )
+        self.lattice = FiniteLattice(leq, labels=[s.notation() for s in subs])
 
     def __len__(self):
         return len(self.subspaces)

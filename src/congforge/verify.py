@@ -64,7 +64,8 @@ class SuiteResult:
 
     def to_json(self):
         ids = [c.check_id for c in self.checks]
-        assert len(ids) == len(set(ids)), "duplicate check ids"
+        if len(ids) != len(set(ids)):
+            raise ValueError("duplicate check ids in suite %r" % self.suite)
         return json.dumps(
             {
                 "suite": self.suite,

@@ -67,6 +67,27 @@ def test_check_exit_codes(files, capsys):
     assert main(["check", files["m3"], "--identity", "x0 + ("]) == 2
 
 
+def test_check_rejects_bad_lattice_files(tmp_path, capsys):
+    bowtie = {"size": 6, "covers": [[0, 1], [0, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 5], [4, 5]]}
+    cycle = {"size": 3, "covers": [[0, 1], [1, 2], [2, 0]]}
+    for name, data, message in (("bowtie", bowtie, "not a lattice"),
+                                ("cycle", cycle, "not a partial order")):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path), "--builtin", "modular"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_duplicate_check_ids_are_rejected():
+    result = verify.SuiteResult("demo", 0)
+    result.add("same-id", "first", True)
+    result.add("same-id", "second", True)
+    with pytest.raises(ValueError, match="duplicate check ids"):
+        result.to_json()
+
+
 def test_check_dn_star_on_line_lattice(tmp_path, capsys):
     # the 6-element lattice of GF(3)^2 is a lattice of permuting
     # equivalence relations, so the companion inequality holds, decisively

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congforge import fixtures
+from congforge import fixtures, limits
 from congforge.lattice import (
     BudgetExceededError,
+    FiniteLattice,
     LatticeHom,
     NotALatticeError,
     NotAPartialOrderError,
@@ -55,6 +56,107 @@ def test_missing_bound_is_rejected():
     with pytest.raises(NotALatticeError) as err:
         from_cover_relation(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     assert err.value.pair == (0, 1)
+
+
+def _closure_by_warshall(n, covers):
+    leq = np.eye(n, dtype=bool)
+    for lo, hi in covers:
+        leq[lo, hi] = True
+    for k in range(n):
+        leq |= leq[:, k:k + 1] & leq[k:k + 1, :]
+    return leq
+
+
+def _bounds_by_definition(leq):
+    """Join and meet tables by scanning the common bounds of every pair in
+    lexicographic order, or the first pair without a least bound."""
+    n = len(leq)
+    tables = []
+    for kind, rel in (("least upper bound", leq), ("greatest lower bound", leq.T)):
+        table = np.empty((n, n), dtype=np.int64)
+        for a in range(n):
+            for b in range(n):
+                common = [c for c in range(n) if rel[a, c] and rel[b, c]]
+                least = [c for c in common if all(rel[c, d] for d in common)]
+                if len(least) != 1:
+                    return None, ((a, b), kind)
+                table[a, b] = least[0]
+        tables.append(table)
+    return tables, None
+
+
+@st.composite
+def _cover_relations(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    if draw(st.booleans()):  # bounded posets are lattices more often
+        edges += [(0, i) for i in range(1, n)] + [(i, n - 1) for i in range(n - 1)]
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[a], perm[b]) for a, b in edges]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cover_relations())
+def test_upset_lookup_matches_bounds_by_definition(relation):
+    n, covers = relation
+    leq = _closure_by_warshall(n, covers)
+    tables, failure = _bounds_by_definition(leq)
+    if failure is None:
+        lat = from_cover_relation(n, covers)
+        assert np.array_equal(lat.leq, leq)
+        assert np.array_equal(lat.join, tables[0])
+        assert np.array_equal(lat.meet, tables[1])
+    else:
+        with pytest.raises(NotALatticeError) as err:
+            from_cover_relation(n, covers)
+        assert (err.value.pair, err.value.kind) == failure
+
+
+# two atoms with two minimal upper bounds
+BOWTIE = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
+# every join exists (0 is the top), but 1 and 4 have no common lower bound
+NO_MEET = [(2, 1), (3, 1), (3, 5), (4, 5), (1, 0), (5, 0)]
+
+
+def test_tiny_chunk_budget_gives_the_same_tables(monkeypatch, lattice_corpus, sub32):
+    corpus = [lat for _, lat in lattice_corpus] + [sub32.lattice]
+    expected = [((1, 2), "least upper bound"), ((1, 4), "greatest lower bound")]
+    for budget in (limits.CHUNK_BYTES, 1):
+        monkeypatch.setattr(limits, "CHUNK_BYTES", budget)
+        for lat in corpus:
+            again = FiniteLattice(lat.leq)
+            assert np.array_equal(again.join, lat.join)
+            assert np.array_equal(again.meet, lat.meet)
+        for covers, witness in zip((BOWTIE, NO_MEET), expected):
+            with pytest.raises(NotALatticeError) as err:
+                from_cover_relation(6, covers)
+            assert (err.value.pair, err.value.kind) == witness
+
+
+def test_order_matrix_validation():
+    with pytest.raises(ValueError, match="not reflexive"):
+        FiniteLattice(np.zeros((2, 2), dtype=bool))
+    # 0 < 1 < 2 without 0 < 2
+    chain_gap = np.eye(3, dtype=bool)
+    chain_gap[0, 1] = chain_gap[1, 2] = True
+    with pytest.raises(ValueError, match="not transitive"):
+        FiniteLattice(chain_gap)
+    # neither transitive nor with all bounds: transitivity is reported first
+    bowtie = _closure_by_warshall(6, BOWTIE)
+    bowtie[0, 5] = False
+    with pytest.raises(ValueError, match="not transitive"):
+        FiniteLattice(bowtie)
+
+
+def test_wide_diamond_with_256_atoms():
+    # 256 paths from bottom to top: a path count kept in uint8 wraps to 0
+    k = 256
+    covers = [(0, i) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
+    lat = from_cover_relation(k + 2, covers)
+    assert lat.leq[0, k + 1]
+    assert lat.covers() == sorted(covers)
+    assert lat.join[1, 2] == k + 1 and lat.meet[1, 2] == 0
 
 
 def test_axioms_by_table_scan(lattice_corpus):

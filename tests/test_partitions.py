@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congforge import fixtures
+from congforge import fixtures, limits
 from congforge.lattice import find_sublattice
 from congforge.partitions import (
     EqRelLattice,
@@ -97,6 +97,13 @@ def test_join_meet_are_bounds_in_full_lattice():
                     assert p_leq(c, m)
 
 
+def test_compose_on_256_points():
+    # every point is related through 256 middle points; a uint8 count wraps to 0
+    whole = Partition.one_block(256)
+    assert relation_compose(whole, whole).all()
+    assert permutes(whole, Partition.singletons(256))
+
+
 def test_permuting_implies_compose_equals_join():
     for n in range(2, 6):
         parts = all_partitions(n)
@@ -127,6 +134,81 @@ def test_eqrel_lattice_rejects_non_closed():
     b = Partition.from_blocks(3, [[0], [1, 2]])
     with pytest.raises(ValueError):
         EqRelLattice([a, b])  # join and meet are missing
+
+
+def test_eqrel_lattice_rejects_missing_join_with_lattice_order():
+    # ordered as a square, but the join of the two atoms in Eq(A) is 01|23
+    atoms = [Partition.from_blocks(4, [[0, 1], [2], [3]]),
+             Partition.from_blocks(4, [[0], [1], [2, 3]])]
+    family = [Partition.singletons(4), *atoms, Partition.one_block(4)]
+    assert p_join(*atoms) not in family
+    with pytest.raises(ValueError, match="not closed"):
+        EqRelLattice(family)
+    assert len(EqRelLattice(family + [p_join(*atoms)])) == 5
+
+
+def test_eqrel_lattice_rejects_missing_meet_with_lattice_order():
+    # ordered as a square, but the meet of the two coatoms in Eq(A) is 0|12|3
+    coatoms = [Partition.from_blocks(4, [[0, 1, 2], [3]]),
+               Partition.from_blocks(4, [[0], [1, 2, 3]])]
+    family = [Partition.singletons(4), *coatoms, Partition.one_block(4)]
+    assert p_meet(*coatoms) not in family
+    with pytest.raises(ValueError, match="not closed"):
+        EqRelLattice(family)
+    assert len(EqRelLattice(family + [p_meet(*coatoms)])) == 5
+
+
+def _assert_tables_match_partition_operations(eq):
+    lat, parts = eq.lattice, eq.partitions
+    for i, a in enumerate(parts):
+        for j, b in enumerate(parts):
+            assert parts[lat.join[i, j]] == p_join(a, b)
+            assert parts[lat.meet[i, j]] == p_meet(a, b)
+            assert lat.leq[i, j] == p_leq(a, b)
+
+
+def test_derived_tables_match_partition_operations():
+    for n in range(1, 6):
+        _assert_tables_match_partition_operations(full_partition_lattice(n))
+    gens = [(0, 0, 0, 3, 0, 3), (0, 0, 2, 3, 2, 2), (0, 1, 0, 1, 4, 4), (0, 0, 2, 2, 4, 5),
+            (0, 1, 1, 0, 0, 0)]
+    sub = closed_sublattice([Partition(g) for g in gens])
+    assert len(sub) == 65  # a proper sublattice of Pi(6), which has 203 elements
+    _assert_tables_match_partition_operations(sub)
+
+
+def _closed_by_definition(family):
+    return all(p_join(a, b) in family and p_meet(a, b) in family
+               for a in family for b in family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eqrel_lattice_accepts_exactly_the_closed_families(data):
+    n = data.draw(st.integers(1, 5))
+    parts = all_partitions(n)
+    picks = data.draw(st.sets(st.integers(0, len(parts) - 1), min_size=1, max_size=8))
+    family = {parts[i] for i in picks}
+    if data.draw(st.booleans()):  # bounded families are lattices more often
+        family |= {Partition.singletons(n), Partition.one_block(n)}
+    if _closed_by_definition(family):
+        _assert_tables_match_partition_operations(EqRelLattice(family))
+    else:
+        with pytest.raises(ValueError, match="not closed"):
+            EqRelLattice(family)
+
+
+def test_tiny_chunk_budget_gives_the_same_partition_lattices(monkeypatch):
+    pi4 = full_partition_lattice(4)
+    atoms = [Partition.from_blocks(4, [[0, 1], [2], [3]]),
+             Partition.from_blocks(4, [[0], [1], [2, 3]])]
+    family = [Partition.singletons(4), *atoms, Partition.one_block(4)]
+    monkeypatch.setattr(limits, "CHUNK_BYTES", 1)
+    again = full_partition_lattice(4)
+    for table in ("leq", "join", "meet"):
+        assert np.array_equal(getattr(again.lattice, table), getattr(pi4.lattice, table))
+    with pytest.raises(ValueError, match="not closed"):
+        EqRelLattice(family)
 
 
 def test_verify_dn_permuting():

@@ -75,6 +75,16 @@ def test_membership_and_notation():
     assert Subspace.from_notation(2, 3, "0") == Subspace(2, 3, ())
 
 
+def test_derived_tables_match_sum_and_intersection(sub32, sub23):
+    for lattice in (sub32, sub23, subspace_lattice(4, 2)):
+        lat, subs = lattice.lattice, lattice.subspaces
+        for i, u in enumerate(subs):
+            for j, w in enumerate(subs):
+                assert subs[lat.join[i, j]] == s_sum(u, w)
+                assert subs[lat.meet[i, j]] == s_intersect(u, w)
+                assert lat.leq[i, j] == (s_sum(u, w) == w)
+
+
 def test_lattice_sizes_against_span_oracle(sub22, sub32, sub23):
     cases = {(2, 2): sub22, (3, 2): sub32, (2, 3): sub23}
     for (dim, p), sl in cases.items():
