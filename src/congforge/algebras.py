@@ -5,15 +5,28 @@ Congruences are Partitions compatible with every operation.  Centrality
 C(a, b; d) is decided by generating the closure of the 2x2 matrix set
 from its generators under the basic operations and scanning; the
 commutator [a, b] is the ascending fixpoint of the induced closure.
+
+The closure works on integer keys.  A matrix (m00, m01, m10, m11) is the
+key hi*n^2 + lo with hi = m00*n + m01 and lo = m10*n + m11, so one key
+is a pair of pair codes.  For each k-ary operation f the algebra caches
+a pair table of shape (n^2,)*k, T[(x0,y0),...] = f(x0,...)*n + f(y0,...),
+which applies f to both top entries (or both bottom entries) at once:
+the image of k matrices is T[their his]*n^2 + T[their los].  Rounds are
+semi-naive, so every argument tuple with a new matrix in it is
+evaluated once, and duplicates are removed by an n^4 bitmap, not by
+sorting.  The tables and the unary translations behind congruence
+generation are derived lazily on first use and cached on the algebra.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import limits
 from .lattice import FiniteLattice, interval
 from .limits import SizeLimitError
 from .partitions import EqRelLattice, Partition, p_join, p_leq, p_meet
@@ -67,6 +80,35 @@ class FiniteAlgebra:
                 % (name, arr.ndim, len(args))
             )
         return int(arr[args]) if args else int(arr)
+
+    @cached_property
+    def _translations(self):
+        """Each basic operation, one argument slot moved first, flattened
+        over the other slots: the unary polynomials that generate
+        congruence closure."""
+        out = []
+        for arr in self.by_name.values():
+            for pos in range(arr.ndim):
+                out.append(np.moveaxis(arr, pos, 0).reshape(self.size, -1))
+        return tuple(out)
+
+    @cached_property
+    def _pair_tables(self):
+        """For each operation f of arity k >= 1, f applied to k pairs at
+        once: T[x0*n+y0, ..., x(k-1)*n+y(k-1)] = f(x0,...)*n + f(y0,...),
+        of shape (n^2,)*k in the narrowest unsigned dtype."""
+        n = self.size
+        dtype = _pair_dtype(n)
+        out = []
+        for arr in self.by_name.values():
+            k = arr.ndim
+            if k == 0:
+                continue
+            first = arr.astype(dtype).reshape((n, 1) * k) * dtype.type(n)
+            table = (first + arr.astype(dtype).reshape((1, n) * k)).reshape((n * n,) * k)
+            table.setflags(write=False)
+            out.append(table)
+        return tuple(out)
 
     def __repr__(self):
         return "FiniteAlgebra(size=%d, ops=%s)" % (
@@ -190,24 +232,12 @@ def parse_term_expr(text):
 # -- congruences --------------------------------------------------------------
 
 
-def _unary_translations(algebra):
-    """Each basic operation, one argument slot moved first, flattened over
-    the other slots: the unary polynomials that generate congruence closure."""
-    out = []
-    for arr in algebra.by_name.values():
-        if arr.ndim == 0:
-            continue
-        for pos in range(arr.ndim):
-            out.append(np.moveaxis(arr, pos, 0).reshape(algebra.size, -1))
-    return out
-
-
 def is_congruence(algebra, part):
     """Full-scan compatibility check of a partition with every operation."""
     if part.base_size != algebra.size:
         return False
     rep = np.asarray(part.rep)
-    for moved in _unary_translations(algebra):
+    for moved in algebra._translations:
         for a in range(algebra.size):
             b = part.rep[a]
             if b != a and not np.array_equal(rep[moved[a]], rep[moved[b]]):
@@ -248,10 +278,9 @@ def congruence_from_pairs(algebra, pairs, start=None):
     for a, b in pairs:
         union(int(a), int(b))
 
-    translations = _unary_translations(algebra)
     while worklist:
         a, b = worklist.pop()
-        for moved in translations:
+        for moved in algebra._translations:
             ra, rb = moved[a], moved[b]
             for j in np.flatnonzero(ra != rb):
                 union(int(ra[j]), int(rb[j]))
@@ -317,7 +346,41 @@ def con_lattice(algebra, cap=DEFAULT_ALGEBRA_CAP):
 
 # -- centrality and the commutator --------------------------------------------
 
-_BLOCK = 1 << 21  # cap on intermediate rows when pairing matrix sets
+# Worst-case bytes per matrix of the closure: the seen and mark bitmaps
+# (1 + 1), the row codes hi and lo (8 + 8), and the returned row (4 * 8)
+# with the transients of decoding it (4 * 8).
+_MATRIX_BYTES = 82
+# Bytes per evaluated argument tuple: two table gathers and the intp key.
+_CELL_BYTES = 16
+
+
+def _pair_dtype(n):
+    return np.min_scalar_type(max(n * n - 1, 0))
+
+
+def _closure_bytes(algebra):
+    """Bytes of the closure's state: bitmaps, rows and pair tables."""
+    n2 = algebra.size**2
+    item = _pair_dtype(algebra.size).itemsize
+    tables = sum(item * n2**arr.ndim for arr in algebra.by_name.values() if arr.ndim)
+    return n2 * n2 * _MATRIX_BYTES + tables
+
+
+def _boxes(spans, cell_bytes):
+    """Split the product of index spans [(start, stop), ...] into boxes of
+    at most limits.chunk_rows(cell_bytes) cells, trailing spans whole first;
+    an empty span yields no box."""
+    budget = limits.chunk_rows(cell_bytes)
+    steps = []
+    for start, stop in reversed(spans):
+        step = max(1, min(stop - start, budget))
+        steps.append(step)
+        budget = max(1, budget // step)
+    cuts = [
+        [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+        for (start, stop), step in zip(spans, reversed(steps))
+    ]
+    return itertools.product(*cuts)
 
 
 def _matrix_closure(algebra, alpha, beta):
@@ -326,82 +389,76 @@ def _matrix_closure(algebra, alpha, beta):
     componentwise.
 
     Generated as the subalgebra of the 4th power spanned by the row seeds
-    (a,a,b,b) for a alpha b, the column seeds (u,v,u,v) for u beta v, and
+    (a,a,b,b) for a alpha b and the column seeds (u,v,u,v) for u beta v,
     closed under every basic operation entrywise; the diagonal seeds
-    supply constants.  Returns an (m, 4) array of rows (m00,m01,m10,m11).
+    (c,c,c,c) supply every constant.  A matrix is the key hi*n^2 + lo with
+    hi = m00*n + m01 and lo = m10*n + m11, and a k-ary operation maps k
+    matrices to pair_table[his]*n^2 + pair_table[los].
+
+    Rounds are semi-naive: with old the matrices found before the last
+    round, new those found in it and current their union, argument slot i
+    takes new, the slots before it old and the slots after it current, so
+    each argument tuple holding a new matrix is evaluated exactly once.
+    Images are scattered into an n^4 mark bitmap, minus the seen bitmap,
+    and np.flatnonzero yields the next round's matrices.  Argument tuples
+    are evaluated in boxes of limits.CHUNK_BYTES; the bitmaps, rows and
+    pair tables must fit limits.CLOSURE_BYTES or SizeLimitError is raised
+    before anything is allocated.
+
+    Returns an (m, 4) int64 array of rows (m00, m01, m10, m11) in ascending
+    key order, i.e. lexicographically ascending rows.
     """
+    need = _closure_bytes(algebra)
+    if need > limits.CLOSURE_BYTES:
+        raise SizeLimitError(
+            "2x2-matrix closure on %d elements needs %d bytes, over the bound of %d"
+            % (algebra.size, need, limits.CLOSURE_BYTES)
+        )
     n = algebra.size
+    n2 = n * n
     arep = np.asarray(alpha.rep)
     brep = np.asarray(beta.rep)
-    a_grid, b_grid = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    arel = (arep[a_grid] == arep[b_grid]).ravel()
-    aa, bb = a_grid.ravel()[arel], b_grid.ravel()[arel]
-    row_seeds = np.stack([aa, aa, bb, bb], axis=1)
-    brel = (brep[a_grid] == brep[b_grid]).ravel()
-    uu, vv = a_grid.ravel()[brel], b_grid.ravel()[brel]
-    col_seeds = np.stack([uu, vv, uu, vv], axis=1)
+    x, y = np.divmod(np.arange(n2), n)
+    seen = np.zeros(n2 * n2, dtype=bool)
+    rows = np.flatnonzero(arep[x] == arep[y])
+    seen[x[rows] * (n + 1) * n2 + y[rows] * (n + 1)] = True
+    cols = np.flatnonzero(brep[x] == brep[y])
+    seen[cols * n2 + cols] = True
 
-    key_mult = np.array([n**3, n**2, n, 1], dtype=np.int64)
-    seen = np.zeros(n**4, dtype=bool)
-    chunks = []
-
-    def add(cand):
-        keys = cand @ key_mult
-        mask = ~seen[keys]
-        if not mask.any():
-            return None
-        cand, keys = cand[mask], keys[mask]
-        uniq, first = np.unique(keys, return_index=True)
-        seen[uniq] = True
-        fresh = cand[first]
-        chunks.append(fresh)
-        return fresh
-
-    frontier = add(np.concatenate([row_seeds, col_seeds]))
-    flat_ops = [
-        (arr.ravel(), arr.ndim)
-        for arr in algebra.by_name.values()
-        if arr.ndim > 0
-    ]
-    nullary = [int(arr) for arr in algebra.by_name.values() if arr.ndim == 0]
-    if nullary:
-        const = np.array([[c, c, c, c] for c in nullary], dtype=np.int64)
-        extra = add(const)
-        if extra is not None and frontier is not None:
-            frontier = np.concatenate([frontier, extra])
-
-    while frontier is not None and frontier.shape[0]:
-        current = np.concatenate(chunks)
-        fresh_parts = []
-        for flat, k in flat_ops:
-            if k == 1:
-                got = add(flat[frontier])
-                if got is not None:
-                    fresh_parts.append(got)
-                continue
-            for pattern in itertools.product((0, 1), repeat=k):
-                if not any(pattern):
-                    continue
-                pools = [frontier if p else current for p in pattern]
-                sizes = [pool.shape[0] for pool in pools]
-                if 0 in sizes:
-                    continue
-                rest = 1
-                for s in sizes[1:]:
-                    rest *= s
-                step = max(1, _BLOCK // max(1, rest))
-                for lo in range(0, sizes[0], step):
-                    sub = [pools[0][lo:lo + step]] + pools[1:]
-                    idx = 0
-                    for axis, pool in enumerate(sub):
-                        shape = [1] * k + [4]
-                        shape[axis] = pool.shape[0]
-                        idx = idx * n + pool.reshape(shape)
-                    got = add(flat[idx].reshape(-1, 4))
-                    if got is not None:
-                        fresh_parts.append(got)
-        frontier = np.concatenate(fresh_parts) if fresh_parts else None
-    return np.concatenate(chunks)
+    tables = algebra._pair_tables
+    mark = np.zeros_like(seen)
+    hi, lo = np.divmod(np.flatnonzero(seen), n2)
+    n_old = 0
+    while n_old < hi.size:
+        m = hi.size
+        for table in tables:
+            k = table.ndim
+            for i in range(k):
+                spans = [(0, n_old)] * i + [(n_old, m)] + [(0, m)] * (k - 1 - i)
+                for box in _boxes(spans, _CELL_BYTES):
+                    idx_hi, idx_lo = [], []
+                    for axis, (start, stop) in enumerate(box):
+                        shape = [1] * k
+                        shape[axis] = stop - start
+                        idx_hi.append(hi[start:stop].reshape(shape))
+                        idx_lo.append(lo[start:stop].reshape(shape))
+                    key = table[tuple(idx_hi)].astype(np.intp)
+                    key *= n2
+                    key += table[tuple(idx_lo)]
+                    mark[key] = True
+        np.greater(mark, seen, out=mark)
+        fresh = np.flatnonzero(mark)
+        seen[fresh] = True
+        mark[fresh] = False
+        fresh_hi, fresh_lo = np.divmod(fresh, n2)
+        hi = np.concatenate([hi, fresh_hi])
+        lo = np.concatenate([lo, fresh_lo])
+        n_old = m
+    hi, lo = np.divmod(np.flatnonzero(seen), n2)
+    out = np.empty((hi.size, 4), dtype=np.int64)
+    out[:, 0], out[:, 1] = np.divmod(hi, n)
+    out[:, 2], out[:, 3] = np.divmod(lo, n)
+    return out
 
 
 def centrality(algebra, alpha, beta, delta):

@@ -5,7 +5,9 @@ partition lattices, subspace enumerations) checks against a single cap.
 The default is 20000 elements; the environment variable CONGFORGE_CAP
 overrides it.  Exceeding the cap raises, never silently truncates.
 Vectorised scans take their chunk sizes from one byte budget, so their
-temporaries stay bounded whatever the element count.
+temporaries stay bounded whatever the element count.  State that cannot
+be chunked, such as the bitmaps of the 2x2-matrix closure, is checked
+against a fixed byte bound before anything is allocated.
 """
 
 import os
@@ -14,6 +16,10 @@ DEFAULT_SIZE_CAP = 20_000
 
 # Byte budget for the temporaries of one chunk of a vectorised scan.
 CHUNK_BYTES = 1 << 24
+
+# Byte bound on the state of one 2x2-matrix closure (algebras._matrix_closure):
+# its bitmaps, its rows in the worst case and its pair tables.
+CLOSURE_BYTES = 1 << 28
 
 
 class SizeLimitError(Exception):

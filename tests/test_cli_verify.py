@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from congforge import fixtures, jsonio, verify
+from congforge.algebras import FiniteAlgebra, make_operation
 from congforge.cli import main
 
 
@@ -142,6 +143,16 @@ def test_alg_commands(files, capsys):
     assert main(["alg", files["s3"], "wdt", "mul(x, mul(inv(y), z))"]) == 0
     assert json.loads(capsys.readouterr().out)["is_weak_difference_term"]
     assert main(["alg", files["s3"], "commutator", "top", "[[0,1],[2,3],[4,5]]"]) == 2
+
+
+def test_alg_commutator_over_the_closure_bound_exits_2(tmp_path, capsys):
+    n = 300
+    succ = make_operation("s", 1, [(x + 1) % n for x in range(n)], n)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(jsonio.algebra_to_dict(FiniteAlgebra(n, [succ]))))
+    assert main(["alg", str(path), "commutator", "top", "top"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bytes" in err
 
 
 def test_verify_cli(files, capsys):
