@@ -696,6 +696,8 @@ def verify_embedding_construction(algebra, alpha, n, con_cap=None):
 
     Requires alpha abelian; that is what forces the structure.
     """
+    if n < 1:
+        raise ValueError("the construction needs n >= 1, got %d" % n)
     if not abelian_interval(algebra, Partition.singletons(algebra.size), alpha):
         raise PreconditionFailedError("alpha must be an abelian congruence")
     power, tuples, alpha_bar, etas = alpha_power_algebra(algebra, alpha, n)

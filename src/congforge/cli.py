@@ -11,31 +11,17 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import algebras, fixtures, jsonio, subspaces, terms, verify
 from .lattice import LatticeError
-from .limits import SizeLimitError
+from .limits import BudgetExceededError, SizeLimitError
 from .partitions import Partition, full_partition_lattice
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def _emit(data, human, human_text=None):
     if human and human_text is not None:
         print(human_text)
     else:
-        print(json.dumps(_jsonable(data), indent=2, sort_keys=True))
+        print(json.dumps(jsonio.jsonable(data), indent=2, sort_keys=True))
 
 
 def cmd_check(args):
@@ -117,7 +103,15 @@ def _parse_congruence(alg, text):
     return part
 
 
+# positional arguments each alg action takes
+_ALG_ARGS = {"con": 0, "commutator": 2, "wdt": 1, "embed-construct": 0}
+
+
 def cmd_alg(args):
+    if len(args.args) != _ALG_ARGS[args.action]:
+        print("error: alg %s takes %d arguments, got %d"
+              % (args.action, _ALG_ARGS[args.action], len(args.args)), file=sys.stderr)
+        return 2
     alg = jsonio.load_algebra(args.algebra)
     if args.action == "con":
         con = algebras.con_lattice(alg)
@@ -153,6 +147,9 @@ def cmd_alg(args):
         )
         return 0
     if args.action == "embed-construct":
+        if args.alpha is None:
+            print("error: alg embed-construct needs --alpha", file=sys.stderr)
+            return 2
         alpha = _parse_congruence(alg, args.alpha)
         rep = algebras.verify_embedding_construction(alg, alpha, args.n)
         payload = {
@@ -252,16 +249,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (SizeLimitError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except terms.TermSyntaxError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except terms.BudgetExceededError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except LatticeError as exc:
+    except (SizeLimitError, BudgetExceededError, FileNotFoundError, ValueError,
+            json.JSONDecodeError, terms.TermSyntaxError, LatticeError,
+            algebras.PreconditionFailedError, algebras.ArityError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

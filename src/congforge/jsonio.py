@@ -12,9 +12,24 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .algebras import FiniteAlgebra, make_operation
 from .lattice import from_cover_relation
 from .partitions import Partition
+
+
+def jsonable(obj):
+    """obj with numpy scalars made plain and dict keys made strings, for json.dumps."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
 
 
 def lattice_to_dict(lat):

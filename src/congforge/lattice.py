@@ -4,7 +4,10 @@ Elements are the integers 0..size-1.  The order matrix is computed once,
 at construction, from a cover relation or an explicit order, and it is
 all a builder supplies: join and meet tables are always derived from it
 by one routine, an up-set lookup.  Everything downstream is table-bound,
-so all checkers are simple scans over these arrays.
+so all checkers are simple scans over these arrays.  The n^3 scans
+(modularity, semidistributivity) share one triple scan that walks the
+first coordinate in row chunks sized by the byte budget of
+limits.chunk_rows and reports the lexicographically first violation.
 
 All objects here are immutable after construction and safe to share.
 """
@@ -15,12 +18,7 @@ import itertools
 
 import numpy as np
 
-from .limits import check_cap, chunk_rows
-
-# The n^3 modularity scan runs as one vectorised pass up to this size and
-# row by row beyond it (reached by large builds such as the full
-# partition lattice on 7+ points).
-_FULL_SCAN_LIMIT = 600
+from .limits import BudgetExceededError, check_cap, chunk_rows
 
 
 class LatticeError(Exception):
@@ -52,16 +50,13 @@ class NotComparableError(LatticeError):
         super().__init__("interval endpoints %d and %d are not comparable" % (lo, hi))
 
 
-class BudgetExceededError(LatticeError):
-    """A bounded search ran out of its node budget before deciding."""
-
-
 def _first_true(mask):
-    """Index tuple of the lexicographically first True entry, or None."""
-    flat = np.flatnonzero(mask.ravel())
-    if flat.size == 0:
+    """(row, column) of the first True entry of a 2-D mask in row-major
+    order, or None."""
+    flat = int(mask.argmax())
+    if not mask.flat[flat]:
         return None
-    return np.unravel_index(flat[0], mask.shape)
+    return divmod(flat, mask.shape[1])
 
 
 def _is_transitive(leq, up):
@@ -232,37 +227,42 @@ def from_cover_relation(size, covers, labels=None):
 # -- structural predicates ------------------------------------------------
 
 
+def _first_triple(n, violated):
+    """Scan all triples (a, b, c) of 0..n-1 for a violation.
+
+    violated(rows) gives the boolean (len, n, n) mask of the triples whose
+    first coordinate lies in the slice rows.  Rows are taken in chunks on
+    the byte budget, allowing per row two n x n int64 temporaries and two
+    boolean ones, and the scan stops at the first chunk with a hit.
+    Returns (True, None) or (False, (a, b, c)) with the lexicographically
+    first violation.
+    """
+    step = chunk_rows(18 * n * n)
+    for lo in range(0, n, step):
+        mask = violated(slice(lo, lo + step))
+        hit = _first_true(mask.reshape(len(mask), -1))
+        if hit is not None:
+            return False, (lo + hit[0],) + divmod(hit[1], n)
+    return True, None
+
+
 def is_modular(lat):
     """Modularity check: a <= c implies a v (b ^ c) = (a v b) ^ c.
 
     Returns (True, None) or (False, (a, b, c)) with the lexicographically
     first witnessing triple.
     """
-    n = lat.size
-    J, M = lat.join, lat.meet
-    if n <= _FULL_SCAN_LIMIT:
-        left = J[np.arange(n)[:, None, None], M[None, :, :]]  # a v (b ^ c)
-        right = M[J][:, :, :]  # (a v b) ^ c  -- M[J][a,b,c] = M[J[a,b], c]
-        mask = lat.leq[:, None, :] & (left != right)
-        first = _first_true(mask)
-        if first is None:
-            return True, None
-        return False, tuple(int(v) for v in first)
-    for a in range(n):
-        left = J[a, M]  # (b, c)
-        right = M[J[a], :]
-        mask = lat.leq[a][None, :] & (left != right)
-        first = _first_true(mask)
-        if first is not None:
-            return False, (a, int(first[0]), int(first[1]))
-    return True, None
+    J, M, leq = lat.join, lat.meet, lat.leq
+    # J[a][:, M][a, b, c] = a v (b ^ c) and M[J[a]][a, b, c] = (a v b) ^ c
+    return _first_triple(lat.size, lambda a: leq[a, None, :] & (J[a][:, M] != M[J[a]]))
 
 
 def check_semidistributivity(lat, side):
     """SD-meet / SD-join quasi-identity check.
 
     meet side: x^y = x^z  ->  x^y = x^(y v z); join side is the dual.
-    Returns (True, None) or (False, (x, y, z)).
+    Returns (True, None) or (False, (x, y, z)), the lexicographically
+    first violation.
     """
     if side == "meet":
         M, J = lat.meet, lat.join
@@ -270,15 +270,13 @@ def check_semidistributivity(lat, side):
         M, J = lat.join, lat.meet
     else:
         raise ValueError("side must be 'meet' or 'join'")
-    n = lat.size
-    xy = M[:, :, None]  # x.y
-    xz = M[:, None, :]  # x.z
-    xyz = M[np.arange(n)[:, None, None], J[None, :, :]]  # x.(y+z)
-    mask = (xy == xz) & (xy != xyz)
-    first = _first_true(mask)
-    if first is None:
-        return True, None
-    return False, tuple(int(v) for v in first)
+
+    def violated(x):
+        xy = M[x][:, :, None]  # x.y
+        xz = M[x][:, None, :]  # x.z
+        return (xy == xz) & (xy != M[x][:, J])  # M[x][:, J] is x.(y+z)
+
+    return _first_triple(lat.size, violated)
 
 
 def sublattice_closure(lat, seed):

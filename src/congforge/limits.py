@@ -4,10 +4,12 @@ Every constructor that can explode (direct products, closures, full
 partition lattices, subspace enumerations) checks against a single cap.
 The default is 20000 elements; the environment variable CONGFORGE_CAP
 overrides it.  Exceeding the cap raises, never silently truncates.
-Vectorised scans take their chunk sizes from one byte budget, so their
+Every vectorised scan, including the identity sweeps and the n^3 table
+scans, takes its chunk size from one byte budget, CHUNK_BYTES, so its
 temporaries stay bounded whatever the element count.  State that cannot
 be chunked, such as the bitmaps of the 2x2-matrix closure, is checked
-against a fixed byte bound before anything is allocated.
+against a fixed byte bound before anything is allocated.  A check or
+search that would run past its own budget raises BudgetExceededError.
 """
 
 import os
@@ -24,6 +26,12 @@ CLOSURE_BYTES = 1 << 28
 
 class SizeLimitError(Exception):
     """Requested object would exceed the configured size cap."""
+
+
+class BudgetExceededError(Exception):
+    """A check or search would exceed its budget: an exhaustive identity
+    sweep its term evaluations (use sampled mode), a sublattice search its
+    nodes."""
 
 
 def size_cap():

@@ -6,9 +6,14 @@ the sides of an equation, `<=` writes an inequation (checked as s+t = t),
 Identifiers match [A-Za-z][A-Za-z0-9_']*, so primed variables like x0'
 are single tokens.
 
-Checking is exhaustive by default and vectorised over blocks of
-assignments; above the evaluation budget the caller must switch to
-sampled mode with an explicit seed so that runs stay reproducible.
+Checking is exhaustive by default; above the evaluation budget the
+caller must switch to sampled mode with an explicit seed so that runs
+stay reproducible.  Every check, `holds` and the paired sweep of the
+verification suite alike, walks the assignments given by one generator,
+`VectorEvaluator.assignments`, and evaluates each block of them
+vectorised.  Blocks are sized by the byte budget of `limits.chunk_rows`;
+the `block` arguments set only how many seeded draws are taken at a time
+in sampled mode.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+
+from .limits import BudgetExceededError, chunk_rows
 
 
 class TermSyntaxError(Exception):
@@ -37,10 +44,6 @@ class UnboundVariableError(Exception):
     def __init__(self, name):
         self.name = name
         super().__init__("unbound variable %r" % name)
-
-
-class BudgetExceededError(Exception):
-    """Exhaustive check would exceed the evaluation budget; use sampled mode."""
 
 
 class InvalidNError(ValueError):
@@ -371,7 +374,10 @@ class VectorEvaluator:
     Subterms occurring more than once (structurally) across the batch of
     terms handed to the constructor are computed once per block and
     cached; everything else streams, keeping memory proportional to the
-    expression depth rather than its size.
+    expression depth rather than its size.  `names` are the variables of
+    the batch in sorted order, `nodes` its total node count, and `cost`
+    the term-node evaluations of an exhaustive sweep: size**len(names)
+    assignments times `nodes`.
     """
 
     def __init__(self, lat, terms):
@@ -383,6 +389,45 @@ class VectorEvaluator:
         for t in terms:
             _count_subterms(t, counts)
         self.shared = {t for t, c in counts.items() if c > 1 and not isinstance(t, Var)}
+        self.names = sorted(t.name for t in counts if isinstance(t, Var))
+        self.nodes = sum(counts.values())
+        self.cost = self.size ** len(self.names) * self.nodes
+
+    def assignments(self, mode, samples, seed, block):
+        """Yield (offset, env) blocks of assignments to `names`.
+
+        env maps each variable to an array of elements, one per
+        assignment; offset is the number of assignments yielded before the
+        block.  Exhaustive mode enumerates all size**len(names)
+        assignments in lexicographic order, last variable fastest.
+        Sampled mode draws `samples` seeded uniform assignments, `block`
+        values per variable at a time (the last draw takes the rest),
+        which fixes the seeded stream.  Either way a yielded block holds
+        at most limits.chunk_rows(8 * (variables + nodes)) assignments:
+        room for one int64 per variable and per node.
+        """
+        names, size = self.names, self.size
+        rows = chunk_rows(8 * (len(names) + self.nodes))
+        if mode == "exhaustive":
+            total = size ** len(names)
+            shape = (size,) * len(names)
+            for lo in range(0, total, rows):
+                cols = np.unravel_index(np.arange(lo, min(total, lo + rows)), shape)
+                yield lo, dict(zip(names, cols))
+        elif mode == "sampled":
+            if samples is None or seed is None:
+                raise ValueError("sampled mode needs samples and an explicit seed")
+            if samples < 1 or block < 1:
+                raise ValueError("sampled mode needs samples >= 1 and block >= 1, got %d and %d"
+                                 % (samples, block))
+            rng = np.random.default_rng(seed)
+            for done in range(0, samples, block):
+                m = min(block, samples - done)
+                draw = {v: rng.integers(0, size, size=m, dtype=np.int64) for v in names}
+                for lo in range(0, m, rows):
+                    yield done + lo, {v: col[lo:lo + rows] for v, col in draw.items()}
+        else:
+            raise ValueError("mode must be 'exhaustive' or 'sampled'")
 
     def run(self, term, env, cache):
         hit = cache.get(term)
@@ -439,66 +484,32 @@ def holds(lat, phi, mode="exhaustive", samples=None, seed=None, budget=DEFAULT_B
     Exhaustive mode enumerates all size**k assignments (variables in
     lexicographic name order, last variable fastest) and is decisive;
     the first counterexample in enumeration order is returned.  Sampled
-    mode draws `samples` seeded random assignments and can only report
-    sampled_pass or fails.  Exhaustive cost is counted in term-node
-    evaluations and refuses to exceed `budget` (pass budget=None to lift).
+    mode draws `samples` seeded random assignments, `block` per variable
+    at a time, and can only report sampled_pass or fails.  Exhaustive
+    cost is counted in term-node evaluations and refuses to exceed
+    `budget` (pass budget=None to lift).
     """
     premises, conclusion = _formula_parts(phi)
-    names = sorted(phi.variables() if hasattr(phi, "variables") else variables(phi))
-    k = len(names)
-    n = lat.size
-    all_terms = [conclusion.lhs, conclusion.rhs]
+    sides = [conclusion.lhs, conclusion.rhs]
     for p in premises:
-        all_terms += [p.lhs, p.rhs]
-    nodes = sum(node_count(t) for t in all_terms)
-    ev = VectorEvaluator(lat, all_terms)
-
-    def fails_at(env, cache):
-        ok = ev.truth(conclusion, env, cache)
-        if premises:
-            applicable = np.ones_like(ok)
-            for p in premises:
-                applicable &= ev.truth(p, env, cache)
-            return applicable & ~ok
-        return ~ok
-
-    if mode == "exhaustive":
-        total = n**k
-        if budget is not None and total * nodes > budget:
-            raise BudgetExceededError(
-                "exhaustive check needs %d term evaluations, budget is %d; "
-                "use sampled mode with an explicit seed" % (total * nodes, budget)
-            )
-        shape = (n,) * k
-        for lo in range(0, total, block):
-            hi = min(total, lo + block)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            cols = np.unravel_index(idx, shape) if k else ()
-            env = dict(zip(names, cols))
-            bad = fails_at(env, {})
-            where = np.flatnonzero(bad)
-            if where.size:
-                j = int(where[0])
-                return Verdict("fails", {v: int(env[v][j]) for v in names}, lo + j + 1)
-        return Verdict("holds", None, total)
-
-    if mode == "sampled":
-        if samples is None or seed is None:
-            raise ValueError("sampled mode needs samples and an explicit seed")
-        rng = np.random.default_rng(seed)
-        done = 0
-        while done < samples:
-            m = min(block, samples - done)
-            env = {v: rng.integers(0, n, size=m, dtype=np.int64) for v in names}
-            bad = fails_at(env, {})
-            where = np.flatnonzero(bad)
-            if where.size:
-                j = int(where[0])
-                return Verdict("fails", {v: int(env[v][j]) for v in names}, done + j + 1)
-            done += m
-        return Verdict("sampled_pass", None, done)
-
-    raise ValueError("mode must be 'exhaustive' or 'sampled'")
+        sides += [p.lhs, p.rhs]
+    ev = VectorEvaluator(lat, sides)
+    if mode == "exhaustive" and budget is not None and ev.cost > budget:
+        raise BudgetExceededError(
+            "exhaustive check needs %d term evaluations, budget is %d; "
+            "use sampled mode with an explicit seed" % (ev.cost, budget)
+        )
+    checked = 0
+    for offset, env in ev.assignments(mode, samples, seed, block):
+        cache = {}
+        bad = ~ev.truth(conclusion, env, cache)
+        for p in premises:
+            bad &= ev.truth(p, env, cache)
+        if bad.any():
+            j = int(bad.argmax())
+            return Verdict("fails", {v: int(col[j]) for v, col in env.items()}, offset + j + 1)
+        checked = offset + bad.size
+    return Verdict("holds" if mode == "exhaustive" else "sampled_pass", None, checked)
 
 
 def builtin_formula(name, n=None):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebras, fixtures, projectivity, subspaces, terms
+from . import algebras, fixtures, jsonio, projectivity, subspaces, terms
 from .lattice import find_sublattice, m3_configurations
 from .partitions import (
     Partition,
@@ -84,69 +84,38 @@ class SuiteResult:
 # -- paired evaluation of the two cyclic inequalities -------------------------
 
 
+def _dn_pair(n):
+    """The n-th cyclic inequality, its companion, and their four sides."""
+    dn = terms.generate_dn(n)
+    ds = terms.generate_dn_star(n)
+    return dn, ds, [dn.lhs, dn.rhs, ds.lhs, ds.rhs]
+
+
 def dn_pair_agreement(lat, n, mode="exhaustive", samples=None, seed=0, block=1 << 22):
     """Compare per-assignment truth of the n-th cyclic inequality and its
     companion over a lattice.
 
-    Exhaustive mode sweeps all size**(2n) assignments in blocks; sampled
-    mode draws seeded uniform assignments.  Returns (checked,
-    discrepancies, first) where first is the earliest disagreeing
-    assignment or None.  On modular lattices the two must agree at every
-    assignment, so any discrepancy is a bug witness.
+    Exhaustive mode sweeps all size**(2n) assignments; sampled mode draws
+    `samples` seeded uniform assignments, `block` per variable at a time
+    (see terms.VectorEvaluator.assignments).  Returns (checked, discrepancies, first)
+    where first is the earliest disagreeing assignment or None.  On
+    modular lattices the two must agree at every assignment, so any
+    discrepancy is a bug witness.
     """
-    dn = terms.generate_dn(n)
-    ds = terms.generate_dn_star(n)
-    names = sorted(dn.variables() | ds.variables())
-    k = len(names)
-    size = lat.size
-    ev = terms.VectorEvaluator(lat, [dn.lhs, dn.rhs, ds.lhs, ds.rhs])
-    jf = ev.join_flat
-
-    def run_block(env):
-        cache = {}
-        t_dn = jf[ev.run(dn.lhs, env, cache) * size + ev.run(dn.rhs, env, cache)] == ev.run(
-            dn.rhs, env, cache
-        )
-        t_ds = jf[ev.run(ds.lhs, env, cache) * size + ev.run(ds.rhs, env, cache)] == ev.run(
-            ds.rhs, env, cache
-        )
-        return t_dn != t_ds
-
-    checked = 0
-    discrepancies = 0
+    dn, ds, sides = _dn_pair(n)
+    ev = terms.VectorEvaluator(lat, sides)
+    checked = discrepancies = 0
     first = None
-    if mode == "exhaustive":
-        total = size**k
-        shape = (size,) * k
-        for lo in range(0, total, block):
-            hi = min(total, lo + block)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            cols = np.unravel_index(idx, shape)
-            env = dict(zip(names, cols))
-            bad = run_block(env)
-            cnt = int(bad.sum())
-            if cnt and first is None:
-                j = int(np.flatnonzero(bad)[0])
-                first = {v: int(env[v][j]) for v in names}
-            discrepancies += cnt
-            checked += hi - lo
-        return checked, discrepancies, first
-    if mode == "sampled":
-        if samples is None:
-            raise ValueError("sampled mode needs a sample count")
-        rng = np.random.default_rng(seed)
-        while checked < samples:
-            m = min(block, samples - checked)
-            env = {v: rng.integers(0, size, size=m, dtype=np.int64) for v in names}
-            bad = run_block(env)
-            cnt = int(bad.sum())
-            if cnt and first is None:
-                j = int(np.flatnonzero(bad)[0])
-                first = {v: int(env[v][j]) for v in names}
-            discrepancies += cnt
-            checked += m
-        return checked, discrepancies, first
-    raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    for offset, env in ev.assignments(mode, samples, seed, block):
+        cache = {}
+        bad = ev.truth(dn, env, cache) != ev.truth(ds, env, cache)
+        count = int(np.count_nonzero(bad))
+        if count and first is None:
+            j = int(bad.argmax())
+            first = {v: int(col[j]) for v, col in env.items()}
+        discrepancies += count
+        checked = offset + bad.size
+    return checked, discrepancies, first
 
 
 # -- individual suites ---------------------------------------------------------
@@ -165,15 +134,10 @@ def suite_idequiv(seed=0, sampled_count=10**6, budget=None):
         ("sub-2-2", subspaces.subspace_lattice(2, 2).lattice),
     ]
     for n in (3, 4):
-        nodes = sum(
-            terms.node_count(t)
-            for phi in (terms.generate_dn(n), terms.generate_dn_star(n))
-            for t in (phi.lhs, phi.rhs)
-        )
+        sides = _dn_pair(n)[2]
         for name, lat in corpus:
             t0 = time.perf_counter()
-            cost = lat.size ** (2 * n) * nodes
-            if budget is not None and cost > budget:
+            if budget is not None and terms.VectorEvaluator(lat, sides).cost > budget:
                 checked, bad, first = dn_pair_agreement(
                     lat, n, "sampled", samples=sampled_count, seed=seed
                 )
@@ -501,7 +465,7 @@ def suite_embedding(seed=0):
             "kinf-%s" % name,
             "finite modular-2-distributive membership decision for %s" % name,
             ok,
-            witness=_jsonable(cert),
+            witness=jsonio.jsonable(cert),
             started=t0,
         )
 
@@ -545,36 +509,17 @@ def _span_count_oracle(dim, p):
     return len(spans)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def run_suite(name, seed=0, instances=10_000, sampled_count=10**6, budget=None):
-    if name == "idequiv":
-        return [suite_idequiv(seed, sampled_count=sampled_count, budget=budget)]
-    if name == "dnperm":
-        return [suite_dnperm(seed, instances=instances)]
-    if name == "abx":
-        return [suite_abx(seed)]
-    if name == "m3proj":
-        return [suite_m3proj(seed)]
-    if name == "commutator":
-        return [suite_commutator(seed)]
-    if name == "embedding":
-        return [suite_embedding(seed)]
+    suites = {
+        "idequiv": lambda: suite_idequiv(seed, sampled_count=sampled_count, budget=budget),
+        "dnperm": lambda: suite_dnperm(seed, instances=instances),
+        "abx": lambda: suite_abx(seed),
+        "m3proj": lambda: suite_m3proj(seed),
+        "commutator": lambda: suite_commutator(seed),
+        "embedding": lambda: suite_embedding(seed),
+    }
     if name == "all":
-        return [
-            suite_idequiv(seed, sampled_count=sampled_count, budget=budget),
-            suite_dnperm(seed, instances=instances),
-            suite_abx(seed),
-            suite_m3proj(seed),
-            suite_commutator(seed),
-            suite_embedding(seed),
-        ]
-    raise ValueError("unknown suite %r; choose from %s or 'all'" % (name, SUITES))
+        return [suites[suite]() for suite in SUITES]
+    if name not in suites:
+        raise ValueError("unknown suite %r; choose from %s or 'all'" % (name, SUITES))
+    return [suites[name]()]

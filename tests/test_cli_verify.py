@@ -145,6 +145,28 @@ def test_alg_commands(files, capsys):
     assert main(["alg", files["s3"], "commutator", "top", "[[0,1],[2,3],[4,5]]"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["z2", "commutator", "top"], "takes 2 arguments"),
+    (["z2", "wdt"], "takes 1 arguments"),
+    (["s3", "embed-construct", "--alpha", "top"], "abelian"),
+    (["z2", "embed-construct", "--alpha", "top", "--n", "0"], "n >= 1"),
+    (["z2", "embed-construct"], "--alpha"),
+])
+def test_alg_bad_input_exits_2(files, capsys, argv, message):
+    assert main(["alg", files[argv[0]]] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_check_sampled_mode_needs_a_positive_count(files, capsys):
+    for samples in ("0", "-5"):
+        code = main(["check", files["m3"], "--builtin", "modular", "--mode", "sampled",
+                     "--samples", samples, "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_alg_commutator_over_the_closure_bound_exits_2(tmp_path, capsys):
     n = 300
     succ = make_operation("s", 1, [(x + 1) % n for x in range(n)], n)

@@ -119,15 +119,22 @@ BOWTIE = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
 NO_MEET = [(2, 1), (3, 1), (3, 5), (4, 5), (1, 0), (5, 0)]
 
 
+def _scans(lat):
+    return [is_modular(lat), check_semidistributivity(lat, "meet"),
+            check_semidistributivity(lat, "join")]
+
+
 def test_tiny_chunk_budget_gives_the_same_tables(monkeypatch, lattice_corpus, sub32):
     corpus = [lat for _, lat in lattice_corpus] + [sub32.lattice]
     expected = [((1, 2), "least upper bound"), ((1, 4), "greatest lower bound")]
+    scans = [_scans(lat) for lat in corpus]
     for budget in (limits.CHUNK_BYTES, 1):
         monkeypatch.setattr(limits, "CHUNK_BYTES", budget)
-        for lat in corpus:
+        for lat, scan in zip(corpus, scans):
             again = FiniteLattice(lat.leq)
             assert np.array_equal(again.join, lat.join)
             assert np.array_equal(again.meet, lat.meet)
+            assert _scans(lat) == scan
         for covers, witness in zip((BOWTIE, NO_MEET), expected):
             with pytest.raises(NotALatticeError) as err:
                 from_cover_relation(6, covers)
@@ -187,6 +194,20 @@ def test_is_modular_values(m3, n5):
     ok, triple = is_modular(n5)
     assert not ok and triple == (1, 3, 2)  # (a, b, c) with a < c
     assert is_modular(fixtures.chain(5)) == (True, None)
+
+
+def test_scans_match_triple_loops(lattice_corpus):
+    # the first violation in (a, b, c) order, found by plain loops
+    for name, lat in lattice_corpus:
+        J, M, n = lat.join, lat.meet, lat.size
+        triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+        nonmodular = [t for t in triples
+                      if lat.leq[t[0], t[2]] and J[t[0], M[t[1], t[2]]] != M[J[t[0], t[1]], t[2]]]
+        loops = [nonmodular]
+        for P, Q in ((M, J), (J, M)):
+            loops.append([(x, y, z) for x, y, z in triples
+                          if P[x, y] == P[x, z] != P[x, Q[y, z]]])
+        assert _scans(lat) == [(True, None) if not v else (False, v[0]) for v in loops], name
 
 
 def test_semidistributivity(m3, n5):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congforge import fixtures, subspaces
+from congforge import fixtures, lattice, limits, subspaces
 from congforge.lattice import LatticeHom
+from congforge.partitions import Partition, closed_sublattice
 from congforge.terms import (
     BudgetExceededError,
     Identity,
@@ -16,6 +17,7 @@ from congforge.terms import (
     TermSyntaxError,
     UnboundVariableError,
     Var,
+    Verdict,
     evaluate,
     generate_2distributive,
     generate_dn,
@@ -27,6 +29,7 @@ from congforge.terms import (
     substitute,
     to_str,
 )
+from congforge.verify import dn_pair_agreement
 
 
 def test_parse_meet_join():
@@ -130,7 +133,7 @@ def test_evaluate_2dist_witness_in_sub32(sub32):
     assert evaluate(phi.rhs, sub32.lattice, env) == sub32.lattice.bottom
 
 
-def _oracle_first_counterexample(lat, phi):
+def _oracle_verdict(lat, phi):
     """Straightforward nested-loop scan in the same enumeration order."""
     names = sorted(phi.variables())
     prem, conc = (
@@ -144,17 +147,19 @@ def _oracle_first_counterexample(lat, phi):
         r = evaluate(ident.rhs, lat, env)
         return l == r if ident.kind == "eq" else lat.join[l, r] == r
 
+    checked = 0
     for values in itertools.product(range(lat.size), repeat=len(names)):
         env = dict(zip(names, values))
+        checked += 1
         if all(truth(p, env) for p in prem) and not truth(conc, env):
-            return env
-    return None
+            return Verdict("fails", env, checked)
+    return Verdict("holds", None, checked)
 
 
 def test_holds_modular_law(m3, n5):
     verdict = holds(n5, generate_modular())
     assert verdict.status == "fails"
-    assert verdict.assignment == _oracle_first_counterexample(n5, generate_modular())
+    assert verdict == _oracle_verdict(n5, generate_modular())
     assert holds(m3, generate_modular()).status == "holds"
 
 
@@ -162,16 +167,89 @@ def test_holds_2dist(m3, sub32):
     assert holds(m3, generate_2distributive()).status == "holds"
     verdict = holds(sub32.lattice, generate_2distributive())
     assert verdict.status == "fails"
-    assert verdict.assignment == _oracle_first_counterexample(
-        sub32.lattice, generate_2distributive()
-    )
+    assert verdict == _oracle_verdict(sub32.lattice, generate_2distributive())
 
 
 def test_holds_semidistributive(m3):
     assert holds(fixtures.chain(4), generate_sd("meet")).status == "holds"
     verdict = holds(m3, generate_sd("join"))
     assert verdict.status == "fails"
-    assert verdict.assignment == _oracle_first_counterexample(m3, generate_sd("join"))
+    assert verdict == _oracle_verdict(m3, generate_sd("join"))
+
+
+def _random_lattice(labelings):
+    """The sublattice of Eq(4) generated by partitions given as block labels."""
+    gens = []
+    for labels in labelings:
+        blocks = {}
+        for x, label in enumerate(labels):
+            blocks.setdefault(label, []).append(x)
+        gens.append(Partition.from_blocks(len(labels), list(blocks.values())))
+    return closed_sublattice(gens).lattice
+
+
+_small_terms = st.recursive(
+    st.sampled_from(["x", "y", "z"]).map(Var),
+    lambda sub: st.builds(Join, sub, sub) | st.builds(Meet, sub, sub),
+    max_leaves=5,
+)
+_identities = st.builds(Identity, _small_terms, _small_terms, st.sampled_from(["eq", "le"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=3),
+    _identities,
+    st.lists(_identities, max_size=2),
+)
+def test_holds_matches_scalar_evaluation(labelings, conclusion, premises):
+    lat = _random_lattice(labelings)
+    for phi in (conclusion, QuasiIdentity(tuple(premises), conclusion)):
+        assert holds(lat, phi) == _oracle_verdict(lat, phi)
+
+
+def test_pinned_sweep_results_on_n5(n5):
+    # the first counterexample and the seeded draws are part of the output
+    dn = generate_dn(3)
+    names = sorted(dn.variables())
+
+    def env(*values):
+        return dict(zip(names, values))
+
+    assert dn_pair_agreement(n5, 3, "exhaustive") == (15625, 155, env(2, 3, 0, 1, 1, 0))
+    assert dn_pair_agreement(n5, 3, "sampled", samples=5000, seed=7) == (
+        5000, 49, env(3, 1, 1, 2, 4, 0))
+    assert dn_pair_agreement(n5, 3, "sampled", samples=5000, seed=7, block=1000) == (
+        5000, 51, env(3, 1, 2, 1, 2, 1))
+    assert holds(n5, dn) == Verdict("fails", env(2, 0, 0, 2, 1, 3), 6309)
+    assert holds(n5, dn, mode="sampled", samples=5000, seed=7) == Verdict(
+        "fails", env(2, 0, 1, 2, 1, 3), 185)
+
+
+def test_tiny_chunk_budget_gives_the_same_sweeps(monkeypatch, m3, n5):
+    def outcomes():
+        return [
+            holds(n5, generate_dn(3)),
+            holds(n5, generate_sd("meet")),
+            holds(m3, generate_2distributive()),
+            holds(m3, generate_sd("join"), mode="sampled", samples=300, seed=5, block=70),
+            holds(m3, generate_dn_star(3), mode="sampled", samples=300, seed=5),
+            dn_pair_agreement(n5, 3, "sampled", samples=300, seed=2, block=70),
+            dn_pair_agreement(fixtures.chain(2), 3, "exhaustive"),
+        ]
+
+    expected = outcomes()
+    monkeypatch.setattr(limits, "CHUNK_BYTES", 1)
+    assert outcomes() == expected
+
+
+def test_sampled_mode_needs_a_positive_count(m3):
+    phi = generate_dn_star(3)
+    for samples in (0, -5):
+        with pytest.raises(ValueError):
+            holds(m3, phi, mode="sampled", samples=samples, seed=1)
+        with pytest.raises(ValueError):
+            dn_pair_agreement(m3, 3, "sampled", samples=samples, seed=1)
 
 
 def test_budget_and_sampling(sub32):
@@ -183,6 +261,8 @@ def test_budget_and_sampling(sub32):
     assert v1 == v2
     with pytest.raises(ValueError):
         holds(sub32.lattice, phi, mode="sampled")  # seed is mandatory
+    # one budget error for sweeps and searches
+    assert BudgetExceededError is limits.BudgetExceededError is lattice.BudgetExceededError
 
 
 def test_dn_star_substitution_fails_in_n5(n5):
