@@ -39,6 +39,12 @@ class ArityError(Exception):
     pass
 
 
+class UnknownOperationError(Exception):
+    def __init__(self, name):
+        self.name = name
+        super().__init__("the algebra has no operation named %r" % name)
+
+
 class NonConvergenceError(Exception):
     pass
 
@@ -157,7 +163,9 @@ def eval_term_expr(algebra, expr, env):
     if isinstance(expr, TVar):
         return env[expr.name]
     args = [eval_term_expr(algebra, a, env) for a in expr.args]
-    arr = algebra.by_name[expr.name]
+    arr = algebra.by_name.get(expr.name)
+    if arr is None:
+        raise UnknownOperationError(expr.name)
     if arr.ndim != len(args):
         raise ArityError(
             "operation %s has arity %d, got %d arguments"

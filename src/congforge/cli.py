@@ -251,7 +251,8 @@ def main(argv=None):
         return args.func(args)
     except (SizeLimitError, BudgetExceededError, FileNotFoundError, ValueError,
             json.JSONDecodeError, terms.TermSyntaxError, LatticeError,
-            algebras.PreconditionFailedError, algebras.ArityError) as exc:
+            algebras.PreconditionFailedError, algebras.ArityError,
+            algebras.UnknownOperationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

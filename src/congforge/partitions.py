@@ -4,6 +4,13 @@ A partition is stored in canonical representative form: rep[i] is the
 least element of the block containing i.  That makes equality and
 hashing O(1) after construction, and the canonical form is unique, so
 partitions double as dictionary keys when lattices of them are built.
+
+Join and meet come in two forms: on one pair of rep tuples (union-find,
+and one pass over the pairs of blocks), behind p_join, p_meet and the
+permuting-family harness; and on arrays of rep rows, behind
+closed_sublattice and EqRelLattice's check that a family is closed in
+Eq(A).  The harness evaluates its inequality straight in Eq(A) and
+builds no lattice per instance.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FiniteLattice, NotALatticeError
-from .limits import check_cap, chunk_rows
+from .limits import SizeLimitError, check_cap, chunk_rows
 from . import terms
 
 
@@ -110,23 +117,44 @@ def _check_sizes(a, b):
         )
 
 
+def _rep_meet(a, b):
+    """Meet of two canonical rep tuples: each point goes to the first point
+    with the same pair of blocks."""
+    seen = {}
+    return tuple([seen.setdefault(key, i) for i, key in enumerate(zip(a, b))])
+
+
+def _rep_join(a, b):
+    """Join of two canonical rep tuples by union-find over the blocks of a.
+
+    A parent never exceeds its child, so every root is the least point of
+    its component and the result is canonical.
+    """
+    parent = list(a)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, v in enumerate(b):
+        r, s = find(i), find(v)
+        if r != s:
+            parent[max(r, s)] = min(r, s)
+    return tuple([find(i) for i in range(len(a))])
+
+
 def p_meet(a, b):
     """Common refinement: blocks are the pairwise block intersections."""
     _check_sizes(a, b)
-    seen = {}
-    rep = []
-    for i in range(a.base_size):
-        key = (a.rep[i], b.rep[i])
-        rep.append(seen.setdefault(key, i))
-    return Partition(tuple(rep))
+    return Partition(_rep_meet(a.rep, b.rep))
 
 
 def p_join(a, b):
     """Transitive closure of the union relation."""
     _check_sizes(a, b)
-    n = a.base_size
-    return Partition.from_pairs(n, [(i, a.rep[i]) for i in range(n)] +
-                                   [(i, b.rep[i]) for i in range(n)])
+    return Partition(_rep_join(a.rep, b.rep))
 
 
 def p_leq(a, b):
@@ -162,6 +190,11 @@ def _narrow_dtype(limit):
     return np.uint8 if limit <= 1 << 8 else np.uint16 if limit <= 1 << 16 else np.int64
 
 
+def _index_dtype(limit):
+    """Signed dtype for indices below limit: int32 halves the kernels' temporaries."""
+    return np.int32 if limit <= 1 << 31 else np.int64
+
+
 def _refinement_order(reps):
     """leq[a, b] iff partition a refines b: rep_b[rep_a[i]] == rep_b[i] for all i."""
     m, n = reps.shape
@@ -179,15 +212,28 @@ def _distinct_counts(codes):
     return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
-def _component_counts(ra, rb):
-    """Blocks of the join of each row pair: components of the union graph.
+def _meet_reps(ra, rb):
+    """Canonical reps of the meet of each row pair.
+
+    A point's representative is the first point with the same pair of
+    blocks (rep_a[i], rep_b[i]): the first occurrence of its code, which
+    is tagged with the row so that one flat pass serves every row.
+    """
+    k, n = ra.shape
+    codes = (np.arange(k, dtype=_index_dtype(k * n * n))[:, None] * n + ra) * n + rb
+    _, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+    return (first % n)[inverse].reshape(k, n)
+
+
+def _join_reps(ra, rb):
+    """Canonical reps of the join of each row pair: components of the union graph.
 
     Every point is joined to its representative in either partition; the
     least point of each component spreads by pushing to representatives
     (scatter-min), pulling from them (gather) and pointer jumping.
     """
     k, n = ra.shape
-    offset = (np.arange(k) * n)[:, None]
+    offset = np.arange(k, dtype=_index_dtype(k * n))[:, None] * n
     to_a, to_b = (ra + offset).ravel(), (rb + offset).ravel()
     lab = np.minimum(to_a, to_b)
     while True:
@@ -198,8 +244,7 @@ def _component_counts(ra, rb):
         np.minimum(nxt, nxt[to_b], out=nxt)
         nxt = nxt[nxt]
         if np.array_equal(nxt, lab):
-            roots = lab.reshape(k, n) == np.arange(n) + offset
-            return np.count_nonzero(roots, axis=1)
+            return lab.reshape(k, n) - offset
         lab = nxt
 
 
@@ -214,7 +259,8 @@ def _closed_in_eq(reps, lattice):
     Comparable pairs are skipped, since their bounds are a and b.
     """
     m, n = reps.shape
-    blocks = np.count_nonzero(reps == np.arange(n), axis=1)
+    points = np.arange(n)
+    blocks = np.count_nonzero(reps == points, axis=1)
     codes = reps.astype(_narrow_dtype(n * n)) * n
     incomparable = ~(lattice.leq | lattice.leq.T)
     rows = chunk_rows(m * n * 64)
@@ -226,7 +272,8 @@ def _closed_in_eq(reps, lattice):
             continue
         if (_distinct_counts(codes[a] + reps[b]) != blocks[lattice.meet[a, b]]).any():
             return False
-        if (_component_counts(reps[a], reps[b]) != blocks[lattice.join[a, b]]).any():
+        joins = np.count_nonzero(_join_reps(reps[a], reps[b]) == points, axis=1)
+        if (joins != blocks[lattice.join[a, b]]).any():
             return False
     return True
 
@@ -291,8 +338,6 @@ def full_partition_lattice(n, cap=8):
     if n < 1:
         raise ValueError("n must be positive")
     if n > cap:
-        from .limits import SizeLimitError
-
         raise SizeLimitError("full partition lattice capped at n = %d" % cap)
     parts = all_partitions(n)
     check_cap(len(parts), "partition lattice")
@@ -300,39 +345,65 @@ def full_partition_lattice(n, cap=8):
 
 
 def closed_sublattice(gens, cap=None):
-    """Closure of the generators under p_join and p_meet, as an EqRelLattice."""
+    """Closure of the generators under join and meet in Eq(A), as an EqRelLattice.
+
+    The closure runs in semi-naive rounds: each round pairs the partitions
+    found in the last round with every partition found so far, each
+    unordered pair once, and evaluates their joins and meets as arrays of
+    reps, in chunks of limits.CHUNK_BYTES.  A round that finds nothing new
+    ends it.  The size is checked against the cap after every round.
+    """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    closed = set(gens)
-    frontier = list(closed)
-    while frontier:
+    for g in gens:
+        _check_sizes(gens[0], g)
+    base = gens[0].base_size
+    closed = np.array([g.rep for g in gens], dtype=_narrow_dtype(base))
+    closed = np.unique(closed.reshape(len(gens), base), axis=0)
+    key = np.dtype((np.void, base * closed.itemsize))
+    start = 0  # rows from here on were found in the last round
+    while start < len(closed):
+        m = len(closed)
+        rows = chunk_rows(m * base * 128)
         fresh = []
-        current = list(closed)
-        for a in frontier:
-            for b in current:
-                for v in (p_join(a, b), p_meet(a, b)):
-                    if v not in closed:
-                        closed.add(v)
-                        fresh.append(v)
+        for lo in range(start, m, rows):
+            # row g of the closure pairs with every row before it
+            a, b = np.nonzero(np.tri(min(rows, m - lo), m, lo - 1, dtype=bool))
+            a += lo
+            found = np.concatenate([_join_reps(closed[a], closed[b]),
+                                    _meet_reps(closed[a], closed[b])])
+            found = np.unique(found.astype(closed.dtype), axis=0)
+            fresh.append(found[~np.isin(found.view(key).ravel(), closed.view(key).ravel())])
+        closed = np.concatenate([closed, np.unique(np.concatenate(fresh), axis=0)])
+        start = m
         if cap is None:
             check_cap(len(closed), "partition sublattice closure")
         elif len(closed) > cap:
-            from .limits import SizeLimitError
-
             raise SizeLimitError("closure exceeded cap %d" % cap)
-        frontier = fresh
-    return EqRelLattice(closed)
+    return EqRelLattice(Partition(tuple(rep)) for rep in closed.tolist())
+
+
+def _eval_reps(term, env):
+    """Value of a lattice term in Eq(A), with variables bound to rep tuples."""
+    if isinstance(term, terms.Var):
+        return env[term.name]
+    op = _rep_join if isinstance(term, terms.Join) else _rep_meet
+    return op(_eval_reps(term.left, env), _eval_reps(term.right, env))
 
 
 def verify_dn_permuting(alphas, alphaps):
     """Evaluate the n-th cyclic inequality on pairwise-permuting partitions.
 
     Each pair (alphas[i], alphaps[i]) must permute; a violation raises
-    NotPermutingError rather than producing a verdict.  The instance is
-    evaluated inside the sublattice the inputs generate.  For sublattices
-    of a full equivalence-relation lattice with permuting pairs the
-    inequality always holds, so a False here signals a bug.
+    NotPermutingError rather than producing a verdict, and all 2n inputs
+    must share one base size (SizeMismatchError).  The companion
+    inequality dn* is evaluated directly in Eq(A), by join and meet on
+    the rep tuples: a lattice term has the same value there as in every
+    sublattice holding its inputs, so no sublattice is built, and no
+    element cap applies however large the generated sublattice would be.
+    In Eq(A) with permuting pairs the inequality always holds, so a
+    False here signals a bug.
     """
     n = len(alphas)
     if len(alphaps) != n:
@@ -342,15 +413,15 @@ def verify_dn_permuting(alphas, alphaps):
     for i, (a, b) in enumerate(zip(alphas, alphaps)):
         if not permutes(a, b):
             raise NotPermutingError(i)
-    sub = closed_sublattice(list(alphas) + list(alphaps))
+    for a in alphas:  # each alphaps[i] matches alphas[i] already
+        _check_sizes(alphas[0], a)
     phi = terms.generate_dn_star(n)
-    assignment = {}
+    env = {}
     for i in range(n):
-        assignment["x%d" % i] = sub.index[alphas[i]]
-        assignment["x%d'" % i] = sub.index[alphaps[i]]
-    lhs = terms.evaluate(phi.lhs, sub.lattice, assignment)
-    rhs = terms.evaluate(phi.rhs, sub.lattice, assignment)
-    return bool(sub.lattice.leq[lhs, rhs])
+        env["x%d" % i] = alphas[i].rep
+        env["x%d'" % i] = alphaps[i].rep
+    lo, hi = _eval_reps(phi.lhs, env), _eval_reps(phi.rhs, env)
+    return all(hi[i] == hi[v] for i, v in enumerate(lo))
 
 
 # -- permuting families from abelian groups ----------------------------------

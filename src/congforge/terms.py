@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -299,15 +300,20 @@ def _dn_parts(n):
     return x, xp, tail_meet, cross
 
 
+@lru_cache(maxsize=64)
 def generate_dn(n):
-    """The n-th higher Arguesian inequality in 2n variables, cyclic form."""
+    """The n-th higher Arguesian inequality in 2n variables, cyclic form.
+
+    Terms are immutable, so each n is built once and the result shared."""
     x, xp, tail_meet, cross = _dn_parts(n)
     lhs = Meet(x[0], Join(xp[0], tail_meet))
     return Identity(lhs, cross, "le")
 
 
+@lru_cache(maxsize=64)
 def generate_dn_star(n):
-    """The companion inequality equivalent to generate_dn(n) on modular lattices."""
+    """The companion inequality equivalent to generate_dn(n) on modular
+    lattices; cached per n like generate_dn."""
     x, xp, tail_meet, cross = _dn_parts(n)
     lhs = Meet(Join(x[0], xp[0]), tail_meet)
     rhs = Join(xp[0], Meet(x[0], cross))

@@ -176,6 +176,8 @@ _ABELIAN_ORDERS = [
 def suite_dnperm(seed=0, instances=10_000):
     """Seeded permuting families from abelian-group cosets always satisfy
     the companion inequality; plus the partition-count oracle."""
+    if instances < 1:
+        raise ValueError("instances must be at least 1, got %d" % instances)
     result = SuiteResult("dnperm", seed)
     rng = np.random.default_rng(seed)
     families = [abelian_coset_partitions(orders) for orders in _ABELIAN_ORDERS]

@@ -151,6 +151,7 @@ def test_alg_commands(files, capsys):
     (["s3", "embed-construct", "--alpha", "top"], "abelian"),
     (["z2", "embed-construct", "--alpha", "top", "--n", "0"], "n >= 1"),
     (["z2", "embed-construct"], "--alpha"),
+    (["s3", "wdt", "foo(x,y,z)"], "no operation named 'foo'"),
 ])
 def test_alg_bad_input_exits_2(files, capsys, argv, message):
     assert main(["alg", files[argv[0]]] + argv[1:]) == 2
@@ -165,6 +166,14 @@ def test_check_sampled_mode_needs_a_positive_count(files, capsys):
                      "--samples", samples, "--seed", "1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_dnperm_needs_a_positive_instance_count(capsys):
+    for instances in ("0", "-1"):
+        assert main(["verify", "dnperm", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "instances" in captured.err
 
 
 def test_alg_commutator_over_the_closure_bound_exits_2(tmp_path, capsys):

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congforge import fixtures, limits
+from congforge import fixtures, limits, terms
 from congforge.lattice import find_sublattice
+from congforge.limits import SizeLimitError
 from congforge.partitions import (
     EqRelLattice,
     NotPermutingError,
     Partition,
     SizeMismatchError,
+    _eval_reps,
     abelian_coset_partitions,
     all_partitions,
     closed_sublattice,
@@ -225,6 +227,118 @@ def test_verify_dn_permuting():
     with pytest.raises(NotPermutingError) as err:
         verify_dn_permuting([bad_a] * 3, [bad_b] * 3)
     assert err.value.index == 0
+    good = Partition.singletons(3)
+    with pytest.raises(NotPermutingError) as err:
+        verify_dn_permuting([good, good, bad_a, bad_a], [good, good, bad_b, bad_b])
+    assert err.value.index == 2
+
+
+def test_verify_dn_permuting_rejects_mixed_base_sizes():
+    # every pair permutes and matches in size, but the pairs do not
+    small, large = Partition.singletons(3), Partition.singletons(4)
+    with pytest.raises(SizeMismatchError):
+        verify_dn_permuting([small, large, large], [small, large, large])
+    with pytest.raises(SizeMismatchError):
+        verify_dn_permuting([large, large, small], [large, large, small])
+
+
+def _relabel(part, perm):
+    return Partition.from_blocks(len(perm), [[perm[x] for x in b] for b in part.blocks()])
+
+
+def _dn_star_in_sublattice(alphas, alphaps):
+    """lhs and rhs of dn* evaluated on the tables of the generated sublattice."""
+    n = len(alphas)
+    sub = closed_sublattice(list(alphas) + list(alphaps))
+    env = {"x%d" % i: sub.index[a] for i, a in enumerate(alphas)}
+    env.update(("x%d'" % i, sub.index[a]) for i, a in enumerate(alphaps))
+    phi = terms.generate_dn_star(n)
+    lhs = terms.evaluate(phi.lhs, sub.lattice, env)
+    rhs = terms.evaluate(phi.rhs, sub.lattice, env)
+    return sub.partitions[lhs], sub.partitions[rhs], bool(sub.lattice.leq[lhs, rhs])
+
+
+def _dn_star_in_eq(alphas, alphaps):
+    env = {"x%d" % i: a.rep for i, a in enumerate(alphas)}
+    env.update(("x%d'" % i, a.rep) for i, a in enumerate(alphaps))
+    phi = terms.generate_dn_star(len(alphas))
+    return Partition(_eval_reps(phi.lhs, env)), Partition(_eval_reps(phi.rhs, env))
+
+
+_COSET_ORDERS = [(2,), (3,), (4,), (2, 2), (5,), (6,), (8,), (4, 2), (2, 2, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dn_star_in_eq_matches_the_sublattice_on_permuting_families(data):
+    fam = abelian_coset_partitions(data.draw(st.sampled_from(_COSET_ORDERS)))
+    size = fam[0].base_size
+    perm = data.draw(st.permutations(range(size)))
+    n = data.draw(st.integers(3, 5))
+    picks = data.draw(st.lists(st.integers(0, len(fam) - 1), min_size=2 * n, max_size=2 * n))
+    parts = [_relabel(fam[i], perm) for i in picks]
+    lhs, rhs, holds = _dn_star_in_sublattice(parts[:n], parts[n:])
+    assert _dn_star_in_eq(parts[:n], parts[n:]) == (lhs, rhs)
+    assert verify_dn_permuting(parts[:n], parts[n:]) == holds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dn_star_in_eq_matches_the_sublattice_on_any_partitions(data):
+    # pairs need not permute here, so the two routes are compared on the terms
+    points = data.draw(st.integers(1, 6))
+    everything = all_partitions(points)
+    n = data.draw(st.integers(3, 5))
+    picks = data.draw(st.lists(st.integers(0, len(everything) - 1),
+                               min_size=2 * n, max_size=2 * n))
+    parts = [everything[i] for i in picks]
+    lhs, rhs, _ = _dn_star_in_sublattice(parts[:n], parts[n:])
+    assert _dn_star_in_eq(parts[:n], parts[n:]) == (lhs, rhs)
+
+
+def _closure_by_definition(gens):
+    """Every pairwise p_join and p_meet, repeated until nothing new appears."""
+    closed = set(gens)
+    while True:
+        more = closed | {op(a, b) for a in closed for b in closed for op in (p_join, p_meet)}
+        if more == closed:
+            return closed
+        closed = more
+
+
+def _assert_closure_matches_definition(gens):
+    expected = _closure_by_definition(gens)
+    sub = closed_sublattice(gens)
+    assert sub.partitions == tuple(sorted(expected, key=lambda p: p.rep))
+    assert len(closed_sublattice(gens, cap=len(expected))) == len(expected)
+    if len(expected) > 1:
+        with pytest.raises(SizeLimitError):
+            closed_sublattice(gens, cap=len(expected) - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_closed_sublattice_matches_the_closure_by_definition(data):
+    points = data.draw(st.integers(1, 5))
+    everything = all_partitions(points)
+    picks = data.draw(st.lists(st.integers(0, len(everything) - 1), min_size=1, max_size=4))
+    _assert_closure_matches_definition([everything[i] for i in picks])
+
+
+def test_closed_sublattice_matches_the_definition_at_a_tiny_chunk_budget(monkeypatch):
+    cube = abelian_coset_partitions((2, 2, 2))
+    gen_sets = [
+        [Partition(g) for g in [(0, 0, 0, 3, 0, 3), (0, 0, 2, 3, 2, 2), (0, 1, 0, 1, 4, 4),
+                                (0, 0, 2, 2, 4, 5), (0, 1, 1, 0, 0, 0)]],  # 65 elements
+        [cube[3], cube[5], cube[9]],
+        [Partition.from_blocks(4, [[0, 1], [2], [3]]), Partition.from_blocks(4, [[0], [1, 2], [3]]),
+         Partition.from_blocks(4, [[0], [1], [2, 3]])],
+    ]
+    for gens in gen_sets:
+        _assert_closure_matches_definition(gens)
+    monkeypatch.setattr(limits, "CHUNK_BYTES", 1)
+    for gens in gen_sets:
+        _assert_closure_matches_definition(gens)
 
 
 def test_abelian_coset_partitions():
