@@ -8,12 +8,15 @@ are single tokens.
 
 Checking is exhaustive by default; above the evaluation budget the
 caller must switch to sampled mode with an explicit seed so that runs
-stay reproducible.  Every check, `holds` and the paired sweep of the
-verification suite alike, walks the assignments given by one generator,
-`VectorEvaluator.assignments`, and evaluates each block of them
-vectorised.  Blocks are sized by the byte budget of `limits.chunk_rows`;
-the `block` arguments set only how many seeded draws are taken at a time
-in sampled mode.
+stay reproducible.  Every check that visits assignments, `holds` and the
+paired sweep of the verification suite alike, walks the assignments given
+by one generator, `VectorEvaluator.assignments`, and evaluates each block
+of them vectorised.  Blocks are sized by the byte budget of
+`limits.chunk_rows`; the `block` arguments set only how many seeded draws
+are taken at a time in sampled mode.  The one exception is the exhaustive
+count of assignments at which the n-th cyclic inequality and its companion
+disagree: `_dn_transfer` counts them by a transfer over the cycle of
+variable pairs, without visiting the assignments one by one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .limits import BudgetExceededError, chunk_rows
+from .limits import BudgetExceededError, SizeLimitError, chunk_rows
 
 
 class TermSyntaxError(Exception):
@@ -285,9 +288,13 @@ def _fold_meet(terms):
     return out
 
 
-def _dn_parts(n):
+def _check_n(n):
     if n < 3:
         raise InvalidNError("the family is defined for n >= 3, got %d" % n)
+
+
+def _dn_parts(n):
+    _check_n(n)
     x = [Var("x%d" % i) for i in range(n)]
     xp = [Var("x%d'" % i) for i in range(n)]
 
@@ -298,6 +305,104 @@ def _dn_parts(n):
     tail_meet = _fold_meet([Join(x[i], xp[i]) for i in range(1, n)])
     cross = Join(x[1], Meet(Join(xp[0], xp[1]), _fold_join([y(i) for i in range(1, n)])))
     return x, xp, tail_meet, cross
+
+
+def _dn_transfer(lat, n):
+    """Count the assignments at which generate_dn(n) and generate_dn_star(n)
+    disagree in lat, without enumerating them.
+
+    Returns (checked, discrepancies); checked is size**(2n), the summed
+    weight of the walk.  Both truth values depend only on x0, x0', x1,
+    x1', T (tail_meet) and Y = y1 + ... + y(n-1), and y_i couples only the
+    pairs i and i+1, so the count is a transfer (variable elimination)
+    around the cycle.  For each outer pair (x1, x1') the walk holds
+    weighted states (x_i, x_i', Y, T), the weight being the number of
+    assignments to x2..x_i that reach the state, and each step adds the
+    next pair: Y joins y_i, T meets x_(i+1) + x_(i+1)', and equal states
+    merge.  The last step adds (x0, x0') and completes Y with y(n-1),
+    leaving T alone; each merged state is then evaluated once.
+
+    States merge by exact int64 accumulation into a dense table of the
+    next states.  Outer pairs are taken in batches and next pairs in
+    slices so that the table holds at most a sixteenth of
+    limits.CHUNK_BYTES (one slice of size**2 cells when a single next pair
+    needs more), and states expand and are evaluated in row chunks of the
+    same share.  A batch's live states are the table's nonzero cells, so
+    they stay within that bound too unless the next pairs had to be
+    sliced, which takes a lattice of 20 or more elements.  Raises
+    SizeLimitError when size**(2n) does not fit an int64; as n >= 3, that
+    also keeps every state key below size**6 within int64.
+    """
+    _check_n(n)
+    size = lat.size
+    if size ** (2 * n) >= 1 << 63:
+        raise SizeLimitError(
+            "counting %d**%d assignments overflows int64" % (size, 2 * n))
+    pairs = size * size
+    join, meet, leq = lat.join.ravel(), lat.meet.ravel(), lat.leq.ravel()
+    narrow = np.min_scalar_type(size - 1)
+    join_scaled = join * size  # (a + b) * size, for the key of a joined Y
+    hi, lo = np.divmod(np.arange(pairs), size)  # pair q is (x, x') = divmod(q, size)
+    pair_join = join[hi * size + lo]
+    elements = np.arange(size)[:, None]
+    # the table and each chunk get a sixteenth of the byte budget: a batch's
+    # live states number at most the table's cells, so this keeps them, and
+    # the whole transfer, within a few MiB at no measured cost in time
+    share = 16
+    cells = chunk_rows(8 * share)
+    span = min(pairs, max(1, cells // pairs))  # next pairs per slice
+    batch = max(1, cells // (pairs * span))  # outer pairs per batch
+
+    def advance(o, p, y, t, w, count, close):
+        """Yield the merged next states, one slice of next pairs at a time."""
+        for q0 in range(0, pairs, span):
+            q = np.arange(q0, min(pairs, q0 + span))
+            m = q.size
+            # row tables: y_i of each current pair with each next pair, and
+            # each T's update, offset by the next pair's place in the key
+            y_row = meet[join[hi[:, None] * size + hi[q]] * size
+                         + join[lo[:, None] * size + lo[q]]].astype(narrow)
+            t_row = (elements if close else meet[elements * size + pair_join[q]]) \
+                + np.arange(m) * pairs
+            acc = np.zeros(count * m * pairs, np.int64)
+            rows = chunk_rows(40 * share * m)
+            for a in range(0, w.size, rows):
+                s = slice(a, a + rows)
+                key = join_scaled[(y[s] * size)[:, None] + y_row[p[s]]]
+                key += t_row[t[s]]
+                key += (o[s] * (m * pairs))[:, None]
+                np.add.at(acc, key.ravel(), np.repeat(w[s], m))
+            keys = np.flatnonzero(acc)
+            # the states' parts and every index built from them are below
+            # the table's length, so int32 holds them unless it is huge
+            o_next, rest = np.divmod(keys.astype(np.int32 if acc.size < 1 << 31 else np.int64),
+                                     m * pairs)
+            j, rest = np.divmod(rest, pairs)
+            y_next, t_next = np.divmod(rest, size)
+            yield o_next, q0 + j, y_next, t_next, acc[keys]
+
+    eval_rows = chunk_rows(128 * share)
+    checked = discrepancies = 0
+    for first in range(0, pairs, batch):
+        outer = np.arange(first, min(pairs, first + batch))
+        # before pair 2: Y is the empty join, T the meet of x1 + x1' alone
+        state = (outer - first, outer, np.full(outer.size, lat.bottom), pair_join[outer],
+                 np.ones(outer.size, np.int64))
+        for _ in range(n - 2):
+            state = tuple(map(np.concatenate, zip(*advance(*state, outer.size, False))))
+        for o, p, y, t, w in advance(*state, outer.size, True):
+            for a in range(0, w.size, eval_rows):
+                s = slice(a, a + eval_rows)
+                x1, x1p = np.divmod(first + o[s], size)
+                x0, x0p, ys, ts = hi[p[s]], lo[p[s]], y[s], t[s]
+                cross = join[x1 * size + meet[join[x0p * size + x1p] * size + ys]]
+                t_dn = leq[meet[x0 * size + join[x0p * size + ts]] * size + cross]
+                t_ds = leq[meet[pair_join[p[s]] * size + ts] * size
+                           + join[x0p * size + meet[x0 * size + cross]]]
+                discrepancies += int(w[s][t_dn != t_ds].sum())
+            checked += int(w.sum())
+    assert checked == size ** (2 * n), (checked, size, n)
+    return checked, discrepancies
 
 
 @lru_cache(maxsize=64)

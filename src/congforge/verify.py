@@ -91,28 +91,52 @@ def _dn_pair(n):
     return dn, ds, [dn.lhs, dn.rhs, ds.lhs, ds.rhs]
 
 
+def _disagreements(lat, n, mode, samples, seed, block):
+    """The paired sweep: yield (offset, env, bad) per block of assignments,
+    bad marking where the two inequalities disagree."""
+    dn, ds, sides = _dn_pair(n)
+    ev = terms.VectorEvaluator(lat, sides)
+    for offset, env in ev.assignments(mode, samples, seed, block):
+        cache = {}
+        yield offset, env, ev.truth(dn, env, cache) != ev.truth(ds, env, cache)
+
+
+def _witness(env, bad):
+    j = int(bad.argmax())
+    return {v: int(col[j]) for v, col in env.items()}
+
+
 def dn_pair_agreement(lat, n, mode="exhaustive", samples=None, seed=0, block=1 << 22):
     """Compare per-assignment truth of the n-th cyclic inequality and its
     companion over a lattice.
 
-    Exhaustive mode sweeps all size**(2n) assignments; sampled mode draws
-    `samples` seeded uniform assignments, `block` per variable at a time
-    (see terms.VectorEvaluator.assignments).  Returns (checked, discrepancies, first)
-    where first is the earliest disagreeing assignment or None.  On
-    modular lattices the two must agree at every assignment, so any
-    discrepancy is a bug witness.
+    Returns (checked, discrepancies, first) where first is the earliest
+    disagreeing assignment or None.  Exhaustive mode counts all
+    size**(2n) assignments without enumerating them, by a transfer over
+    the cycle (terms._dn_transfer), and refuses with SizeLimitError when
+    that count does not fit an int64.  Only when some assignment
+    disagrees does it sweep, in lexicographic order, up to the first
+    block that holds a disagreement, so first is the lexicographically
+    first disagreeing assignment.  Sampled mode sweeps `samples` seeded
+    uniform assignments, `block` per variable at a time (see
+    terms.VectorEvaluator.assignments).  On modular lattices the two
+    must agree at every assignment, so any discrepancy is a bug witness.
     """
-    dn, ds, sides = _dn_pair(n)
-    ev = terms.VectorEvaluator(lat, sides)
+    if mode == "exhaustive":
+        checked, discrepancies = terms._dn_transfer(lat, n)
+        first = None
+        if discrepancies:
+            for _, env, bad in _disagreements(lat, n, mode, samples, seed, block):
+                if bad.any():
+                    first = _witness(env, bad)
+                    break
+        return checked, discrepancies, first
     checked = discrepancies = 0
     first = None
-    for offset, env in ev.assignments(mode, samples, seed, block):
-        cache = {}
-        bad = ev.truth(dn, env, cache) != ev.truth(ds, env, cache)
+    for offset, env, bad in _disagreements(lat, n, mode, samples, seed, block):
         count = int(np.count_nonzero(bad))
         if count and first is None:
-            j = int(bad.argmax())
-            first = {v: int(col[j]) for v, col in env.items()}
+            first = _witness(env, bad)
         discrepancies += count
         checked = offset + bad.size
     return checked, discrepancies, first
@@ -490,25 +514,37 @@ def suite_embedding(seed=0):
 
 
 def _span_count_oracle(dim, p):
-    """Count subspaces of GF(p)^dim by enumerating row spans as vector sets.
+    """Count subspaces of GF(p)^dim as vector sets closed under span.
 
-    Independent of echelon forms: every k x dim matrix over GF(p) (k <=
-    dim) is expanded to its span by brute-force linear combinations.
+    Independent of echelon forms: a set is a bitset over the p**dim
+    vectors.  Starting from {0}, every set S found is extended by every
+    vector v outside it to S + GF(p)v, and the distinct sets are counted.
     """
     import itertools as it
 
     vectors = list(it.product(range(p), repeat=dim))
-    spans = set()
-    for k in range(dim + 1):
-        for rows in it.product(vectors, repeat=k):
-            span = set()
-            for coeffs in it.product(range(p), repeat=k):
-                v = tuple(
-                    sum(c * r[i] for c, r in zip(coeffs, rows)) % p for i in range(dim)
-                )
-                span.add(v)
-            spans.add(frozenset(span))
-    return len(spans)
+    index = {v: i for i, v in enumerate(vectors)}
+    plus = [[index[tuple((a + b) % p for a, b in zip(u, w))] for w in vectors] for u in vectors]
+    times = [[index[tuple(c * a % p for a in v)] for v in vectors] for c in range(1, p)]
+    zero = 1 << index[(0,) * dim]
+    found = {zero}
+    frontier = [zero]
+    while frontier:
+        grown = []
+        for s in frontier:
+            members = [u for u in range(len(vectors)) if s >> u & 1]
+            for v in range(len(vectors)):
+                if s >> v & 1:
+                    continue
+                t = s
+                for row in times:
+                    for u in members:
+                        t |= 1 << plus[u][row[v]]
+                if t not in found:
+                    found.add(t)
+                    grown.append(t)
+        frontier = grown
+    return len(found)
 
 
 def run_suite(name, seed=0, instances=10_000, sampled_count=10**6, budget=None):
@@ -520,8 +556,12 @@ def run_suite(name, seed=0, instances=10_000, sampled_count=10**6, budget=None):
         "commutator": lambda: suite_commutator(seed),
         "embedding": lambda: suite_embedding(seed),
     }
-    if name == "all":
-        return [suites[suite]() for suite in SUITES]
-    if name not in suites:
+    if name != "all" and name not in suites:
         raise ValueError("unknown suite %r; choose from %s or 'all'" % (name, SUITES))
-    return [suites[name]()]
+    chosen = SUITES if name == "all" else (name,)
+    # refuse a bad count before any suite runs, not after those before it
+    if "dnperm" in chosen and instances < 1:
+        raise ValueError("instances must be at least 1, got %d" % instances)
+    if "idequiv" in chosen and sampled_count < 1:
+        raise ValueError("sampled_count must be at least 1, got %d" % sampled_count)
+    return [suites[suite]() for suite in chosen]

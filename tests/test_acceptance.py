@@ -50,6 +50,11 @@ def test_c1_d_equivalence_per_assignment():
     )
 
 
+def test_c1_d_equivalence_at_n6():
+    # 5**12 assignments: counted by the transfer, out of reach of a sweep
+    assert verify.dn_pair_agreement(fixtures.m3(), 6) == (5**12, 0, None)
+
+
 def test_c2_permuting_family_harness():
     started = time.time()
     suite = verify.suite_dnperm(seed=0, instances=10_000)

@@ -176,6 +176,21 @@ def test_verify_dnperm_needs_a_positive_instance_count(capsys):
         assert captured.err.startswith("error: ") and "instances" in captured.err
 
 
+def test_verify_refuses_bad_counts_before_any_suite_runs(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran before its counts were checked")
+
+    for suite in verify.SUITES:
+        monkeypatch.setattr(verify, "suite_" + suite, never)
+    for argv, flag in ((["verify", "all", "--instances", "0"], "instances"),
+                       (["verify", "all", "--samples", "0"], "sampled_count"),
+                       (["verify", "idequiv", "--samples", "-1"], "sampled_count")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and flag in captured.err
+
+
 def test_alg_commutator_over_the_closure_bound_exits_2(tmp_path, capsys):
     n = 300
     succ = make_operation("s", 1, [(x + 1) % n for x in range(n)], n)

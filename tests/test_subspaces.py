@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from congforge import fixtures, terms
+from congforge import fixtures, terms, verify
 from congforge.lattice import find_sublattice, is_modular
 from congforge.subspaces import (
     DimensionMismatchError,
@@ -92,6 +92,16 @@ def test_lattice_sizes_against_span_oracle(sub22, sub32, sub23):
         assert len(sl) == sum(gaussian_binomial(dim, k, p) for k in range(dim + 1))
     sl42 = subspace_lattice(4, 2)
     assert len(sl42) == 67 == span_count(4, 2)
+
+
+def test_suite_span_closure_oracle():
+    # the suite's oracle grows subspaces as sets closed under span; it
+    # must agree with the brute-force spans and the Gaussian counts
+    for dim, p in ((1, 2), (2, 2), (3, 2), (2, 3), (1, 5)):
+        assert verify._span_count_oracle(dim, p) == span_count(dim, p)
+    for dim, p in ((4, 2), (5, 2), (3, 3), (2, 5)):
+        want = sum(gaussian_binomial(dim, k, p) for k in range(dim + 1))
+        assert verify._span_count_oracle(dim, p) == want
 
 
 def test_small_shapes(sub22, sub23):

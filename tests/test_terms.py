@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congforge import fixtures, lattice, limits, subspaces
+from congforge import fixtures, lattice, limits, subspaces, terms, verify
 from congforge.lattice import LatticeHom
+from congforge.limits import SizeLimitError
 from congforge.partitions import Partition, closed_sublattice
 from congforge.terms import (
     BudgetExceededError,
@@ -236,6 +238,8 @@ def test_tiny_chunk_budget_gives_the_same_sweeps(monkeypatch, m3, n5):
             holds(m3, generate_dn_star(3), mode="sampled", samples=300, seed=5),
             dn_pair_agreement(n5, 3, "sampled", samples=300, seed=2, block=70),
             dn_pair_agreement(fixtures.chain(2), 3, "exhaustive"),
+            dn_pair_agreement(n5, 3, "exhaustive"),
+            terms._dn_transfer(fixtures.chain(3), 4),
         ]
 
     expected = outcomes()
@@ -308,3 +312,57 @@ def test_evaluate_respects_homomorphisms(m3, m3x2):
         mapped = {k: proj(v) for k, v in env.items()}
         assert proj(evaluate(phi.lhs, m3x2, env)) == evaluate(phi.lhs, m3, mapped)
         assert proj(evaluate(phi.rhs, m3x2, env)) == evaluate(phi.rhs, m3, mapped)
+
+
+# -- the transfer behind exhaustive dn/dn* agreement ---------------------------
+
+_SWEEP_LIMIT = 1_100_000  # assignments a reference sweep may take
+
+
+def _swept_pair_agreement(lat, n):
+    """Exhaustive dn/dn* agreement by enumerating every assignment."""
+    discrepancies = 0
+    first = None
+    for _, env, bad in verify._disagreements(lat, n, "exhaustive", None, 0, 1):
+        if first is None and bad.any():
+            first = verify._witness(env, bad)
+        discrepancies += int(np.count_nonzero(bad))
+    return lat.size ** (2 * n), discrepancies, first
+
+
+def _transfer_matches_sweep(lat):
+    compared = 0
+    for n in (3, 4, 5):
+        if lat.size ** (2 * n) <= _SWEEP_LIMIT:
+            assert dn_pair_agreement(lat, n) == _swept_pair_agreement(lat, n), (lat, n)
+            compared += 1
+    return compared
+
+
+def test_transfer_matches_the_sweep_on_the_fixtures(lattice_corpus):
+    # the corpus holds n5, m3, the 2x2 square and the 4-chain
+    lats = [fixtures.chain(k) for k in (1, 2, 3)] + [lat for _, lat in lattice_corpus]
+    assert sum(_transfer_matches_sweep(lat) for lat in lats) == 24
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=3))
+def test_transfer_matches_the_sweep_on_generated_lattices(labelings):
+    _transfer_matches_sweep(_random_lattice(labelings))
+
+
+def test_pinned_discrepancy_counts_on_n5(n5, monkeypatch):
+    for n, count in ((3, 155), (4, 2531), (5, 41548)):
+        assert terms._dn_transfer(n5, n) == (5 ** (2 * n), count)
+    # a budget that cuts the 25 next pairs into slices of 7, 7, 7 and 4
+    monkeypatch.setattr(limits, "CHUNK_BYTES", 16 * 8 * 180)
+    assert terms._dn_transfer(n5, 4) == (5 ** 8, 2531)
+
+
+def test_transfer_refuses_counts_past_int64():
+    two = fixtures.chain(2)
+    assert terms._dn_transfer(two, 31) == (2 ** 62, 0)
+    with pytest.raises(SizeLimitError):
+        dn_pair_agreement(two, 32)
+    with pytest.raises(InvalidNError):
+        terms._dn_transfer(two, 2)
