@@ -1,10 +1,14 @@
 """Finite algebras, congruence lattices, and the term-condition commutator.
 
 An algebra is a universe 0..size-1 with named finitary operation tables.
-Congruences are Partitions compatible with every operation.  Centrality
-C(a, b; d) is decided by generating the closure of the 2x2 matrix set
-from its generators under the basic operations and scanning; the
-commutator [a, b] is the ascending fixpoint of the induced closure.
+Congruences are Partitions compatible with every operation.  Con(A) is
+the sublattice of Eq(A) generated by bottom and the principal
+congruences, built by partitions.closed_sublattice, so its size meets
+the CONGFORGE_CAP check after every closure round; every row of the
+result is then checked for compatibility in one vectorised pass.
+Centrality C(a, b; d) is decided by generating the closure of the 2x2
+matrix set from its generators under the basic operations and scanning;
+the commutator [a, b] is the ascending fixpoint of the induced closure.
 
 The closure works on integer keys.  A matrix (m00, m01, m10, m11) is the
 key hi*n^2 + lo with hi = m00*n + m01 and lo = m10*n + m11, so one key
@@ -28,28 +32,28 @@ import numpy as np
 
 from . import limits
 from .lattice import FiniteLattice, interval
-from .limits import SizeLimitError
-from .partitions import EqRelLattice, Partition, p_join, p_leq, p_meet
+from .limits import CongforgeError, SizeLimitError
+from .partitions import Partition, closed_sublattice, p_join, p_leq, p_meet
 
 DEFAULT_ALGEBRA_CAP = 12
 DEFAULT_POWER_CAP = 4096
 
 
-class ArityError(Exception):
+class ArityError(CongforgeError):
     pass
 
 
-class UnknownOperationError(Exception):
+class UnknownOperationError(CongforgeError):
     def __init__(self, name):
         self.name = name
         super().__init__("the algebra has no operation named %r" % name)
 
 
-class NonConvergenceError(Exception):
+class NonConvergenceError(CongforgeError):
     pass
 
 
-class PreconditionFailedError(Exception):
+class PreconditionFailedError(CongforgeError):
     pass
 
 
@@ -240,17 +244,32 @@ def parse_term_expr(text):
 # -- congruences --------------------------------------------------------------
 
 
+def _compatible(algebra, reps):
+    """True iff every row of reps, a canonical partition of the universe,
+    is compatible with every basic operation.
+
+    A partition is compatible iff each unary translation t keeps every
+    point related to its representative: rep[t[a, j]] == rep[t[rep[a], j]]
+    for all a and j.  All rows are checked at once, in row chunks of
+    limits.CHUNK_BYTES.
+    """
+    for moved in algebra._translations:
+        # per cell: a gathered index (8 bytes), two gathered reps (up to
+        # 8 each) and their comparison
+        rows = limits.chunk_rows(25 * moved.size)
+        for lo in range(0, len(reps), rows):
+            chunk = reps[lo:lo + rows]
+            own = np.arange(len(chunk))[:, None, None]
+            if not np.array_equal(chunk[:, moved], chunk[own, moved[chunk]]):
+                return False
+    return True
+
+
 def is_congruence(algebra, part):
     """Full-scan compatibility check of a partition with every operation."""
     if part.base_size != algebra.size:
         return False
-    rep = np.asarray(part.rep)
-    for moved in algebra._translations:
-        for a in range(algebra.size):
-            b = part.rep[a]
-            if b != a and not np.array_equal(rep[moved[a]], rep[moved[b]]):
-                return False
-    return True
+    return _compatible(algebra, np.array(part.rep, dtype=np.intp).reshape(1, -1))
 
 
 def congruence_from_pairs(algebra, pairs, start=None):
@@ -301,11 +320,11 @@ def principal_congruence(algebra, a, b):
 
 
 class ConLattice:
-    """The congruence lattice of a finite algebra."""
+    """The congruence lattice of a finite algebra, as the EqRelLattice of
+    its congruences."""
 
-    def __init__(self, algebra, congruences):
+    def __init__(self, algebra, eq):
         self.algebra = algebra
-        eq = EqRelLattice(congruences)
         self.congruences = eq.partitions
         self.index = eq.index
         self.lattice = eq.lattice
@@ -317,39 +336,30 @@ class ConLattice:
 
 
 def con_lattice(algebra, cap=DEFAULT_ALGEBRA_CAP):
-    """All congruences: join-closure of the principal ones plus bottom.
+    """All congruences: the sublattice of Eq(A) generated by bottom and the
+    principal congruences.
 
-    Joins are computed as partition joins; compatibility of each join is
-    re-verified as a self-test (it must hold automatically).
+    Every congruence is the join of the principal congruences below it,
+    and joins and meets of congruences are congruences, so the closure is
+    Con(A); its size is checked against CONGFORGE_CAP after every round.
+    Compatibility of every result row is re-verified as a self-test (it
+    must hold automatically).
     """
     n = algebra.size
     if cap is not None and n > cap:
         raise SizeLimitError(
             "congruence computation capped at algebra size %d (got %d)" % (cap, n)
         )
-    principals = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            principals.add(principal_congruence(algebra, a, b))
-    congruences = set(principals)
-    congruences.add(Partition.singletons(n))
-    frontier = list(principals)
-    while frontier:
-        fresh = []
-        current = list(congruences)
-        for p in frontier:
-            for q in current:
-                j = p_join(p, q)
-                if j not in congruences:
-                    if not is_congruence(algebra, j):
-                        raise RuntimeError(
-                            "partition join of congruences failed compatibility; "
-                            "this indicates a bug in the closure"
-                        )
-                    congruences.add(j)
-                    fresh.append(j)
-        frontier = fresh
-    return ConLattice(algebra, congruences)
+    gens = [Partition.singletons(n)]
+    gens += [principal_congruence(algebra, a, b)
+             for a, b in itertools.combinations(range(n), 2)]
+    eq = closed_sublattice(gens)
+    if not _compatible(algebra, eq.reps):
+        raise RuntimeError(
+            "the closure of the principal congruences holds a partition "
+            "that is not a congruence; this indicates a bug in the closure"
+        )
+    return ConLattice(algebra, eq)
 
 
 # -- centrality and the commutator --------------------------------------------
@@ -696,7 +706,7 @@ class EmbeddingReport:
         return all(self.checks.values())
 
 
-def verify_embedding_construction(algebra, alpha, n, con_cap=None):
+def verify_embedding_construction(algebra, alpha, n):
     """Build Con of the alpha-constant power and check the interval below
     the saturation congruence: it must be a complemented modular lattice
     of length n whose bottom is the meet of the coatoms, with an element
@@ -709,8 +719,7 @@ def verify_embedding_construction(algebra, alpha, n, con_cap=None):
     if not abelian_interval(algebra, Partition.singletons(algebra.size), alpha):
         raise PreconditionFailedError("alpha must be an abelian congruence")
     power, tuples, alpha_bar, etas = alpha_power_algebra(algebra, alpha, n)
-    cap = con_cap if con_cap is not None else max(DEFAULT_ALGEBRA_CAP, power.size)
-    con = con_lattice(power, cap=cap)
+    con = con_lattice(power, cap=None)
     lo = con.bottom
     hi = con.index[alpha_bar]
     ln, elems = interval(con.lattice, lo, hi)

@@ -12,8 +12,7 @@ import json
 import sys
 
 from . import algebras, fixtures, jsonio, subspaces, terms, verify
-from .lattice import LatticeError
-from .limits import BudgetExceededError, SizeLimitError
+from .limits import CongforgeError
 from .partitions import Partition, full_partition_lattice
 
 
@@ -249,10 +248,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (SizeLimitError, BudgetExceededError, FileNotFoundError, ValueError,
-            json.JSONDecodeError, terms.TermSyntaxError, LatticeError,
-            algebras.PreconditionFailedError, algebras.ArityError,
-            algebras.UnknownOperationError) as exc:
+    except (CongforgeError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

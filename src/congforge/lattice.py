@@ -18,10 +18,10 @@ import itertools
 
 import numpy as np
 
-from .limits import BudgetExceededError, check_cap, chunk_rows
+from .limits import BudgetExceededError, CongforgeError, check_cap, chunk_rows
 
 
-class LatticeError(Exception):
+class LatticeError(CongforgeError):
     pass
 
 

@@ -10,6 +10,7 @@ temporaries stay bounded whatever the element count.  State that cannot
 be chunked, such as the bitmaps of the 2x2-matrix closure, is checked
 against a fixed byte bound before anything is allocated.  A check or
 search that would run past its own budget raises BudgetExceededError.
+Every exception class congforge defines derives from CongforgeError.
 """
 
 import os
@@ -24,11 +25,15 @@ CHUNK_BYTES = 1 << 24
 CLOSURE_BYTES = 1 << 28
 
 
-class SizeLimitError(Exception):
+class CongforgeError(Exception):
+    """Base of every exception class congforge defines."""
+
+
+class SizeLimitError(CongforgeError):
     """Requested object would exceed the configured size cap."""
 
 
-class BudgetExceededError(Exception):
+class BudgetExceededError(CongforgeError):
     """A check or search would exceed its budget: an exhaustive identity
     sweep its term evaluations (use sampled mode), a sublattice search its
     nodes."""

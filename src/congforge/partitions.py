@@ -8,9 +8,11 @@ partitions double as dictionary keys when lattices of them are built.
 Join and meet come in two forms: on one pair of rep tuples (union-find,
 and one pass over the pairs of blocks), behind p_join, p_meet and the
 permuting-family harness; and on arrays of rep rows, behind
-closed_sublattice and EqRelLattice's check that a family is closed in
-Eq(A).  The harness evaluates its inequality straight in Eq(A) and
-builds no lattice per instance.
+closed_sublattice (and so algebras.con_lattice, which builds Con(A) as
+the sublattice of Eq(A) generated by the principal congruences) and
+EqRelLattice's check that a family is closed in Eq(A).  The harness
+evaluates its inequality straight in Eq(A) and builds no lattice per
+instance.
 """
 
 from __future__ import annotations
@@ -21,15 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FiniteLattice, NotALatticeError
-from .limits import SizeLimitError, check_cap, chunk_rows
+from .limits import CongforgeError, SizeLimitError, check_cap, chunk_rows
 from . import terms
 
 
-class SizeMismatchError(Exception):
+class SizeMismatchError(CongforgeError):
     pass
 
 
-class NotPermutingError(Exception):
+class NotPermutingError(CongforgeError):
     def __init__(self, index):
         self.index = index
         super().__init__("pair %d does not permute" % index)
@@ -88,26 +90,6 @@ class Partition:
         if len(seen) != n:
             raise ValueError("blocks must cover 0..%d" % (n - 1))
         return Partition(tuple(rep))
-
-    @staticmethod
-    def from_pairs(n, pairs):
-        """Least partition relating every given pair."""
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # smaller index becomes the root, so roots stay canonical
-                if ra > rb:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-        return Partition(tuple(find(i) for i in range(n)))
 
 
 def _check_sizes(a, b):
@@ -303,8 +285,10 @@ class EqRelLattice:
             lattice = None
         if lattice is None or not _closed_in_eq(reps, lattice):
             raise ValueError("partitions are not closed under join/meet")
+        reps.setflags(write=False)
         self.base_size = base
         self.partitions = tuple(parts)
+        self.reps = reps  # row i is the rep tuple of partitions[i]
         self.index = index
         self.lattice = lattice
 

@@ -17,19 +17,20 @@ import json
 from dataclasses import dataclass, field
 
 from .lattice import beta_gamma_iteration, is_modular
+from .limits import CongforgeError
 
 STAGES = ("stabilize", "adjoin_meet", "prime", "double_prime", "verify")
 
 
-class NotSurjectiveError(Exception):
+class NotSurjectiveError(CongforgeError):
     pass
 
 
-class ImageMismatchError(Exception):
+class ImageMismatchError(CongforgeError):
     pass
 
 
-class NotModularError(Exception):
+class NotModularError(CongforgeError):
     pass
 
 

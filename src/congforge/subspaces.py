@@ -20,14 +20,14 @@ from .lattice import (
     find_sublattice,
     is_modular,
 )
-from .limits import check_cap, chunk_rows
+from .limits import CongforgeError, check_cap, chunk_rows
 
 
-class FieldMismatchError(Exception):
+class FieldMismatchError(CongforgeError):
     pass
 
 
-class DimensionMismatchError(Exception):
+class DimensionMismatchError(CongforgeError):
     pass
 
 

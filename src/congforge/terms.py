@@ -28,10 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .limits import BudgetExceededError, SizeLimitError, chunk_rows
+from .limits import BudgetExceededError, CongforgeError, SizeLimitError, chunk_rows
 
 
-class TermSyntaxError(Exception):
+class TermSyntaxError(CongforgeError):
     """Parse failure; offset is the 1-based byte position in the input."""
 
     def __init__(self, offset, expected, found):
@@ -44,13 +44,13 @@ class TermSyntaxError(Exception):
         )
 
 
-class UnboundVariableError(Exception):
+class UnboundVariableError(CongforgeError):
     def __init__(self, name):
         self.name = name
         super().__init__("unbound variable %r" % name)
 
 
-class InvalidNError(ValueError):
+class InvalidNError(ValueError, CongforgeError):
     pass
 
 

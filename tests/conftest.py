@@ -1,6 +1,35 @@
+import itertools
+from functools import cache
+
 import pytest
 
 from congforge import fixtures, subspaces
+
+
+@cache
+def _span_count(dim, p):
+    vectors = list(itertools.product(range(p), repeat=dim))
+    spans = set()
+    for k in range(dim + 1):
+        for rows in itertools.product(vectors, repeat=k):
+            span = set()
+            for coeffs in itertools.product(range(p), repeat=k):
+                span.add(
+                    tuple(
+                        sum(c * r[i] for c, r in zip(coeffs, rows)) % p
+                        for i in range(dim)
+                    )
+                )
+            spans.add(frozenset(span))
+    return len(spans)
+
+
+@pytest.fixture(scope="session")
+def span_count():
+    """Count the subspaces of GF(p)^dim by brute-force span enumeration
+    over all small generating tuples; no echelon forms involved.  Each
+    (dim, p) is enumerated once per session."""
+    return _span_count
 
 
 @pytest.fixture(scope="session")

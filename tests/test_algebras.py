@@ -1,10 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from congforge import fixtures
+from congforge import fixtures, limits
 from congforge.algebras import (
     ArityError,
+    _compatible,
     FiniteAlgebra,
     PreconditionFailedError,
     TOp,
@@ -21,13 +25,21 @@ from congforge.algebras import (
     eval_term_expr,
     is_congruence,
     is_solvable_interval,
+    make_operation,
     parse_term_expr,
     principal_congruence,
     solvable_series,
     verify_embedding_construction,
 )
 from congforge.lattice import find_sublattice, m3_configurations
-from congforge.partitions import Partition, p_leq, p_meet, permutes
+from congforge.partitions import (
+    Partition,
+    all_partitions,
+    full_partition_lattice,
+    p_leq,
+    p_meet,
+    permutes,
+)
 from congforge.subspaces import subspace_lattice
 
 
@@ -72,6 +84,98 @@ def test_is_congruence():
     z4 = fixtures.cyclic_group(4)
     assert is_congruence(z4, Partition.from_blocks(4, [[0, 2], [1, 3]]))
     assert not is_congruence(z4, Partition.from_blocks(4, [[0, 1], [2, 3]]))
+
+
+def entry(table, args):
+    for a in args:
+        table = table[a]
+    return table
+
+
+def compatible_by_definition(alg, part):
+    """Does f(args) relate to f(alt) for every operation f and all argument
+    tuples related entrywise?  Checked tuple by tuple on the nested tables."""
+    blocks = {x: block for block in part.blocks() for x in block}
+    for op in alg.operations:
+        for args in itertools.product(range(alg.size), repeat=op.arity):
+            want = part.rep[entry(op.table, args)]
+            for alt in itertools.product(*(blocks[a] for a in args)):
+                if part.rep[entry(op.table, alt)] != want:
+                    return False
+    return True
+
+
+def assert_con_matches_definition(alg):
+    con = con_lattice(alg)
+    want = [p for p in all_partitions(alg.size) if compatible_by_definition(alg, p)]
+    assert list(con.congruences) == sorted(want, key=lambda p: p.rep)
+    assert con.congruences[con.bottom] == bot(alg)
+    assert con.congruences[con.top] == top(alg)
+    for i, a in enumerate(con.congruences):
+        for j, b in enumerate(con.congruences):
+            assert con.lattice.leq[i, j] == p_leq(a, b)
+
+
+@st.composite
+def small_algebras(draw):
+    n = draw(st.integers(1, 4))
+    ops = []
+    for k, arity in enumerate(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))):
+        table = draw(st.lists(st.integers(0, n - 1), min_size=n**arity, max_size=n**arity))
+        ops.append(make_operation("f%d" % k, arity, table, n))
+    return FiniteAlgebra(n, ops)
+
+
+def test_con_lattice_matches_definition_on_fixtures(algebra_corpus):
+    for _, alg, _ in algebra_corpus:
+        assert_con_matches_definition(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras())
+def test_con_lattice_matches_definition_on_random_algebras(alg):
+    assert_con_matches_definition(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_is_congruence_matches_definition(data):
+    alg = data.draw(small_algebras())
+    labels = data.draw(st.lists(st.integers(0, alg.size - 1), min_size=alg.size,
+                                max_size=alg.size))
+    first = {}
+    part = Partition(tuple(first.setdefault(lab, i) for i, lab in enumerate(labels)))
+    assert is_congruence(alg, part) == compatible_by_definition(alg, part)
+
+
+def test_tiny_chunk_budget_gives_the_same_con(monkeypatch, algebra_corpus):
+    cases = [alg for _, alg, _ in algebra_corpus] + [fixtures.abelian_group((2, 2, 2))]
+    want = [con_lattice(alg) for alg in cases]
+    monkeypatch.setattr(limits, "CHUNK_BYTES", 1)
+    for alg, con in zip(cases, want):
+        again = con_lattice(alg)
+        assert again.congruences == con.congruences
+        assert np.array_equal(again.lattice.leq, con.lattice.leq)
+        assert (again.bottom, again.top) == (con.bottom, con.top)
+
+
+def test_compatibility_check_reaches_the_last_row_chunk(monkeypatch, algebra_corpus):
+    # one-row chunks; the partition under test is the last row
+    monkeypatch.setattr(limits, "CHUNK_BYTES", 1)
+    for _, alg, _ in algebra_corpus:
+        congruences = [p.rep for p in con_lattice(alg).congruences]
+        for part in all_partitions(alg.size):
+            reps = np.array(congruences + [part.rep])
+            assert _compatible(alg, reps) == compatible_by_definition(alg, part)
+
+
+def test_every_partition_is_a_congruence_of_the_identity():
+    alg = FiniteAlgebra(6, [make_operation("id", 1, range(6), 6)])
+    con = con_lattice(alg)
+    pi6 = full_partition_lattice(6)
+    assert len(con) == 203
+    assert con.congruences == pi6.partitions
+    assert np.array_equal(con.lattice.leq, pi6.lattice.leq)
 
 
 def test_congruence_from_pairs_with_start():

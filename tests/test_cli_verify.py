@@ -1,12 +1,19 @@
+import importlib
+import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import congforge
 from congforge import fixtures, jsonio, verify
 from congforge.algebras import FiniteAlgebra, make_operation
 from congforge.cli import main
+from congforge.lattice import LatticeError, NotALatticeError
+from congforge.limits import CongforgeError
+from congforge.terms import InvalidNError
 
 
 @pytest.fixture()
@@ -158,6 +165,20 @@ def test_alg_bad_input_exits_2(files, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_every_exception_is_a_congforge_error():
+    defined = []
+    for info in pkgutil.iter_modules(congforge.__path__):
+        module = importlib.import_module("congforge." + info.name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and issubclass(cls, Exception):
+                defined.append(cls)
+    assert len(defined) >= 20
+    assert [cls for cls in defined if not issubclass(cls, CongforgeError)] == []
+    # each class keeps its former bases
+    assert issubclass(InvalidNError, ValueError)
+    assert issubclass(NotALatticeError, LatticeError)
 
 
 def test_check_sampled_mode_needs_a_positive_count(files, capsys):

@@ -18,25 +18,6 @@ from congforge.subspaces import (
 )
 
 
-def span_count(dim, p):
-    """Count subspaces by brute-force span enumeration over all small
-    generating tuples; no echelon forms involved."""
-    vectors = list(itertools.product(range(p), repeat=dim))
-    spans = set()
-    for k in range(dim + 1):
-        for rows in itertools.product(vectors, repeat=k):
-            span = set()
-            for coeffs in itertools.product(range(p), repeat=k):
-                span.add(
-                    tuple(
-                        sum(c * r[i] for c, r in zip(coeffs, rows)) % p
-                        for i in range(dim)
-                    )
-                )
-            spans.add(frozenset(span))
-    return len(spans)
-
-
 def sp(p, dim, *rows):
     return Subspace.from_vectors(p, dim, rows)
 
@@ -85,7 +66,7 @@ def test_derived_tables_match_sum_and_intersection(sub32, sub23):
                 assert lat.leq[i, j] == (s_sum(u, w) == w)
 
 
-def test_lattice_sizes_against_span_oracle(sub22, sub32, sub23):
+def test_lattice_sizes_against_span_oracle(sub22, sub32, sub23, span_count):
     cases = {(2, 2): sub22, (3, 2): sub32, (2, 3): sub23}
     for (dim, p), sl in cases.items():
         assert len(sl) == span_count(dim, p)
@@ -94,7 +75,7 @@ def test_lattice_sizes_against_span_oracle(sub22, sub32, sub23):
     assert len(sl42) == 67 == span_count(4, 2)
 
 
-def test_suite_span_closure_oracle():
+def test_suite_span_closure_oracle(span_count):
     # the suite's oracle grows subspaces as sets closed under span; it
     # must agree with the brute-force spans and the Gaussian counts
     for dim, p in ((1, 2), (2, 2), (3, 2), (2, 3), (1, 5)):
