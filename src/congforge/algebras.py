@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import limits
-from .lattice import FiniteLattice, interval
+from .lattice import FiniteLattice, interval, is_modular
 from .limits import CongforgeError, SizeLimitError
 from .partitions import Partition, closed_sublattice, p_join, p_leq, p_meet
 
@@ -706,6 +706,15 @@ class EmbeddingReport:
         return all(self.checks.values())
 
 
+def _common_complements(lat, elems):
+    """common[i, j]: some d meets elems[i] and elems[j] in their meet and
+    joins each of them to the top."""
+    meets, tops = lat.meet[:, elems], lat.join[:, elems] == lat.top
+    lows = lat.meet[np.ix_(elems, elems)]
+    return ((meets[:, :, None] == lows) & (meets[:, None, :] == lows)
+            & tops[:, :, None] & tops[:, None, :]).any(axis=0)
+
+
 def verify_embedding_construction(algebra, alpha, n):
     """Build Con of the alpha-constant power and check the interval below
     the saturation congruence: it must be a complemented modular lattice
@@ -726,8 +735,6 @@ def verify_embedding_construction(algebra, alpha, n):
     pos = {e: i for i, e in enumerate(elems)}
     eta_idx = [pos[con.index[e]] for e in etas]
 
-    from .lattice import is_modular
-
     modular, _ = is_modular(ln)
     checks = {
         "modular": modular,
@@ -739,26 +746,15 @@ def verify_embedding_construction(algebra, alpha, n):
     for c in coatoms[1:]:
         meet_coatoms = int(ln.meet[meet_coatoms, c])
     checks["bottom_is_meet_of_coatoms"] = meet_coatoms == ln.bottom
-    checks["etas_are_coatoms"] = all(e in ln.coatoms() for e in eta_idx)
+    checks["etas_are_coatoms"] = all(e in coatoms for e in eta_idx)
     bottom_eta = eta_idx[0]
     for e in eta_idx[1:]:
         bottom_eta = int(ln.meet[bottom_eta, e])
     checks["bottom_is_meet_of_etas"] = bottom_eta == ln.bottom
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            lo_ij = int(ln.meet[eta_idx[i], eta_idx[j]])
-            found = False
-            for d in range(ln.size):
-                if (
-                    int(ln.meet[d, eta_idx[i]]) == lo_ij
-                    and int(ln.meet[d, eta_idx[j]]) == lo_ij
-                    and int(ln.join[d, eta_idx[i]]) == ln.top
-                    and int(ln.join[d, eta_idx[j]]) == ln.top
-                ):
-                    found = True
-                    break
-            checks["common_complement_%d_%d" % (i, j)] = found
+    common = _common_complements(ln, eta_idx)
+    for i, j in zip(*np.triu_indices(n, 1)):
+        checks["common_complement_%d_%d" % (i, j)] = bool(common[i, j])
     return EmbeddingReport(
         n=n,
         universe_size=power.size,

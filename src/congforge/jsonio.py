@@ -43,13 +43,26 @@ def lattice_to_json(lat):
     return json.dumps(lattice_to_dict(lat), indent=2, sort_keys=True)
 
 
+def _check(ok, field, what):
+    """ValueError naming the field unless ok; what says what it must be."""
+    if not ok:
+        raise ValueError("JSON field %s must be %s" % (field, what))
+
+
+def _ints(value):
+    """Whether value is a list of integers (a bool is no integer)."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def lattice_from_dict(data):
     if not isinstance(data, dict) or "size" not in data or "covers" not in data:
         raise ValueError("lattice JSON needs 'size' and 'covers'")
-    size = int(data["size"])
-    covers = [(int(lo), int(hi)) for lo, hi in data["covers"]]
-    labels = data.get("labels")
+    size, covers, labels = data["size"], data["covers"], data.get("labels")
+    _check(type(size) is int, "size", "an integer")
+    _check(isinstance(covers, list) and all(_ints(c) and len(c) == 2 for c in covers),
+           "covers", "a list of integer pairs")
     if labels is not None:
+        _check(isinstance(labels, list), "labels", "a list")
         labels = [str(x) for x in labels]
     return from_cover_relation(size, covers, labels=labels)
 
@@ -85,11 +98,16 @@ def algebra_to_dict(alg):
 def algebra_from_dict(data):
     if not isinstance(data, dict) or "size" not in data or "ops" not in data:
         raise ValueError("algebra JSON needs 'size' and 'ops'")
-    size = int(data["size"])
-    ops = [
-        make_operation(str(o["name"]), int(o["arity"]), o["table"], size)
-        for o in data["ops"]
-    ]
+    size, ops = data["size"], data["ops"]
+    _check(type(size) is int, "size", "an integer")
+    _check(isinstance(ops, list), "ops", "a list")
+    for k, op in enumerate(ops):
+        _check(isinstance(op, dict) and {"name", "arity", "table"} <= op.keys(),
+               "ops[%d]" % k, "an object with 'name', 'arity' and 'table'")
+        _check(type(op["arity"]) is int and op["arity"] >= 0, "ops[%d].arity" % k,
+               "a nonnegative integer")
+        _check(_ints(op["table"]), "ops[%d].table" % k, "a list of integers")
+    ops = [make_operation(str(op["name"]), op["arity"], op["table"], size) for op in ops]
     return FiniteAlgebra(size, ops)
 
 

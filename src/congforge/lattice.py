@@ -4,10 +4,10 @@ Elements are the integers 0..size-1.  The order matrix is computed once,
 at construction, from a cover relation or an explicit order, and it is
 all a builder supplies: join and meet tables are always derived from it
 by one routine, an up-set lookup.  Everything downstream is table-bound,
-so all checkers are simple scans over these arrays.  The n^3 scans
-(modularity, semidistributivity) share one triple scan that walks the
-first coordinate in row chunks sized by the byte budget of
-limits.chunk_rows and reports the lexicographically first violation.
+so all checkers are simple scans over these arrays.  The exhaustive
+scans over tuples of elements share one mask scan that walks the first
+coordinate in row chunks sized by the byte budget of limits.chunk_rows
+and reads the lexicographically first hit or every hit in that order.
 
 All objects here are immutable after construction and safe to share.
 """
@@ -50,24 +50,11 @@ class NotComparableError(LatticeError):
         super().__init__("interval endpoints %d and %d are not comparable" % (lo, hi))
 
 
-def _first_true(mask):
-    """(row, column) of the first True entry of a 2-D mask in row-major
-    order, or None."""
-    flat = int(mask.argmax())
-    if not mask.flat[flat]:
-        return None
-    return divmod(flat, mask.shape[1])
-
-
 def _is_transitive(leq, up):
-    """a <= b must imply up(b) <= up(a); tested on the comparable pairs only."""
+    """a <= b must imply up(b) <= up(a), checked on each byte of the packed up-sets."""
     n, width = up.shape
-    rows = chunk_rows(n * (2 * width + 16))
-    for lo in range(0, n, rows):
-        a, b = np.nonzero(leq[lo:lo + rows])
-        if (up[b] & ~up[a + lo]).any():
-            return False
-    return True
+    ok, _ = _scan(n, n * width, lambda a: leq[a, :, None] & (up & ~up[a, None, :] != 0), first=True)
+    return ok
 
 
 def _bound_table(packed, kind):
@@ -95,8 +82,8 @@ def _bound_table(packed, kind):
         pos = np.searchsorted(keys, common)
         missing = keys.take(pos, mode="clip") != common
         if missing.any():
-            bad = _first_true(missing)
-            raise NotALatticeError((int(bad[0]) + lo, int(bad[1]) + lo), kind)
+            a, b = np.argwhere(missing)[0].tolist()
+            raise NotALatticeError((a + lo, b + lo), kind)
         cand = order[pos]
         table[lo:lo + rows, lo:] = cand
         table[lo:, lo:lo + rows] = cand.T
@@ -115,8 +102,8 @@ class FiniteLattice:
             raise ValueError("order matrix is not reflexive")
         both = leq & leq.T
         if np.count_nonzero(both) != n:
-            bad = _first_true(both & ~np.eye(n, dtype=bool))
-            raise NotAPartialOrderError((int(bad[0]), int(bad[1])))
+            cyclic = np.argwhere(both & ~np.eye(n, dtype=bool))
+            raise NotAPartialOrderError(tuple(cyclic[0].tolist()))
         up = np.packbits(leq, axis=1)
         # For a <= b the lookup can only find a v b = b, which needs
         # up(b) <= up(a): a complete join table implies transitivity, so a
@@ -175,12 +162,7 @@ class FiniteLattice:
 
     def is_complemented(self):
         """True iff every element has a complement."""
-        n = self.size
-        for x in range(n):
-            row = (self.meet[x] == self.bottom) & (self.join[x] == self.top)
-            if not row.any():
-                return False
-        return True
+        return bool(((self.meet == self.bottom) & (self.join == self.top)).any(axis=1).all())
 
     def __repr__(self):
         return "FiniteLattice(size=%d)" % self.size
@@ -218,32 +200,41 @@ def from_cover_relation(size, covers, labels=None):
         if np.array_equal(nxt, reach):
             break
         reach = nxt
-    bad = _first_true(reach & reach.T & ~np.eye(size, dtype=bool))
-    if bad is not None:
-        raise NotAPartialOrderError((int(bad[0]), int(bad[1])))
+    cyclic = reach & reach.T & ~np.eye(size, dtype=bool)
+    if cyclic.any():
+        raise NotAPartialOrderError(tuple(np.argwhere(cyclic)[0].tolist()))
     return FiniteLattice(reach, labels=labels)
 
 
 # -- structural predicates ------------------------------------------------
 
 
-def _first_triple(n, violated):
-    """Scan all triples (a, b, c) of 0..n-1 for a violation.
+def _scan(n, row_cells, mask, first):
+    """Read a boolean mask over tuples whose first coordinate runs over 0..n-1.
 
-    violated(rows) gives the boolean (len, n, n) mask of the triples whose
-    first coordinate lies in the slice rows.  Rows are taken in chunks on
-    the byte budget, allowing per row two n x n int64 temporaries and two
-    boolean ones, and the scan stops at the first chunk with a hit.
-    Returns (True, None) or (False, (a, b, c)) with the lexicographically
-    first violation.
+    mask(rows) gives the mask of the tuples whose first coordinate lies in
+    the slice rows, row_cells cells per row over any number of trailing
+    axes.  Chunks of rows fit the byte budget with two int64 temporaries
+    and two boolean ones per cell.  With first, returns (True, None) or
+    (False, the lexicographically first hit), stopping at the first chunk
+    with a hit; otherwise every hit, in lexicographic order, as the rows
+    of an int64 array.
     """
-    step = chunk_rows(18 * n * n)
+    step = chunk_rows(18 * row_cells)
+    hits = []
     for lo in range(0, n, step):
-        mask = violated(slice(lo, lo + step))
-        hit = _first_true(mask.reshape(len(mask), -1))
-        if hit is not None:
-            return False, (lo + hit[0],) + divmod(hit[1], n)
-    return True, None
+        chunk = mask(slice(lo, lo + step))
+        if first:
+            # argmax stops at the first True; np.nonzero would list them all
+            flat = int(chunk.argmax())
+            if chunk.flat[flat]:
+                hit = np.unravel_index(flat, chunk.shape)
+                return False, (lo + int(hit[0]),) + tuple(int(i) for i in hit[1:])
+        else:
+            found = np.argwhere(chunk)
+            found[:, 0] += lo
+            hits.append(found)
+    return (True, None) if first else np.concatenate(hits)
 
 
 def is_modular(lat):
@@ -252,9 +243,9 @@ def is_modular(lat):
     Returns (True, None) or (False, (a, b, c)) with the lexicographically
     first witnessing triple.
     """
-    J, M, leq = lat.join, lat.meet, lat.leq
+    J, M, leq, n = lat.join, lat.meet, lat.leq, lat.size
     # J[a][:, M][a, b, c] = a v (b ^ c) and M[J[a]][a, b, c] = (a v b) ^ c
-    return _first_triple(lat.size, lambda a: leq[a, None, :] & (J[a][:, M] != M[J[a]]))
+    return _scan(n, n * n, lambda a: leq[a, None, :] & (J[a][:, M] != M[J[a]]), first=True)
 
 
 def check_semidistributivity(lat, side):
@@ -276,7 +267,7 @@ def check_semidistributivity(lat, side):
         xz = M[x][:, None, :]  # x.z
         return (xy == xz) & (xy != M[x][:, J])  # M[x][:, J] is x.(y+z)
 
-    return _first_triple(lat.size, violated)
+    return _scan(lat.size, lat.size**2, violated, first=True)
 
 
 def sublattice_closure(lat, seed):
@@ -478,20 +469,19 @@ def m3_configurations(lat):
     x, y, z are scanned with x < y < z, so each M3 sublattice is reported
     once; o and i are its pairwise meet and join.
     """
-    J, M = lat.join, lat.meet
-    out = []
-    n = lat.size
-    for x in range(n):
-        for y in range(x + 1, n):
-            o = int(M[x, y])
-            i = int(J[x, y])
-            if o == x or o == y:
-                continue
-            for z in range(y + 1, n):
-                if int(M[x, z]) == o and int(M[y, z]) == o and \
-                   int(J[x, z]) == i and int(J[y, z]) == i and z != o and z != i:
-                    out.append((o, x, y, z, i))
-    return out
+    J, M, n = lat.join, lat.meet, lat.size
+    ascending = np.arange(n)[:, None] < np.arange(n)
+    bounds = M * n + J  # the pair (meet, join) as one key
+
+    # three distinct elements with one pairwise meet o and join i are a
+    # diamond's atoms: o or i equal to an atom would make two atoms equal
+    def diamond(x):
+        xy = bounds[x][:, :, None]
+        return ascending[x][:, :, None] & ascending & (bounds[x][:, None, :] == xy) & (bounds == xy)
+
+    xyz = _scan(n, n * n, diamond, first=False)
+    o, i = M[xyz[:, 0], xyz[:, 1]], J[xyz[:, 0], xyz[:, 1]]
+    return [tuple(t) for t in np.column_stack([o, xyz, i]).tolist()]
 
 
 def beta_gamma_iteration(lat, alpha, beta, gamma, max_m=None):

@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .lattice import beta_gamma_iteration, is_modular
+import numpy as np
+
+from .lattice import _scan, beta_gamma_iteration, is_modular
 from .limits import CongforgeError
 
 STAGES = ("stabilize", "adjoin_meet", "prime", "double_prime", "verify")
@@ -174,19 +176,15 @@ def abx_check(lat):
     modular, triple = is_modular(lat)
     if not modular:
         raise NotModularError("input is not modular; witness triple %r" % (triple,))
-    n = lat.size
-    J, M, leq = lat.join, lat.meet, lat.leq
-    for x in range(n):
-        for xp in range(n):
-            mt, jn = int(M[x, xp]), int(J[x, xp])
-            for A in range(n):
-                if not leq[A, jn]:
-                    continue
-                for B in range(n):
-                    if not leq[mt, B]:
-                        continue
-                    left = bool(leq[A, J[xp, M[x, B]]])
-                    right = bool(leq[M[x, J[xp, A]], B])
-                    if left != right:
-                        return False, (x, xp, A, B)
-    return True, None
+    J, M, leq, n = lat.join, lat.meet, lat.leq, lat.size
+    col = np.arange(n)[:, None]
+
+    def violated(x):
+        # axes (x, x', A, B): the hypothesis, then the two sides compared
+        below_join = leq.T[J[x]][:, :, :, None]  # A <= x v x'
+        above_meet = leq[M[x]][:, :, None, :]  # x ^ x' <= B
+        left = leq[col, J[col, M[x][:, None, :]][:, :, None, :]]  # A <= x' v (x ^ B)
+        right = leq[M[x][:, J]]  # x ^ (x' v A) <= B
+        return below_join & above_meet & (left != right)
+
+    return _scan(n, n**3, violated, first=True)

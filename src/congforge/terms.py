@@ -515,7 +515,10 @@ class VectorEvaluator:
         values per variable at a time (the last draw takes the rest),
         which fixes the seeded stream.  Either way a yielded block holds
         at most limits.chunk_rows(8 * (variables + nodes)) assignments:
-        room for one int64 per variable and per node.
+        room for one int64 per variable and per node.  The round of
+        sampled draws itself, `block` int64 values per variable, lies
+        outside that budget: 256 MiB for dn_pair_agreement's default
+        block at n = 4.
         """
         names, size = self.names, self.size
         rows = chunk_rows(8 * (len(names) + self.nodes))

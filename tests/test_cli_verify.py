@@ -79,7 +79,8 @@ def test_check_rejects_bad_lattice_files(tmp_path, capsys):
     bowtie = {"size": 6, "covers": [[0, 1], [0, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 5], [4, 5]]}
     cycle = {"size": 3, "covers": [[0, 1], [1, 2], [2, 0]]}
     for name, data, message in (("bowtie", bowtie, "not a lattice"),
-                                ("cycle", cycle, "not a partial order")):
+                                ("cycle", cycle, "not a partial order"),
+                                ("covers", {"size": 3, "covers": 5}, "covers must be a list")):
         path = tmp_path / ("%s.json" % name)
         path.write_text(json.dumps(data))
         assert main(["check", str(path), "--builtin", "modular"]) == 2
@@ -162,6 +163,19 @@ def test_alg_commands(files, capsys):
 ])
 def test_alg_bad_input_exits_2(files, capsys, argv, message):
     assert main(["alg", files[argv[0]]] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"size": 2, "ops": 7}, "ops must be a list"),
+    ({"size": 2, "ops": [{"arity": 1, "table": [1, 0]}]}, "ops[0] must be an object with 'name'"),
+])
+def test_alg_rejects_malformed_algebra_files(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["alg", str(path), "con"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err

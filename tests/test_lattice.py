@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congforge import fixtures, limits
+from congforge import fixtures, limits, projectivity
+from congforge.algebras import _common_complements
 from congforge.lattice import (
     BudgetExceededError,
     FiniteLattice,
@@ -11,6 +14,7 @@ from congforge.lattice import (
     NotALatticeError,
     NotAPartialOrderError,
     NotComparableError,
+    _scan,
     beta_gamma_iteration,
     check_semidistributivity,
     direct_product,
@@ -22,6 +26,7 @@ from congforge.lattice import (
     sublattice_closure,
 )
 from congforge.limits import SizeLimitError
+from congforge.partitions import all_partitions, closed_sublattice, full_partition_lattice
 
 
 def test_two_chain_tables():
@@ -196,18 +201,86 @@ def test_is_modular_values(m3, n5):
     assert is_modular(fixtures.chain(5)) == (True, None)
 
 
+def _scans_by_loops(lat):
+    """What _scans, m3_configurations and is_complemented return, by plain loops."""
+    J, M, leq, n = lat.join.tolist(), lat.meet.tolist(), lat.leq.tolist(), lat.size
+    triples = list(itertools.product(range(n), repeat=3))
+    # the first violation in (a, b, c) order
+    loops = [[(a, b, c) for a, b, c in triples if leq[a][c] and J[a][M[b][c]] != M[J[a][b]][c]]]
+    for P, Q in ((M, J), (J, M)):
+        loops.append([(x, y, z) for x, y, z in triples if P[x][y] == P[x][z] != P[x][Q[y][z]]])
+    diamonds = []
+    for x, y, z in itertools.combinations(range(n), 3):
+        o, i = M[x][y], J[x][y]
+        if o not in (x, y) and M[x][z] == o and M[y][z] == o and \
+           J[x][z] == i and J[y][z] == i and z not in (o, i):
+            diamonds.append((o, x, y, z, i))
+    complemented = all(any(M[x][d] == lat.bottom and J[x][d] == lat.top for d in range(n))
+                       for x in range(n))
+    return [(True, None) if not v else (False, v[0]) for v in loops] + [diamonds, complemented]
+
+
+def _abx_by_loops(lat):
+    J, M, leq, n = lat.join.tolist(), lat.meet.tolist(), lat.leq.tolist(), lat.size
+    for x, xp, A, B in itertools.product(range(n), repeat=4):
+        if leq[A][J[x][xp]] and leq[M[x][xp]][B] and \
+           leq[A][J[xp][M[x][B]]] != leq[M[x][J[xp][A]]][B]:
+            return False, (x, xp, A, B)
+    return True, None
+
+
+def _common_complements_by_loops(lat):
+    J, M, n = lat.join.tolist(), lat.meet.tolist(), lat.size
+    return [[any(M[d][a] == M[a][b] == M[d][b] and J[d][a] == lat.top == J[d][b] for d in range(n))
+             for b in range(n)] for a in range(n)]
+
+
+def _assert_scans_match_loops(lat, name):
+    """Every mask scan against its loop, at the default and a 1-byte chunk
+    budget.  abx_check is run whatever the lattice, with its modularity
+    gate passed, so that its mask meets counterexamples.  Returns whether
+    abx_check found one."""
+    loops = _scans_by_loops(lat)
+    common = _common_complements_by_loops(lat)
+    abx = _abx_by_loops(lat) if lat.size <= 16 else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projectivity, "is_modular", lambda _: (True, None))
+        for budget in (limits.CHUNK_BYTES, 1):
+            mp.setattr(limits, "CHUNK_BYTES", budget)
+            assert _scans(lat) + [m3_configurations(lat), lat.is_complemented()] == loops, name
+            assert _common_complements(lat, list(range(lat.size))).tolist() == common, name
+            if abx is not None:
+                assert projectivity.abx_check(lat) == abx, name
+    return abx is not None and not abx[0]
+
+
 def test_scans_match_triple_loops(lattice_corpus):
-    # the first violation in (a, b, c) order, found by plain loops
-    for name, lat in lattice_corpus:
-        J, M, n = lat.join, lat.meet, lat.size
-        triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-        nonmodular = [t for t in triples
-                      if lat.leq[t[0], t[2]] and J[t[0], M[t[1], t[2]]] != M[J[t[0], t[1]], t[2]]]
-        loops = [nonmodular]
-        for P, Q in ((M, J), (J, M)):
-            loops.append([(x, y, z) for x, y, z in triples
-                          if P[x, y] == P[x, z] != P[x, Q[y, z]]])
-        assert _scans(lat) == [(True, None) if not v else (False, v[0]) for v in loops], name
+    corpus = list(lattice_corpus) + [
+        ("pi%d" % k, full_partition_lattice(k).lattice) for k in range(1, 5)]
+    failing = [name for name, lat in corpus if _assert_scans_match_loops(lat, name)]
+    assert "n5" in failing
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_scans_match_loops_on_closed_sublattices(data):
+    everything = all_partitions(data.draw(st.integers(1, 4)))
+    picks = data.draw(st.lists(st.sampled_from(everything), min_size=1, max_size=4))
+    _assert_scans_match_loops(closed_sublattice(picks).lattice, picks)
+
+
+def test_scan_reads_masks_in_lexicographic_order(monkeypatch):
+    rng = np.random.default_rng(0)
+    for budget in (limits.CHUNK_BYTES, 1):
+        monkeypatch.setattr(limits, "CHUNK_BYTES", budget)
+        for _ in range(40):
+            shape = tuple(rng.integers(1, 6, size=rng.integers(2, 5)).tolist())
+            mask = rng.random(shape) < rng.choice([0.0, 0.02, 0.3])
+            hits = np.argwhere(mask)
+            args = (shape[0], mask[0].size, lambda rows: mask[rows])
+            first = (False, tuple(hits[0])) if len(hits) else (True, None)
+            assert _scan(*args, first=True) == first
+            assert np.array_equal(_scan(*args, first=False), hits)
 
 
 def test_semidistributivity(m3, n5):
