@@ -1,10 +1,15 @@
 """Finite algebras, congruence lattices, and the term-condition commutator.
 
 An algebra is a universe 0..size-1 with named finitary operation tables.
-Congruences are Partitions compatible with every operation.  Con(A) is
-the sublattice of Eq(A) generated by bottom and the principal
-congruences, built by partitions.closed_sublattice, so its size meets
-the CONGFORGE_CAP check after every closure round; every row of the
+Congruences are Partitions compatible with every operation.  They are
+generated in batches: a (k, n) array of canonical reps is closed under
+the algebra's unary translations, cached as one (n, C) table, by a
+fixpoint that joins into each row the pairs (t(a), t(rep[a])) it does
+not yet relate (partitions._join_edges), in row chunks of
+limits.CHUNK_BYTES.  Con(A) is the sublattice of Eq(A) generated by
+bottom and the principal congruences, which are generated as one batch;
+it is built by partitions.closed_sublattice, so its size meets the
+CONGFORGE_CAP check after every closure round, and every row of the
 result is then checked for compatibility in one vectorised pass.
 Centrality C(a, b; d) is decided by generating the closure of the 2x2
 matrix set from its generators under the basic operations and scanning;
@@ -12,19 +17,24 @@ the commutator [a, b] is the ascending fixpoint of the induced closure.
 
 The closure works on integer keys.  A matrix (m00, m01, m10, m11) is the
 key hi*n^2 + lo with hi = m00*n + m01 and lo = m10*n + m11, so one key
-is a pair of pair codes.  For each k-ary operation f the algebra caches
-a pair table of shape (n^2,)*k, T[(x0,y0),...] = f(x0,...)*n + f(y0,...),
-which applies f to both top entries (or both bottom entries) at once:
-the image of k matrices is T[their his]*n^2 + T[their los].  Rounds are
-semi-naive, so every argument tuple with a new matrix in it is
-evaluated once, and duplicates are removed by an n^4 bitmap, not by
-sorting.  The tables and the unary translations behind congruence
-generation are derived lazily on first use and cached on the algebra.
+is a pair of pair codes, held in the narrowest unsigned dtype that holds
+n^4 - 1.  For each k-ary operation f the algebra caches a pair table of
+shape (n^2,)*k, T[(x0,y0),...] = f(x0,...)*n + f(y0,...), which applies
+f to both top entries (or both bottom entries) at once: the image of k
+matrices is T[their his]*n^2 + T[their los].  A box of argument tuples
+is gathered rows first: the leading k-1 arguments pick whole rows of
+the table and one take picks the last argument's columns from them.
+Rounds are semi-naive, so every argument tuple with a new matrix in it
+is evaluated once, and duplicates are removed by an n^4 bitmap, not by
+sorting.  The tables and the translation table are derived lazily on
+first use and cached on the algebra; no closure or congruence is cached
+across calls.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +43,15 @@ import numpy as np
 from . import limits
 from .lattice import FiniteLattice, interval, is_modular
 from .limits import CongforgeError, SizeLimitError
-from .partitions import Partition, closed_sublattice, p_join, p_leq, p_meet
+from .partitions import (
+    Partition,
+    SizeMismatchError,
+    _join_edges,
+    closed_sublattice,
+    p_join,
+    p_leq,
+    p_meet,
+)
 
 DEFAULT_ALGEBRA_CAP = 12
 DEFAULT_POWER_CAP = 4096
@@ -92,15 +110,17 @@ class FiniteAlgebra:
         return int(arr[args]) if args else int(arr)
 
     @cached_property
-    def _translations(self):
-        """Each basic operation, one argument slot moved first, flattened
-        over the other slots: the unary polynomials that generate
-        congruence closure."""
-        out = []
-        for arr in self.by_name.values():
-            for pos in range(arr.ndim):
-                out.append(np.moveaxis(arr, pos, 0).reshape(self.size, -1))
-        return tuple(out)
+    def _moves(self):
+        """Every unary translation by a basic operation, one per column of
+        an (n, C) table: each operation with one argument slot moved
+        first, flattened over the other slots.  These generate congruence
+        closure; C is 0 when every operation is nullary."""
+        cols = [np.moveaxis(arr, pos, 0).reshape(self.size, -1)
+                for arr in self.by_name.values() for pos in range(arr.ndim)]
+        moves = np.concatenate(cols, axis=1) if cols else np.empty((self.size, 0))
+        moves = moves.astype(np.intp)
+        moves.setflags(write=False)
+        return moves
 
     @cached_property
     def _pair_tables(self):
@@ -244,25 +264,60 @@ def parse_term_expr(text):
 # -- congruences --------------------------------------------------------------
 
 
+# Bytes per (row, point, translation) cell of congruence generation: the
+# flat positions of both images and the gather behind one (8 each), the
+# reps found there (up to 8 each) and their comparison.
+_GEN_BYTES = 41
+
+
+def _images(reps, moves):
+    """For every row of reps, point a and translation t (a column of
+    moves): the flat positions row * n + t(a) and row * n + t(rep[a]),
+    and whether the row relates them (False) or not (True)."""
+    k, n = reps.shape
+    base = np.arange(0, k * n, n)[:, None, None]
+    at_point = base + moves
+    at_rep = base + moves[reps]
+    flat = reps.ravel()
+    return at_point, at_rep, flat[at_point] != flat[at_rep]
+
+
 def _compatible(algebra, reps):
     """True iff every row of reps, a canonical partition of the universe,
     is compatible with every basic operation.
 
     A partition is compatible iff each unary translation t keeps every
-    point related to its representative: rep[t[a, j]] == rep[t[rep[a], j]]
-    for all a and j.  All rows are checked at once, in row chunks of
+    point related to its representative: rep[t(a)] == rep[t(rep[a])] for
+    all a.  All rows are checked at once, in row chunks of
     limits.CHUNK_BYTES.
     """
-    for moved in algebra._translations:
-        # per cell: a gathered index (8 bytes), two gathered reps (up to
-        # 8 each) and their comparison
-        rows = limits.chunk_rows(25 * moved.size)
-        for lo in range(0, len(reps), rows):
-            chunk = reps[lo:lo + rows]
-            own = np.arange(len(chunk))[:, None, None]
-            if not np.array_equal(chunk[:, moved], chunk[own, moved[chunk]]):
-                return False
-    return True
+    moves = algebra._moves
+    rows = limits.chunk_rows(_GEN_BYTES * moves.size)
+    return not any(_images(reps[lo:lo + rows], moves)[2].any()
+                   for lo in range(0, len(reps), rows))
+
+
+def _generate(algebra, reps):
+    """The least congruence above each row of reps, a (k, n) array of
+    canonical partitions.
+
+    A fixpoint per row chunk of limits.CHUNK_BYTES: while some row fails
+    the compatibility test of _compatible, the pairs (t(a), t(rep[a])) it
+    does not relate are joined into it by partitions._join_edges.  Each
+    round merges blocks, so at most n - 1 rounds change a row.
+    """
+    moves = algebra._moves
+    rows = limits.chunk_rows(_GEN_BYTES * moves.size)
+    out = np.array(reps)
+    for lo in range(0, len(out), rows):
+        chunk = out[lo:lo + rows]
+        while True:
+            at_point, at_rep, apart = _images(chunk, moves)
+            if not apart.any():
+                break
+            chunk = _join_edges(chunk, at_point[apart], at_rep[apart])
+        out[lo:lo + rows] = chunk
+    return out
 
 
 def is_congruence(algebra, part):
@@ -275,43 +330,33 @@ def is_congruence(algebra, part):
 def congruence_from_pairs(algebra, pairs, start=None):
     """Least congruence containing the pairs (and the start partition).
 
-    Union-find closure: whenever two classes merge, every unary
-    translation by a basic operation is applied to the merged pair,
-    until no merge produces new identifications.
+    pairs is an (m, 2) array of points of the universe, or anything
+    np.asarray turns into one.  The pairs are joined into the start (or
+    the bottom) and the result is closed under the unary translations by
+    _generate.  Points outside 0..size-1 raise ValueError, a start on
+    another base set SizeMismatchError.
     """
     n = algebra.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    worklist = []
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if ra > rb:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        worklist.append((ra, rb))
-
-    if start is not None:
-        for i, r in enumerate(start.rep):
-            union(r, i)
-    for a, b in pairs:
-        union(int(a), int(b))
-
-    while worklist:
-        a, b = worklist.pop()
-        for moved in algebra._translations:
-            ra, rb = moved[a], moved[b]
-            for j in np.flatnonzero(ra != rb):
-                union(int(ra[j]), int(rb[j]))
-    return Partition(tuple(find(i) for i in range(n)))
+    pairs = np.asarray(pairs)
+    if pairs.size == 0:
+        pairs = np.empty((0, 2), dtype=np.intp)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise ValueError("pairs must be an (m, 2) array of integer points")
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError("pair points must lie in 0..%d" % (n - 1))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    if start is None:
+        if not pairs.size:
+            return Partition.singletons(n)  # the bottom is a congruence
+        reps = np.arange(n)
+    elif start.base_size != n:
+        raise SizeMismatchError(
+            "start partition has base size %d, the algebra %d" % (start.base_size, n)
+        )
+    else:
+        reps = np.array(start.rep, dtype=np.intp)
+    reps = _join_edges(reps.reshape(1, n), pairs[:, 0], pairs[:, 1])
+    return Partition(tuple(_generate(algebra, reps)[0].tolist()))
 
 
 def principal_congruence(algebra, a, b):
@@ -342,6 +387,7 @@ def con_lattice(algebra, cap=DEFAULT_ALGEBRA_CAP):
     Every congruence is the join of the principal congruences below it,
     and joins and meets of congruences are congruences, so the closure is
     Con(A); its size is checked against CONGFORGE_CAP after every round.
+    The n(n-1)/2 principal congruences are generated as one batch.
     Compatibility of every result row is re-verified as a self-test (it
     must hold automatically).
     """
@@ -350,9 +396,11 @@ def con_lattice(algebra, cap=DEFAULT_ALGEBRA_CAP):
         raise SizeLimitError(
             "congruence computation capped at algebra size %d (got %d)" % (cap, n)
         )
-    gens = [Partition.singletons(n)]
-    gens += [principal_congruence(algebra, a, b)
-             for a, b in itertools.combinations(range(n), 2)]
+    a, b = np.triu_indices(n, 1)
+    rows = np.tile(np.arange(n), (a.size, 1))
+    rows[np.arange(a.size), b] = a  # row p relates a[p] and b[p] alone
+    principals = np.unique(_generate(algebra, rows), axis=0)
+    gens = [Partition.singletons(n)] + [Partition(tuple(r)) for r in principals.tolist()]
     eq = closed_sublattice(gens)
     if not _compatible(algebra, eq.reps):
         raise RuntimeError(
@@ -368,12 +416,18 @@ def con_lattice(algebra, cap=DEFAULT_ALGEBRA_CAP):
 # (1 + 1), the row codes hi and lo (8 + 8), and the returned row (4 * 8)
 # with the transients of decoding it (4 * 8).
 _MATRIX_BYTES = 82
-# Bytes per evaluated argument tuple: two table gathers and the intp key.
+# Bytes per evaluated argument tuple: two table gathers (up to 2 each), the
+# key (up to 4) and the intp copy of it that the bitmap scatter makes.
 _CELL_BYTES = 16
 
 
 def _pair_dtype(n):
     return np.min_scalar_type(max(n * n - 1, 0))
+
+
+def _key_dtype(n):
+    """Narrowest unsigned dtype holding every matrix key, 0..n^4-1."""
+    return np.min_scalar_type(max(n**4 - 1, 0))
 
 
 def _closure_bytes(algebra):
@@ -384,13 +438,19 @@ def _closure_bytes(algebra):
     return n2 * n2 * _MATRIX_BYTES + tables
 
 
-def _boxes(spans, cell_bytes):
-    """Split the product of index spans [(start, stop), ...] into boxes of
-    at most limits.chunk_rows(cell_bytes) cells, trailing spans whole first;
-    an empty span yields no box."""
-    budget = limits.chunk_rows(cell_bytes)
-    steps = []
-    for start, stop in reversed(spans):
+def _boxes(spans, cell_bytes, row_bytes):
+    """Split the product of index spans [(start, stop), ...] into boxes,
+    trailing spans whole first, so that a box fits limits.CHUNK_BYTES at
+    cell_bytes per cell plus row_bytes per cell of its leading spans (one
+    gathered table row each); an empty span yields no box."""
+    lead = math.prod(stop - start for start, stop in spans[:-1])
+    start, stop = spans[-1]
+    if lead * ((stop - start) * cell_bytes + row_bytes) <= limits.CHUNK_BYTES:
+        return (spans,) if lead and stop > start else ()  # the whole product
+    last = max(1, min(stop - start, limits.chunk_rows(cell_bytes)))
+    steps = [last]
+    budget = limits.chunk_rows(last * cell_bytes + row_bytes)
+    for start, stop in reversed(spans[:-1]):
         step = max(1, min(stop - start, budget))
         steps.append(step)
         budget = max(1, budget // step)
@@ -399,6 +459,23 @@ def _boxes(spans, cell_bytes):
         for (start, stop), step in zip(spans, reversed(steps))
     ]
     return itertools.product(*cuts)
+
+
+def _gather(table, codes, box):
+    """table[codes[s0:e0], ..., codes[s(k-1):e(k-1)]] over the box, gathered
+    rows first: the leading k-1 coordinates pick whole rows of the table
+    viewed as (n^2)^(k-1) rows of n^2 entries, and one take then picks the
+    columns of the last coordinate from them."""
+    start, stop = box[-1]
+    cols = codes[start:stop]
+    if len(box) == 1:
+        return table[cols]
+    n2 = table.shape[-1]
+    start, stop = box[0]
+    lead = codes[start:stop]
+    for start, stop in box[1:-1]:
+        lead = (lead[:, None] * n2 + codes[start:stop]).ravel()
+    return table.reshape(-1, n2)[lead].take(cols, axis=1)
 
 
 def _matrix_closure(algebra, alpha, beta):
@@ -419,9 +496,10 @@ def _matrix_closure(algebra, alpha, beta):
     each argument tuple holding a new matrix is evaluated exactly once.
     Images are scattered into an n^4 mark bitmap, minus the seen bitmap,
     and np.flatnonzero yields the next round's matrices.  Argument tuples
-    are evaluated in boxes of limits.CHUNK_BYTES; the bitmaps, rows and
-    pair tables must fit limits.CLOSURE_BYTES or SizeLimitError is raised
-    before anything is allocated.
+    are evaluated in boxes whose keys and gathered table rows fit
+    limits.CHUNK_BYTES; the bitmaps, rows and pair tables must fit
+    limits.CLOSURE_BYTES or SizeLimitError is raised before anything is
+    allocated.
 
     Returns an (m, 4) int64 array of rows (m00, m01, m10, m11) in ascending
     key order, i.e. lexicographically ascending rows.
@@ -444,6 +522,7 @@ def _matrix_closure(algebra, alpha, beta):
     seen[cols * n2 + cols] = True
 
     tables = algebra._pair_tables
+    key_dtype = _key_dtype(n)
     mark = np.zeros_like(seen)
     hi, lo = np.divmod(np.flatnonzero(seen), n2)
     n_old = 0
@@ -451,18 +530,15 @@ def _matrix_closure(algebra, alpha, beta):
         m = hi.size
         for table in tables:
             k = table.ndim
+            # a gathered row of n^2 table entries, and for k >= 3 the
+            # flat row index and its product (8 each)
+            row_bytes = n2 * table.itemsize + 16
             for i in range(k):
                 spans = [(0, n_old)] * i + [(n_old, m)] + [(0, m)] * (k - 1 - i)
-                for box in _boxes(spans, _CELL_BYTES):
-                    idx_hi, idx_lo = [], []
-                    for axis, (start, stop) in enumerate(box):
-                        shape = [1] * k
-                        shape[axis] = stop - start
-                        idx_hi.append(hi[start:stop].reshape(shape))
-                        idx_lo.append(lo[start:stop].reshape(shape))
-                    key = table[tuple(idx_hi)].astype(np.intp)
+                for box in _boxes(spans, _CELL_BYTES, row_bytes):
+                    key = _gather(table, hi, box).astype(key_dtype)
                     key *= n2
-                    key += table[tuple(idx_lo)]
+                    key += _gather(table, lo, box)
                     mark[key] = True
         np.greater(mark, seen, out=mark)
         fresh = np.flatnonzero(mark)
@@ -498,9 +574,7 @@ def commutator(algebra, alpha, beta):
     """
     quads = _matrix_closure(algebra, alpha, beta)
     n = algebra.size
-    delta = congruence_from_pairs(
-        algebra, quads[quads[:, 0] == quads[:, 1]][:, 2:4].tolist()
-    )
+    delta = congruence_from_pairs(algebra, quads[quads[:, 0] == quads[:, 1], 2:4])
     for _ in range(n * n + 1):
         drep = np.asarray(delta.rep)
         top = drep[quads[:, 0]] == drep[quads[:, 1]]
@@ -508,7 +582,7 @@ def commutator(algebra, alpha, beta):
         viol = quads[top & ~bottom]
         if viol.shape[0] == 0:
             return delta
-        delta = congruence_from_pairs(algebra, viol[:, 2:4].tolist(), start=delta)
+        delta = congruence_from_pairs(algebra, viol[:, 2:4], start=delta)
     raise NonConvergenceError("commutator iteration failed to stabilise")
 
 

@@ -9,12 +9,15 @@ scans over tuples of elements share one mask scan that walks the first
 coordinate in row chunks sized by the byte budget of limits.chunk_rows
 and reads the lexicographically first hit or every hit in that order.
 
-All objects here are immutable after construction and safe to share.
+All objects here are immutable after construction and safe to share;
+the Hasse diagram, which covers(), atoms(), coatoms() and height() read,
+is derived from the order on first use and cached on the lattice.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -135,25 +138,31 @@ class FiniteLattice:
     def label(self, a):
         return self.labels[a] if self.labels else str(a)
 
-    def covers(self):
-        """Hasse diagram as a sorted list of (lower, upper) pairs."""
+    @cached_property
+    def _hasse(self):
+        """The cover pairs (lower, upper) in ascending order, from one n^3
+        boolean product on first use."""
         strict = self.leq & ~np.eye(self.size, dtype=bool)
         through = strict @ strict
-        lo, hi = np.nonzero(strict & ~through)
-        return sorted(zip(lo.tolist(), hi.tolist()))
+        lo, hi = np.nonzero(strict & ~through)  # row-major, so ascending
+        return tuple(zip(lo.tolist(), hi.tolist()))
+
+    def covers(self):
+        """Hasse diagram as a sorted list of (lower, upper) pairs."""
+        return list(self._hasse)
 
     def atoms(self):
-        return [b for (a, b) in self.covers() if a == self.bottom]
+        return [b for (a, b) in self._hasse if a == self.bottom]
 
     def coatoms(self):
-        return [a for (a, b) in self.covers() if b == self.top]
+        return [a for (a, b) in self._hasse if b == self.top]
 
     def height(self):
         """Length of a longest chain (number of covers bottom to top)."""
         depth = [0] * self.size
         order = np.argsort(self.leq.sum(axis=0), kind="stable")  # linear extension
         up = [[] for _ in range(self.size)]
-        for a, b in self.covers():
+        for a, b in self._hasse:
             up[a].append(b)
         for a in order:
             for b in up[int(a)]:

@@ -10,9 +10,11 @@ and one pass over the pairs of blocks), behind p_join, p_meet and the
 permuting-family harness; and on arrays of rep rows, behind
 closed_sublattice (and so algebras.con_lattice, which builds Con(A) as
 the sublattice of Eq(A) generated by the principal congruences) and
-EqRelLattice's check that a family is closed in Eq(A).  The harness
-evaluates its inequality straight in Eq(A) and builds no lattice per
-instance.
+EqRelLattice's check that a family is closed in Eq(A).  Every join on
+arrays goes through one kernel, _join_edges, which joins each rep row
+with a list of edges by scatter-min onto the roots and pointer jumping;
+algebras' congruence generation runs on it too.  The harness evaluates
+its inequality straight in Eq(A) and builds no lattice per instance.
 """
 
 from __future__ import annotations
@@ -207,27 +209,42 @@ def _meet_reps(ra, rb):
     return (first % n)[inverse].reshape(k, n)
 
 
-def _join_reps(ra, rb):
-    """Canonical reps of the join of each row pair: components of the union graph.
+def _join_edges(lab, u, v):
+    """Canonical reps of each row of lab joined with the edges (u[e], v[e]).
 
-    Every point is joined to its representative in either partition; the
-    least point of each component spreads by pushing to representatives
-    (scatter-min), pulling from them (gather) and pointer jumping.
+    lab is a (k, n) array of canonical reps; an edge end is a flat
+    position row * n + point, and both ends of an edge lie in one row.
+    Each round hooks the larger root of every edge that still crosses two
+    trees onto the smaller one (scatter-min onto the roots) and flattens
+    the forest by pointer jumping, until no edge crosses.  A parent never
+    exceeds its child, so every root is the least point of its component
+    and the result is canonical.
     """
-    k, n = ra.shape
-    offset = np.arange(k, dtype=_index_dtype(k * n))[:, None] * n
-    to_a, to_b = (ra + offset).ravel(), (rb + offset).ravel()
-    lab = np.minimum(to_a, to_b)
+    k, n = lab.shape
+    dtype = _index_dtype(k * n)
+    offset = np.arange(0, k * n, n, dtype=dtype)[:, None]
+    root = (lab + offset).astype(dtype, copy=False).ravel()
+    u, v = root[u], root[v]
     while True:
-        nxt = lab.copy()
-        np.minimum.at(nxt, to_a, lab)
-        np.minimum.at(nxt, to_b, lab)
-        np.minimum(nxt, nxt[to_a], out=nxt)
-        np.minimum(nxt, nxt[to_b], out=nxt)
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, lab):
-            return lab.reshape(k, n) - offset
-        lab = nxt
+        cross = u != v
+        if not cross.any():
+            return root.reshape(k, n) - offset
+        u, v = u[cross], v[cross]
+        np.minimum.at(root, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
+        u, v = root[u], root[v]
+
+
+def _join_reps(ra, rb):
+    """Canonical reps of the join of each row pair: ra joined with the
+    edges from every point to its representative in rb."""
+    k, n = ra.shape
+    offset = np.arange(0, k * n, n, dtype=_index_dtype(k * n))[:, None]
+    return _join_edges(ra, np.arange(k * n), (rb + offset).ravel())
 
 
 def _closed_in_eq(reps, lattice):

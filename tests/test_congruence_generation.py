@@ -1,0 +1,166 @@
+"""Batched congruence generation against a Python union-find, and its input checks."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from congforge import fixtures, limits
+from congforge.algebras import (
+    FiniteAlgebra,
+    _generate,
+    con_lattice,
+    congruence_from_pairs,
+    make_operation,
+    principal_congruence,
+)
+from congforge.partitions import Partition, SizeMismatchError, all_partitions, p_join
+
+
+def congruence_by_union_find(algebra, pairs, start=None):
+    """Least congruence containing the pairs (and the start partition), by
+    a Python union-find: whenever two classes merge, every unary
+    translation by a basic operation is applied to the merged pair, until
+    no merge produces new identifications."""
+    n = algebra.size
+    translations = [np.moveaxis(arr, pos, 0).reshape(n, -1)
+                    for arr in algebra.by_name.values() for pos in range(arr.ndim)]
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    worklist = []
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return
+        if ra > rb:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        worklist.append((ra, rb))
+
+    if start is not None:
+        for i, r in enumerate(start.rep):
+            union(r, i)
+    for a, b in pairs:
+        union(int(a), int(b))
+    while worklist:
+        a, b = worklist.pop()
+        for moved in translations:
+            ra, rb = moved[a], moved[b]
+            for j in np.flatnonzero(ra != rb):
+                union(int(ra[j]), int(rb[j]))
+    return Partition(tuple(find(i) for i in range(n)))
+
+
+def principal_rows(n):
+    """One row per pair a < b: the partition relating a and b alone."""
+    rows = np.tile(np.arange(n), (n * (n - 1) // 2, 1))
+    for row, (a, b) in zip(rows, itertools.combinations(range(n), 2)):
+        row[b] = a
+    return rows
+
+
+def assert_generation_matches_union_find(alg, pairs, start):
+    """Single calls, with and without start, and one batch of every
+    principal congruence, each against the union-find."""
+    n = alg.size
+    assert congruence_from_pairs(alg, pairs) == congruence_by_union_find(alg, pairs)
+    assert (congruence_from_pairs(alg, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                                  start=start)
+            == congruence_by_union_find(alg, pairs, start=start))
+    batch = _generate(alg, principal_rows(n))
+    for row, (a, b) in zip(batch.tolist(), itertools.combinations(range(n), 2)):
+        assert Partition(tuple(row)) == congruence_by_union_find(alg, [(a, b)]), (a, b)
+
+
+def _some_partition(n, seed):
+    labels = np.random.default_rng(seed).integers(0, max(1, n // 2), n).tolist()
+    first = {}
+    return Partition(tuple(first.setdefault(lab, i) for i, lab in enumerate(labels)))
+
+
+def test_generation_matches_union_find_on_fixtures(algebra_corpus):
+    for seed, (name, alg, _) in enumerate(algebra_corpus):
+        n = alg.size
+        pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if (a + b + seed) % 3 == 0]
+        assert_generation_matches_union_find(alg, pairs, _some_partition(n, seed))
+
+
+def test_tiny_chunk_budget_gives_the_same_congruences(monkeypatch, algebra_corpus):
+    cases = [alg for _, alg, _ in algebra_corpus] + [fixtures.abelian_group((2, 2, 2))]
+    want = [_generate(alg, principal_rows(alg.size)) for alg in cases]
+    monkeypatch.setattr(limits, "CHUNK_BYTES", 1)
+    for alg, rows in zip(cases, want):
+        assert np.array_equal(_generate(alg, principal_rows(alg.size)), rows)
+        assert_generation_matches_union_find(alg, [(0, alg.size - 1)], _some_partition(alg.size, 1))
+
+
+@st.composite
+def algebras_with_inputs(draw):
+    n = draw(st.integers(1, 6))
+    ops = []
+    arities = [k for k in range(4) if n**k <= 216]
+    for j, arity in enumerate(draw(st.lists(st.sampled_from(arities), max_size=3))):
+        table = draw(st.lists(st.integers(0, n - 1), min_size=n**arity, max_size=n**arity))
+        ops.append(make_operation("f%d" % j, arity, table, n))
+    point = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(point, point), max_size=4))
+    labels = draw(st.lists(point, min_size=n, max_size=n))
+    first = {}
+    start = Partition(tuple(first.setdefault(lab, i) for i, lab in enumerate(labels)))
+    return FiniteAlgebra(n, ops), pairs, start
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_with_inputs())
+def test_generation_matches_union_find_on_random_algebras(case):
+    alg, pairs, start = case
+    assert_generation_matches_union_find(alg, pairs, start)
+
+
+def test_one_point_algebra_has_no_principal_pairs():
+    alg = FiniteAlgebra(1, [make_operation("f", 2, [0], 1)])
+    assert _generate(alg, principal_rows(1)).shape == (0, 1)
+    con = con_lattice(alg)
+    assert list(con.congruences) == [Partition((0,))]
+    assert congruence_from_pairs(alg, [(0, 0)]) == Partition((0,))
+
+
+def test_nullary_operations_leave_every_partition_a_congruence():
+    alg = FiniteAlgebra(4, [make_operation("c", 0, [2], 4), make_operation("d", 0, [0], 4)])
+    assert alg._moves.shape == (4, 0)
+    assert list(con_lattice(alg).congruences) == sorted(all_partitions(4), key=lambda p: p.rep)
+    start = Partition.from_blocks(4, [[0, 3], [1], [2]])
+    want = p_join(start, Partition.from_blocks(4, [[0], [1, 2], [3]]))
+    assert congruence_from_pairs(alg, [(2, 1)], start=start) == want
+
+
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, -4), (4, 0), (9, 0), (0, 4)])
+def test_points_outside_the_universe_are_rejected(a, b):
+    z4 = fixtures.cyclic_group(4)
+    with pytest.raises(ValueError, match="0..3"):
+        principal_congruence(z4, a, b)
+    with pytest.raises(ValueError, match="0..3"):
+        congruence_from_pairs(z4, [(0, 1), (a, b)])
+
+
+def test_malformed_pairs_are_rejected():
+    z4 = fixtures.cyclic_group(4)
+    for pairs in ([(0, 1, 2)], [[0.0, 1.0]], np.zeros((2, 2), dtype=bool)):
+        with pytest.raises(ValueError, match="pairs"):
+            congruence_from_pairs(z4, pairs)
+
+
+def test_start_on_another_base_set_is_rejected():
+    z4 = fixtures.cyclic_group(4)
+    for start in (Partition.singletons(3), Partition.one_block(5)):
+        with pytest.raises(SizeMismatchError):
+            congruence_from_pairs(z4, [(0, 2)], start=start)

@@ -407,3 +407,26 @@ def test_beta_gamma_iteration(m3, n5):
     assert (m, b, c) == (2, 0, 1)
     # beta below alpha is a fixpoint immediately
     assert beta_gamma_iteration(n5, 2, 1, 3)[1] == 1
+
+
+def test_hasse_diagram_matches_covers_by_definition(lattice_corpus):
+    for name, lat in lattice_corpus:
+        leq = lat.leq
+        want = [(a, b) for a in range(lat.size) for b in range(lat.size)
+                if a != b and leq[a, b]
+                and not any(c not in (a, b) and leq[a, c] and leq[c, b] for c in range(lat.size))]
+        assert lat.covers() == want, name
+        assert lat.atoms() == [b for a, b in want if a == lat.bottom], name
+        assert lat.coatoms() == [a for a, b in want if b == lat.top], name
+
+
+def test_covers_returns_a_fresh_list(n5):
+    lat = FiniteLattice(n5.leq)
+    covers = lat.covers()
+    covers.clear()
+    covers.append((4, 0))
+    assert lat.covers() == [(0, 1), (0, 3), (1, 2), (2, 4), (3, 4)]
+    assert lat.covers() is not lat.covers()
+    hasse = vars(lat)["_hasse"]  # one cover computation serves every query
+    assert lat.atoms() == [1, 3] and lat.coatoms() == [2, 3] and lat.height() == 3
+    assert vars(lat)["_hasse"] is hasse

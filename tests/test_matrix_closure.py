@@ -1,6 +1,7 @@
 """The 2x2-matrix closure against a definition-level fixpoint."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from congforge import fixtures, limits
 from congforge.algebras import (
     FiniteAlgebra,
+    _boxes,
     _matrix_closure,
     commutator,
     con_lattice,
@@ -136,3 +138,50 @@ def test_closure_over_the_byte_bound_is_refused():
     with pytest.raises(SizeLimitError, match="bytes"):
         commutator(alg, top, top)
     assert "_pair_tables" not in vars(alg)  # refused before building anything
+
+
+def _chain_algebra(n, binary):
+    """Successor mod n, and with binary the maximum of a chain."""
+    ops = [make_operation("s", 1, [(x + 1) % n for x in range(n)], n)]
+    if binary:
+        ops.append(make_operation("max", 2, [max(x, y) for x in range(n) for y in range(n)], n))
+    return FiniteAlgebra(n, ops)
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_closure_matches_definition_around_the_key_dtype_boundary(n):
+    # keys run up to n^4 - 1: 50624 at 15 elements and 65535 at 16 fit
+    # uint16, 83520 at 17 needs uint32
+    bottom, top = Partition.singletons(n), Partition.one_block(n)
+    ends = Partition.from_blocks(n, [[0, n - 1]] + [[x] for x in range(1, n - 1)])
+    mod3 = Partition(tuple(x % 3 for x in range(n)))
+    mod5 = Partition(tuple(x % 5 for x in range(n)))
+    cases = [(_chain_algebra(n, True), bottom, bottom),
+             (_chain_algebra(n, True), ends, bottom),
+             (_chain_algebra(n, False), top, top),
+             (_chain_algebra(n, False), mod3, mod5)]
+    for alg, alpha, beta in cases:
+        got = as_rows(_matrix_closure(alg, alpha, beta))
+        assert got == sorted(closure_by_definition(alg, alpha, beta)), (alpha, beta)
+        assert got[-1] == (n - 1,) * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=3),
+       st.integers(1, 4000), st.integers(8, 600))
+def test_boxes_tile_the_product_within_the_byte_budget(spans, budget, row_bytes):
+    spans = [(min(a, b), max(a, b)) for a, b in spans]
+    saved = limits.CHUNK_BYTES
+    limits.CHUNK_BYTES = budget
+    try:
+        boxes = [list(box) for box in _boxes(spans, 16, row_bytes)]
+    finally:
+        limits.CHUNK_BYTES = saved
+    covered = [cell for box in boxes for cell in itertools.product(*(range(a, b) for a, b in box))]
+    assert sorted(covered) == list(itertools.product(*(range(a, b) for a, b in spans)))
+    for box in boxes:
+        lead = math.prod(b - a for a, b in box[:-1])
+        last = box[-1][1] - box[-1][0]
+        # a box fits the budget, or is one gathered row of the fewest cells
+        assert (lead * (last * 16 + row_bytes) <= budget
+                or (lead == 1 and last <= max(1, budget // 16)))
