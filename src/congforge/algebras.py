@@ -42,7 +42,7 @@ import numpy as np
 
 from . import limits
 from .lattice import FiniteLattice, interval, is_modular
-from .limits import CongforgeError, SizeLimitError
+from .limits import CongforgeError, NonConvergenceError, SizeLimitError, narrow_dtype
 from .partitions import (
     Partition,
     SizeMismatchError,
@@ -53,10 +53,6 @@ from .partitions import (
     p_meet,
 )
 
-DEFAULT_ALGEBRA_CAP = 12
-DEFAULT_POWER_CAP = 4096
-
-
 class ArityError(CongforgeError):
     pass
 
@@ -65,10 +61,6 @@ class UnknownOperationError(CongforgeError):
     def __init__(self, name):
         self.name = name
         super().__init__("the algebra has no operation named %r" % name)
-
-
-class NonConvergenceError(CongforgeError):
-    pass
 
 
 class PreconditionFailedError(CongforgeError):
@@ -100,15 +92,6 @@ class FiniteAlgebra:
             arr.setflags(write=False)
             self.by_name[op.name] = arr
 
-    def apply(self, name, *args):
-        arr = self.by_name[name]
-        if len(args) != arr.ndim:
-            raise ArityError(
-                "operation %s has arity %d, got %d arguments"
-                % (name, arr.ndim, len(args))
-            )
-        return int(arr[args]) if args else int(arr)
-
     @cached_property
     def _moves(self):
         """Every unary translation by a basic operation, one per column of
@@ -128,7 +111,7 @@ class FiniteAlgebra:
         once: T[x0*n+y0, ..., x(k-1)*n+y(k-1)] = f(x0,...)*n + f(y0,...),
         of shape (n^2,)*k in the narrowest unsigned dtype."""
         n = self.size
-        dtype = _pair_dtype(n)
+        dtype = narrow_dtype(n * n)
         out = []
         for arr in self.by_name.values():
             k = arr.ndim
@@ -380,7 +363,7 @@ class ConLattice:
         return len(self.congruences)
 
 
-def con_lattice(algebra, cap=DEFAULT_ALGEBRA_CAP):
+def con_lattice(algebra, cap=limits.DEFAULT_ALGEBRA_CAP):
     """All congruences: the sublattice of Eq(A) generated by bottom and the
     principal congruences.
 
@@ -389,13 +372,12 @@ def con_lattice(algebra, cap=DEFAULT_ALGEBRA_CAP):
     Con(A); its size is checked against CONGFORGE_CAP after every round.
     The n(n-1)/2 principal congruences are generated as one batch.
     Compatibility of every result row is re-verified as a self-test (it
-    must hold automatically).
+    must hold automatically).  Algebras over cap elements are refused;
+    cap=None lifts that.
     """
     n = algebra.size
-    if cap is not None and n > cap:
-        raise SizeLimitError(
-            "congruence computation capped at algebra size %d (got %d)" % (cap, n)
-        )
+    if cap is not None:
+        limits.check_cap(n, "con_lattice's algebra", cap)
     a, b = np.triu_indices(n, 1)
     rows = np.tile(np.arange(n), (a.size, 1))
     rows[np.arange(a.size), b] = a  # row p relates a[p] and b[p] alone
@@ -421,19 +403,10 @@ _MATRIX_BYTES = 82
 _CELL_BYTES = 16
 
 
-def _pair_dtype(n):
-    return np.min_scalar_type(max(n * n - 1, 0))
-
-
-def _key_dtype(n):
-    """Narrowest unsigned dtype holding every matrix key, 0..n^4-1."""
-    return np.min_scalar_type(max(n**4 - 1, 0))
-
-
 def _closure_bytes(algebra):
     """Bytes of the closure's state: bitmaps, rows and pair tables."""
     n2 = algebra.size**2
-    item = _pair_dtype(algebra.size).itemsize
+    item = narrow_dtype(n2).itemsize
     tables = sum(item * n2**arr.ndim for arr in algebra.by_name.values() if arr.ndim)
     return n2 * n2 * _MATRIX_BYTES + tables
 
@@ -522,7 +495,7 @@ def _matrix_closure(algebra, alpha, beta):
     seen[cols * n2 + cols] = True
 
     tables = algebra._pair_tables
-    key_dtype = _key_dtype(n)
+    key_dtype = narrow_dtype(n2 * n2)
     mark = np.zeros_like(seen)
     hi, lo = np.divmod(np.flatnonzero(seen), n2)
     n_old = 0
@@ -597,20 +570,23 @@ def commutator_by_descent(algebra, alpha, beta, con=None):
     return out
 
 
-def solvable_series(algebra, alpha, max_n=None):
-    """[a]^0 = a, [a]^{k+1} = [[a]^k, [a]^k], cut off at stabilisation."""
-    if max_n is None:
-        max_n = algebra.size * algebra.size
+def solvable_series(algebra, alpha):
+    """[a]^0 = a, [a]^{k+1} = [[a]^k, [a]^k], up to the first repeat.
+
+    [t, t] <= t, so the series descends, and each strict step adds a
+    block: it stabilises within size commutators, and
+    NonConvergenceError is raised when it does not.
+    """
     series = [alpha]
-    for _ in range(max_n):
+    for _ in range(algebra.size):
         nxt = commutator(algebra, series[-1], series[-1])
         if nxt == series[-1]:
-            break
+            return series
         series.append(nxt)
-    return series
+    raise NonConvergenceError("solvable series past %d commutators" % algebra.size)
 
 
-def is_solvable_interval(algebra, beta, alpha, max_n=None):
+def is_solvable_interval(algebra, beta, alpha):
     """True iff some term of the solvable series for alpha drops below beta.
 
     The series stabilises, so stabilising strictly above beta is a
@@ -618,7 +594,7 @@ def is_solvable_interval(algebra, beta, alpha, max_n=None):
     """
     if not p_leq(beta, alpha):
         raise ValueError("beta must lie below alpha")
-    series = solvable_series(algebra, alpha, max_n=max_n)
+    series = solvable_series(algebra, alpha)
     return any(p_leq(term, beta) for term in series)
 
 
@@ -667,7 +643,7 @@ def check_weak_difference_term(algebra, d):
 # -- the power-algebra construction -------------------------------------------
 
 
-def alpha_power_algebra(algebra, alpha, n, cap=DEFAULT_POWER_CAP):
+def alpha_power_algebra(algebra, alpha, n):
     """The subalgebra of the n-th power on tuples constant modulo alpha.
 
     Returns (power, tuples, alpha_bar, etas): the algebra on the
@@ -678,13 +654,12 @@ def alpha_power_algebra(algebra, alpha, n, cap=DEFAULT_POWER_CAP):
     if not is_congruence(algebra, alpha):
         raise ValueError("alpha is not a congruence of the algebra")
     blocks = alpha.blocks()
+    m = limits.check_cap(sum(len(block) ** n for block in blocks), "power subalgebra",
+                         limits.DEFAULT_POWER_CAP)
     tuples = []
     for block in blocks:
         tuples.extend(itertools.product(block, repeat=n))
     tuples.sort()
-    m = len(tuples)
-    if m > cap:
-        raise SizeLimitError("power subalgebra would have %d elements (cap %d)" % (m, cap))
     index = {t: i for i, t in enumerate(tuples)}
     tup_arr = np.array(tuples, dtype=np.int64)
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import algebras, fixtures, jsonio, subspaces, terms, verify
+from . import algebras, fixtures, jsonio, limits, subspaces, terms, verify
 from .limits import CongforgeError
 from .partitions import Partition, full_partition_lattice
 
@@ -209,7 +209,7 @@ def build_parser():
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=terms.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=limits.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="emit a lattice as JSON")

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .limits import BudgetExceededError, CongforgeError, check_cap, chunk_rows
+from .limits import BudgetExceededError, CongforgeError, NonConvergenceError, check_cap, chunk_rows
 
 
 class LatticeError(CongforgeError):
@@ -209,9 +209,6 @@ def from_cover_relation(size, covers, labels=None):
         if np.array_equal(nxt, reach):
             break
         reach = nxt
-    cyclic = reach & reach.T & ~np.eye(size, dtype=bool)
-    if cyclic.any():
-        raise NotAPartialOrderError(tuple(np.argwhere(cyclic)[0].tolist()))
     return FiniteLattice(reach, labels=labels)
 
 
@@ -493,21 +490,21 @@ def m3_configurations(lat):
     return [tuple(t) for t in np.column_stack([o, xyz, i]).tolist()]
 
 
-def beta_gamma_iteration(lat, alpha, beta, gamma, max_m=None):
+def beta_gamma_iteration(lat, alpha, beta, gamma):
     """Iterate b_{k+1} = b ^ (a v c_k), c_{k+1} = c ^ (a v b_k) to a fixpoint.
 
-    Both sequences descend, so in a finite lattice they stabilise within
-    size steps.  Returns (m, beta_m, gamma_m) for the first index m with
+    Both sequences descend, and each step short of the fixpoint moves one
+    of them down a chain of the lattice, so they stabilise within
+    2 * (size - 1) steps; past that NonConvergenceError is raised.
+    Returns (m, beta_m, gamma_m) for the first index m with
     beta_m = beta_{m+1} and gamma_m = gamma_{m+1}.
     """
-    if max_m is None:
-        max_m = lat.size + 1
     J, M = lat.join, lat.meet
     b, c = beta, gamma
-    for m in range(max_m + 1):
+    for m in range(2 * lat.size - 1):
         nb = int(M[beta, J[alpha, c]])
         nc = int(M[gamma, J[alpha, b]])
         if nb == b and nc == c:
             return m, b, c
         b, c = nb, nc
-    raise RuntimeError("iteration did not stabilise within %d steps" % max_m)
+    raise NonConvergenceError("beta/gamma iteration past %d steps" % (2 * lat.size - 2))

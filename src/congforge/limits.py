@@ -1,21 +1,30 @@
-"""Global size caps guarding combinatorial blowups.
+"""Every bound congforge enforces, and the errors that report them.
 
-Every constructor that can explode (direct products, closures, full
-partition lattices, subspace enumerations) checks against a single cap.
-The default is 20000 elements; the environment variable CONGFORGE_CAP
-overrides it.  Exceeding the cap raises, never silently truncates.
-Every vectorised scan, including the identity sweeps and the n^3 table
-scans, takes its chunk size from one byte budget, CHUNK_BYTES, so its
-temporaries stay bounded whatever the element count.  State that cannot
-be chunked, such as the bitmaps of the 2x2-matrix closure, is checked
-against a fixed byte bound before anything is allocated.  A check or
-search that would run past its own budget raises BudgetExceededError.
+Element caps: one check, check_cap, refuses (SizeLimitError) whatever
+has more elements than its cap; nothing is truncated.  Lattice
+constructors use size_cap(), DEFAULT_SIZE_CAP unless the environment
+variable CONGFORGE_CAP overrides it; con_lattice and alpha_power_algebra
+use the fixed DEFAULT_ALGEBRA_CAP and DEFAULT_POWER_CAP.  Work: an
+exhaustive identity check spends at most DEFAULT_BUDGET term evaluations
+by default, and a check or search past its budget raises
+BudgetExceededError.  Bytes: every vectorised scan takes its chunk size
+from CHUNK_BYTES, and state that cannot be chunked (the 2x2-matrix
+closure) must fit CLOSURE_BYTES before it is allocated.  Iterations:
+every iteration to a fixpoint walks a monotone chain in a finite
+lattice, so it stops within a bound fixed by the size of its input;
+running past that bound raises NonConvergenceError.  Widths:
+narrow_dtype and index_dtype pick the dtypes of value and index arrays.
 Every exception class congforge defines derives from CongforgeError.
 """
 
 import os
 
+import numpy as np
+
 DEFAULT_SIZE_CAP = 20_000
+DEFAULT_ALGEBRA_CAP = 12
+DEFAULT_POWER_CAP = 4096
+DEFAULT_BUDGET = 10**8
 
 # Byte budget for the temporaries of one chunk of a vectorised scan.
 CHUNK_BYTES = 1 << 24
@@ -39,6 +48,10 @@ class BudgetExceededError(CongforgeError):
     nodes."""
 
 
+class NonConvergenceError(CongforgeError):
+    """An iteration ran past the bound within which it must stabilise."""
+
+
 def size_cap():
     raw = os.environ.get("CONGFORGE_CAP")
     if raw is None:
@@ -49,12 +62,15 @@ def size_cap():
     return cap
 
 
-def check_cap(requested, what):
-    cap = size_cap()
+def check_cap(requested, what, fixed=None):
+    """Raise SizeLimitError when what has more elements than the cap:
+    size_cap(), or the fixed cap when one is given.  Returns requested."""
+    cap, hint = fixed, ""
+    if fixed is None:
+        cap, hint = size_cap(), " (set CONGFORGE_CAP to raise it)"
     if requested > cap:
         raise SizeLimitError(
-            "%s would have %d elements, over the cap of %d "
-            "(set CONGFORGE_CAP to raise it)" % (what, requested, cap)
+            "%s has %d elements, over the cap of %d%s" % (what, requested, cap, hint)
         )
     return requested
 
@@ -62,3 +78,13 @@ def check_cap(requested, what):
 def chunk_rows(bytes_per_row):
     """Rows per chunk that keep one chunk's temporaries within CHUNK_BYTES."""
     return max(1, CHUNK_BYTES // max(1, bytes_per_row))
+
+
+def narrow_dtype(limit):
+    """Narrowest unsigned dtype holding the integers 0..limit-1."""
+    return np.min_scalar_type(max(limit - 1, 0))
+
+
+def index_dtype(limit):
+    """Signed dtype for indices below limit: int32 halves the temporaries."""
+    return np.dtype(np.int32 if limit <= 1 << 31 else np.int64)

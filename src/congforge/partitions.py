@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FiniteLattice, NotALatticeError
-from .limits import CongforgeError, SizeLimitError, check_cap, chunk_rows
+from .limits import CongforgeError, check_cap, chunk_rows, index_dtype, narrow_dtype, size_cap
 from . import terms
 
 
@@ -61,9 +61,6 @@ class Partition:
 
     def block_count(self):
         return len(set(self.rep))
-
-    def related(self, a, b):
-        return self.rep[a] == self.rep[b]
 
     def label(self):
         return "|".join(" ".join(str(x) for x in b) for b in self.blocks())
@@ -169,16 +166,6 @@ def relation_compose(a, b):
     return A @ B
 
 
-def _narrow_dtype(limit):
-    """Narrowest dtype holding the integers 0..limit-1."""
-    return np.uint8 if limit <= 1 << 8 else np.uint16 if limit <= 1 << 16 else np.int64
-
-
-def _index_dtype(limit):
-    """Signed dtype for indices below limit: int32 halves the kernels' temporaries."""
-    return np.int32 if limit <= 1 << 31 else np.int64
-
-
 def _refinement_order(reps):
     """leq[a, b] iff partition a refines b: rep_b[rep_a[i]] == rep_b[i] for all i."""
     m, n = reps.shape
@@ -204,7 +191,7 @@ def _meet_reps(ra, rb):
     is tagged with the row so that one flat pass serves every row.
     """
     k, n = ra.shape
-    codes = (np.arange(k, dtype=_index_dtype(k * n * n))[:, None] * n + ra) * n + rb
+    codes = (np.arange(k, dtype=index_dtype(k * n * n))[:, None] * n + ra) * n + rb
     _, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
     return (first % n)[inverse].reshape(k, n)
 
@@ -221,7 +208,7 @@ def _join_edges(lab, u, v):
     and the result is canonical.
     """
     k, n = lab.shape
-    dtype = _index_dtype(k * n)
+    dtype = index_dtype(k * n)
     offset = np.arange(0, k * n, n, dtype=dtype)[:, None]
     root = (lab + offset).astype(dtype, copy=False).ravel()
     u, v = root[u], root[v]
@@ -243,7 +230,7 @@ def _join_reps(ra, rb):
     """Canonical reps of the join of each row pair: ra joined with the
     edges from every point to its representative in rb."""
     k, n = ra.shape
-    offset = np.arange(0, k * n, n, dtype=_index_dtype(k * n))[:, None]
+    offset = np.arange(0, k * n, n, dtype=index_dtype(k * n))[:, None]
     return _join_edges(ra, np.arange(k * n), (rb + offset).ravel())
 
 
@@ -260,7 +247,7 @@ def _closed_in_eq(reps, lattice):
     m, n = reps.shape
     points = np.arange(n)
     blocks = np.count_nonzero(reps == points, axis=1)
-    codes = reps.astype(_narrow_dtype(n * n)) * n
+    codes = reps.astype(narrow_dtype(n * n)) * n
     incomparable = ~(lattice.leq | lattice.leq.T)
     rows = chunk_rows(m * n * 64)
     for lo in range(0, m, rows):
@@ -289,7 +276,7 @@ class EqRelLattice:
             if p.base_size != base:
                 raise SizeMismatchError("mixed base sizes")
         index = {p: i for i, p in enumerate(parts)}
-        reps = np.array([p.rep for p in parts], dtype=_narrow_dtype(base))
+        reps = np.array([p.rep for p in parts], dtype=narrow_dtype(base))
         reps = reps.reshape(len(parts), base)
         # A family closed in Eq(A) is a lattice under refinement, so a
         # non-lattice order already proves it is not closed; otherwise the
@@ -334,25 +321,31 @@ def all_partitions(n):
     return out
 
 
-def full_partition_lattice(n, cap=8):
-    """The lattice of all equivalence relations on an n-element set."""
+def full_partition_lattice(n):
+    """The lattice of all equivalence relations on an n-element set.
+
+    Its size, the Bell number of n, meets CONGFORGE_CAP before any
+    partition is enumerated.  A row of length k of the Bell triangle ends
+    in the Bell number of k; the walk stops at the first one over the
+    cap, and the refusal names that k (Pi(k) sits inside Pi(n)).
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise SizeLimitError("full partition lattice capped at n = %d" % cap)
-    parts = all_partitions(n)
-    check_cap(len(parts), "partition lattice")
-    return EqRelLattice(parts)
+    row = [1]
+    while len(row) < n and row[-1] <= size_cap():
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    check_cap(row[-1], "partition lattice on %d points" % len(row))
+    return EqRelLattice(all_partitions(n))
 
 
-def closed_sublattice(gens, cap=None):
+def closed_sublattice(gens):
     """Closure of the generators under join and meet in Eq(A), as an EqRelLattice.
 
     The closure runs in semi-naive rounds: each round pairs the partitions
     found in the last round with every partition found so far, each
     unordered pair once, and evaluates their joins and meets as arrays of
     reps, in chunks of limits.CHUNK_BYTES.  A round that finds nothing new
-    ends it.  The size is checked against the cap after every round.
+    ends it.  The size is checked against CONGFORGE_CAP after every round.
     """
     gens = list(gens)
     if not gens:
@@ -360,7 +353,7 @@ def closed_sublattice(gens, cap=None):
     for g in gens:
         _check_sizes(gens[0], g)
     base = gens[0].base_size
-    closed = np.array([g.rep for g in gens], dtype=_narrow_dtype(base))
+    closed = np.array([g.rep for g in gens], dtype=narrow_dtype(base))
     closed = np.unique(closed.reshape(len(gens), base), axis=0)
     key = np.dtype((np.void, base * closed.itemsize))
     start = 0  # rows from here on were found in the last round
@@ -378,10 +371,7 @@ def closed_sublattice(gens, cap=None):
             fresh.append(found[~np.isin(found.view(key).ravel(), closed.view(key).ravel())])
         closed = np.concatenate([closed, np.unique(np.concatenate(fresh), axis=0)])
         start = m
-        if cap is None:
-            check_cap(len(closed), "partition sublattice closure")
-        elif len(closed) > cap:
-            raise SizeLimitError("closure exceeded cap %d" % cap)
+        check_cap(len(closed), "partition sublattice closure")
     return EqRelLattice(Partition(tuple(rep)) for rep in closed.tolist())
 
 

@@ -28,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .limits import BudgetExceededError, CongforgeError, SizeLimitError, chunk_rows
+from .limits import DEFAULT_BUDGET, BudgetExceededError, CongforgeError, SizeLimitError
+from .limits import chunk_rows, index_dtype, narrow_dtype
 
 
 class TermSyntaxError(CongforgeError):
@@ -108,12 +109,6 @@ def variables(term):
     if isinstance(term, Var):
         return {term.name}
     return variables(term.left) | variables(term.right)
-
-
-def node_count(term):
-    if isinstance(term, Var):
-        return 1
-    return 1 + node_count(term.left) + node_count(term.right)
 
 
 def substitute(term, mapping):
@@ -340,7 +335,7 @@ def _dn_transfer(lat, n):
             "counting %d**%d assignments overflows int64" % (size, 2 * n))
     pairs = size * size
     join, meet, leq = lat.join.ravel(), lat.meet.ravel(), lat.leq.ravel()
-    narrow = np.min_scalar_type(size - 1)
+    narrow = narrow_dtype(size)
     join_scaled = join * size  # (a + b) * size, for the key of a joined Y
     hi, lo = np.divmod(np.arange(pairs), size)  # pair q is (x, x') = divmod(q, size)
     pair_join = join[hi * size + lo]
@@ -374,9 +369,8 @@ def _dn_transfer(lat, n):
                 np.add.at(acc, key.ravel(), np.repeat(w[s], m))
             keys = np.flatnonzero(acc)
             # the states' parts and every index built from them are below
-            # the table's length, so int32 holds them unless it is huge
-            o_next, rest = np.divmod(keys.astype(np.int32 if acc.size < 1 << 31 else np.int64),
-                                     m * pairs)
+            # the table's length
+            o_next, rest = np.divmod(keys.astype(index_dtype(acc.size)), m * pairs)
             j, rest = np.divmod(rest, pairs)
             y_next, t_next = np.divmod(rest, size)
             yield o_next, q0 + j, y_next, t_next, acc[keys]
@@ -578,9 +572,6 @@ class Verdict:
     @property
     def holds(self):
         return self.status in ("holds", "sampled_pass")
-
-
-DEFAULT_BUDGET = 10**8
 
 
 def _formula_parts(phi):

@@ -13,14 +13,16 @@ membership decision agrees with its structural certificate.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
 from . import algebras, fixtures, jsonio, projectivity, subspaces, terms
-from .lattice import find_sublattice, m3_configurations
+from .lattice import LatticeHom, find_sublattice, m3_configurations
 from .partitions import (
     Partition,
     abelian_coset_partitions,
@@ -227,8 +229,6 @@ def suite_dnperm(seed=0, instances=10_000):
     bell = [1, 1]
     # Bell numbers by the binomial recurrence: an oracle independent of
     # the restricted-growth-string enumeration
-    from math import comb
-
     while len(bell) < 9:
         bell.append(sum(comb(len(bell) - 1, k) * bell[k] for k in range(len(bell))))
     counts = {n: len(all_partitions(n)) for n in range(3, 7)}
@@ -274,8 +274,6 @@ def _iso_onto_m3(lat):
     inverse = [0] * lat.size
     for src, img in enumerate(hom.map):
         inverse[img] = src
-    from .lattice import LatticeHom
-
     return LatticeHom(lat, fixtures.m3(), inverse)
 
 
@@ -283,8 +281,6 @@ def suite_m3proj(seed=0):
     """The diamond-recovery pipeline on the positive and negative fixtures."""
     result = SuiteResult("m3proj", seed)
     m3 = fixtures.m3()
-    from .lattice import LatticeHom
-
     cases = []
     cases.append(("m3-identity", m3, LatticeHom(m3, m3, range(5)), (1, 2, 3)))
 
@@ -431,52 +427,39 @@ def suite_embedding(seed=0):
     """The power construction, the membership decision, and the counts."""
     result = SuiteResult("embedding", seed)
 
-    t0 = time.perf_counter()
-    rep = algebras.verify_embedding_construction(
-        fixtures.cyclic_group(2), Partition.one_block(2), 2
-    )
-    iso = find_sublattice(rep.ln, fixtures.m3())
-    result.add(
-        "embedding-z2-n2",
-        "the square construction over the 2-element group yields the diamond",
-        rep.passed and rep.interval_size == 5 and iso is not None,
-        witness={"checks": rep.checks, "size": rep.interval_size},
-        started=t0,
-    )
-
-    t0 = time.perf_counter()
-    rep = algebras.verify_embedding_construction(
-        fixtures.cyclic_group(2), Partition.one_block(2), 3
-    )
-    sub32 = subspaces.subspace_lattice(3, 2)
-    iso = find_sublattice(rep.ln, sub32.lattice)
-    result.add(
-        "embedding-z2-n3",
-        "the cube construction yields the 16-element subspace lattice",
-        rep.passed and rep.interval_size == 16 and iso is not None,
-        witness={"checks": rep.checks, "size": rep.interval_size},
-        started=t0,
-    )
-
-    t0 = time.perf_counter()
-    rep = algebras.verify_embedding_construction(
-        fixtures.cyclic_group(3), Partition.one_block(3), 2
-    )
-    sub23 = subspaces.subspace_lattice(2, 3)
-    iso = find_sublattice(rep.ln, sub23.lattice)
-    result.add(
-        "embedding-z3-n2",
-        "the square construction over the 3-element group yields the 6-element line lattice",
-        rep.passed and rep.interval_size == 6 and iso is not None,
-        witness={"checks": rep.checks, "size": rep.interval_size},
-        started=t0,
-    )
+    sub32 = subspaces.subspace_lattice(3, 2).lattice
+    # (check id, description, group order p, power n, the interval's
+    # expected shape and size): the interval is Sub(n, p)
+    constructions = [
+        ("embedding-z2-n2",
+         "the square construction over the 2-element group yields the diamond",
+         2, 2, fixtures.m3(), 5),
+        ("embedding-z2-n3",
+         "the cube construction yields the 16-element subspace lattice",
+         2, 3, sub32, 16),
+        ("embedding-z3-n2",
+         "the square construction over the 3-element group yields the 6-element line lattice",
+         3, 2, subspaces.subspace_lattice(2, 3).lattice, 6),
+    ]
+    for check_id, description, p, n, shape, size in constructions:
+        t0 = time.perf_counter()
+        rep = algebras.verify_embedding_construction(
+            fixtures.cyclic_group(p), Partition.one_block(p), n
+        )
+        iso = find_sublattice(rep.ln, shape)
+        result.add(
+            check_id,
+            description,
+            rep.passed and rep.interval_size == size and iso is not None,
+            witness={"checks": rep.checks, "size": rep.interval_size},
+            started=t0,
+        )
 
     decisions = [
         ("m3", fixtures.m3(), True),
         ("kinf-a", fixtures.kinf_sample_a(), True),
         ("kinf-b", fixtures.kinf_sample_b(), True),
-        ("sub-3-2", sub32.lattice, False),
+        ("sub-3-2", sub32, False),
         ("n5", fixtures.n5(), False),
     ]
     for name, lat, expected in decisions:
@@ -520,9 +503,7 @@ def _span_count_oracle(dim, p):
     vectors.  Starting from {0}, every set S found is extended by every
     vector v outside it to S + GF(p)v, and the distinct sets are counted.
     """
-    import itertools as it
-
-    vectors = list(it.product(range(p), repeat=dim))
+    vectors = list(itertools.product(range(p), repeat=dim))
     index = {v: i for i, v in enumerate(vectors)}
     plus = [[index[tuple((a + b) % p for a, b in zip(u, w))] for w in vectors] for u in vectors]
     times = [[index[tuple(c * a % p for a in v)] for v in vectors] for c in range(1, p)]

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congforge import fixtures, limits
+from congforge import algebras, fixtures, limits
 from congforge.algebras import (
     ArityError,
     _compatible,
     FiniteAlgebra,
+    NonConvergenceError,
     PreconditionFailedError,
     TOp,
     TVar,
@@ -237,6 +238,25 @@ def test_solvable_series():
     assert is_solvable_interval(z4, bot(z4), bot(z4))
 
 
+def test_solvable_series_refuses_a_cycling_commutator(monkeypatch):
+    # a commutator that swaps top and bottom never reaches a fixpoint;
+    # the series must stop at its bound, not return a truncated prefix
+    s3 = fixtures.sym3()
+    calls = []
+
+    def swap(algebra, alpha, beta):
+        calls.append(alpha)
+        return bot(algebra) if alpha == top(algebra) else top(algebra)
+
+    monkeypatch.setattr(algebras, "commutator", swap)
+    with pytest.raises(NonConvergenceError):
+        solvable_series(s3, top(s3))
+    assert len(calls) == s3.size
+    with pytest.raises(NonConvergenceError):
+        is_solvable_interval(s3, top(s3), top(s3))
+    assert NonConvergenceError is limits.NonConvergenceError
+
+
 def test_abelian_interval():
     z4 = fixtures.cyclic_group(4)
     assert abelian_interval(z4, bot(z4), top(z4))
@@ -272,6 +292,16 @@ def test_projection_is_wdt_for_two_element_semilattice():
     assert commutator(alg, top(alg), top(alg)) == top(alg)
     ok, witness = check_weak_difference_term(alg, TVar("x"))
     assert ok and witness is None
+
+
+def test_the_algebra_layer_refuses_through_its_fixed_caps():
+    z13 = fixtures.cyclic_group(13)
+    with pytest.raises(limits.SizeLimitError, match="has 13 elements, over the cap of 12$"):
+        con_lattice(z13)
+    assert len(con_lattice(z13, cap=None)) == 2
+    z2 = fixtures.cyclic_group(2)
+    with pytest.raises(limits.SizeLimitError, match="has 8192 elements, over the cap of 4096$"):
+        alpha_power_algebra(z2, top(z2), 13)
 
 
 def test_alpha_power_algebra():

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from congforge.lattice import (
     m3_configurations,
     sublattice_closure,
 )
-from congforge.limits import SizeLimitError
+from congforge.limits import NonConvergenceError, SizeLimitError
 from congforge.partitions import all_partitions, closed_sublattice, full_partition_lattice
 
 
@@ -407,6 +408,15 @@ def test_beta_gamma_iteration(m3, n5):
     assert (m, b, c) == (2, 0, 1)
     # beta below alpha is a fixpoint immediately
     assert beta_gamma_iteration(n5, 2, 1, 3)[1] == 1
+
+
+def test_beta_gamma_iteration_refuses_cycling_tables():
+    # tables of no lattice, on which b and c swap at every step:
+    # b' = meet[beta, join[alpha, c]] = c and c' = b
+    second = np.tile(np.arange(3), (3, 1))  # second[x, y] = y
+    swap = SimpleNamespace(size=3, join=second, meet=second)
+    with pytest.raises(NonConvergenceError, match="past 4 steps"):
+        beta_gamma_iteration(swap, 0, 0, 1)
 
 
 def test_hasse_diagram_matches_covers_by_definition(lattice_corpus):

@@ -1,12 +1,14 @@
 import itertools
+import os
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congforge import fixtures, limits, terms
+from congforge import fixtures, limits, partitions, terms
 from congforge.lattice import find_sublattice
 from congforge.limits import SizeLimitError
 from congforge.partitions import (
@@ -81,6 +83,29 @@ def test_partition_lattice_sizes():
     assert len(full_partition_lattice(4)) == 15
     for n in range(1, 7):
         assert len(all_partitions(n)) == bell[n]
+
+
+def test_partition_lattice_is_capped_at_its_bell_number(monkeypatch):
+    bell = bell_numbers(6)
+    for n in (1, 2, 5, 6):
+        monkeypatch.setenv("CONGFORGE_CAP", str(bell[n]))
+        assert len(full_partition_lattice(n)) == bell[n]
+
+    def refuse(n):
+        raise AssertionError("all_partitions(%d) ran before the cap check" % n)
+
+    monkeypatch.setattr(partitions, "all_partitions", refuse)
+    for n in (2, 5, 6):
+        monkeypatch.setenv("CONGFORGE_CAP", str(bell[n] - 1))
+        with pytest.raises(SizeLimitError, match="on %d points has %d elements" % (n, bell[n])):
+            full_partition_lattice(n)
+    monkeypatch.delenv("CONGFORGE_CAP")
+    with pytest.raises(SizeLimitError, match="on 9 points has 21147 elements"):
+        full_partition_lattice(9)
+    # the walk stops at the first Bell number over the cap
+    monkeypatch.setenv("CONGFORGE_CAP", "100000")
+    with pytest.raises(SizeLimitError, match="on 10 points has 115975 elements"):
+        full_partition_lattice(10**6)
 
 
 def test_join_meet_are_bounds_in_full_lattice():
@@ -310,10 +335,12 @@ def _assert_closure_matches_definition(gens):
     expected = _closure_by_definition(gens)
     sub = closed_sublattice(gens)
     assert sub.partitions == tuple(sorted(expected, key=lambda p: p.rep))
-    assert len(closed_sublattice(gens, cap=len(expected))) == len(expected)
+    with mock.patch.dict(os.environ, {"CONGFORGE_CAP": str(len(expected))}):
+        assert len(closed_sublattice(gens)) == len(expected)
     if len(expected) > 1:
-        with pytest.raises(SizeLimitError):
-            closed_sublattice(gens, cap=len(expected) - 1)
+        with mock.patch.dict(os.environ, {"CONGFORGE_CAP": str(len(expected) - 1)}):
+            with pytest.raises(SizeLimitError):
+                closed_sublattice(gens)
 
 
 @settings(max_examples=80, deadline=None)
