@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .limits import BudgetExceededError, CongforgeError, NonConvergenceError, check_cap, chunk_rows
+from .limits import narrow_dtype
 
 
 class LatticeError(CongforgeError):
@@ -146,6 +147,16 @@ class FiniteLattice:
         through = strict @ strict
         lo, hi = np.nonzero(strict & ~through)  # row-major, so ascending
         return tuple(zip(lo.tolist(), hi.tolist()))
+
+    @cached_property
+    def narrow_tables(self):
+        """The join and meet tables, flat, in limits.narrow_dtype(size):
+        the gather tables of the term sweep, built on first use."""
+        narrow = narrow_dtype(self.size)
+        tables = self.join.ravel().astype(narrow), self.meet.ravel().astype(narrow)
+        for table in tables:
+            table.setflags(write=False)
+        return tables
 
     def covers(self):
         """Hasse diagram as a sorted list of (lower, upper) pairs."""

@@ -1,7 +1,7 @@
 """Lattice terms, identities, quasi-identities: parsing, printing, checking.
 
 Concrete syntax: `+` is join, `*` is meet and binds tighter, `=` separates
-the sides of an equation, `<=` writes an inequation (checked as s+t = t),
+the sides of an equation, `<=` writes an inequation (s <= t, that is s+t = t),
 `&`-separated equations followed by `->` form a quasi-identity.
 Identifiers match [A-Za-z][A-Za-z0-9_']*, so primed variables like x0'
 are single tokens.
@@ -9,25 +9,28 @@ are single tokens.
 Checking is exhaustive by default; above the evaluation budget the
 caller must switch to sampled mode with an explicit seed so that runs
 stay reproducible.  Every check that visits assignments, `holds` and the
-paired sweep of the verification suite alike, walks the assignments given
-by one generator, `VectorEvaluator.assignments`, and evaluates each block
-of them vectorised.  Blocks are sized by the byte budget of
-`limits.chunk_rows`; the `block` arguments set only how many seeded draws
-are taken at a time in sampled mode.  The one exception is the exhaustive
-count of assignments at which the n-th cyclic inequality and its companion
-disagree: `_dn_transfer` counts them by a transfer over the cycle of
-variable pairs, without visiting the assignments one by one.
+paired sweep of the verification suite alike, runs on one engine,
+`VectorEvaluator`.  It compiles the formula once into a program over its
+structurally distinct subterms and evaluates that program either on a
+broadcast grid of all assignments, each subterm over the axes of its own
+variables only (exhaustive mode, walked in chunks of leading-variable
+rows within `limits.CHUNK_BYTES`), or on the seeded stream of
+`VectorEvaluator.assignments` (sampled mode; the `block` arguments set
+only how many draws are taken at a time).  The one exception is the
+exhaustive count of assignments at which the n-th cyclic inequality and
+its companion disagree: `_dn_transfer` counts them by a transfer over
+the cycle of variable pairs, without visiting the assignments one by one.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import limits
 from .limits import DEFAULT_BUDGET, BudgetExceededError, CongforgeError, SizeLimitError
 from .limits import chunk_rows, index_dtype, narrow_dtype
 
@@ -466,101 +469,232 @@ def evaluate(term, lat, assignment):
     return int(table[left, right])
 
 
-def _count_subterms(term, counts):
-    counts[term] += 1
-    if not isinstance(term, Var):
-        _count_subterms(term.left, counts)
-        _count_subterms(term.right, counts)
+# instruction codes of a compiled program: a variable, the two operations,
+# and the truth of an equation or of an inequation
+_VAR, _JOIN, _MEET, _EQ, _LE = range(5)
+
+# Exhaustive sweeps read the grid in chunks of prefix rows: the first
+# chunk covers about FIRST_CELLS assignments, so a counterexample among the
+# first few costs little, and each later chunk GROWTH times the rows of the
+# one before, up to the CHUNK_BYTES bound.
+FIRST_CELLS = 1 << 14
+GROWTH = 2
+
+
+# The compiler is two module-level functions rather than closures: a
+# recursive closure is a reference cycle, and one per check left the
+# garbage collector a cycle to find on every call.
+def _intern(key, keys, program):
+    """The node of key in program, appended when new."""
+    node = keys.get(key)
+    if node is None:
+        node = keys[key] = len(program)
+        program.append(key)
+    return node
+
+
+def _visit(term, keys, program):
+    """Compile term into program, postorder; a variable's key is its name,
+    an operation's (op, left node, right node)."""
+    if isinstance(term, Var):
+        return _intern(term.name, keys, program)
+    op = _JOIN if isinstance(term, Join) else _MEET
+    return _intern((op, _visit(term.left, keys, program), _visit(term.right, keys, program)),
+                   keys, program)
 
 
 class VectorEvaluator:
-    """Evaluates terms over numpy arrays of assignments, one value per row.
+    """The sweep engine: evaluates (in)equations at many assignments at once.
 
-    Subterms occurring more than once (structurally) across the batch of
-    terms handed to the constructor are computed once per block and
-    cached; everything else streams, keeping memory proportional to the
-    expression depth rather than its size.  `names` are the variables of
-    the batch in sorted order, `nodes` its total node count, and `cost`
-    the term-node evaluations of an exhaustive sweep: size**len(names)
-    assignments times `nodes`.
+    The constructor compiles the identities into a postorder program over
+    the structurally distinct subterms of their sides, keyed bottom-up by
+    small int tuples, so a subterm occurring more than once is evaluated
+    once.  `names` are the variables in sorted order, `nodes` the node
+    count of the sides with every occurrence counted, and `cost` the
+    term-node evaluations of an exhaustive check, size**len(names) *
+    nodes: the figure `holds` compares with its budget.  Values are held in
+    limits.narrow_dtype(size), and a join, a meet or an inequation is one
+    gather from its flat table at left * size + right, that index being
+    computed in narrow_dtype(size**2); sampled mode reads its int64 draws
+    in place, so the gathers over them index in int64.
     """
 
-    def __init__(self, lat, terms):
-        self.lat = lat
-        self.size = lat.size
-        self.join_flat = np.ascontiguousarray(lat.join.ravel())
-        self.meet_flat = np.ascontiguousarray(lat.meet.ravel())
-        counts = Counter()
-        for t in terms:
-            _count_subterms(t, counts)
-        self.shared = {t for t, c in counts.items() if c > 1 and not isinstance(t, Var)}
-        self.names = sorted(t.name for t in counts if isinstance(t, Var))
-        self.nodes = sum(counts.values())
-        self.cost = self.size ** len(self.names) * self.nodes
+    def __init__(self, lat, identities):
+        self.size = size = lat.size
+        keys, program = {}, []
+        checks = [_intern((_EQ if ident.kind == "eq" else _LE, _visit(ident.lhs, keys, program),
+                           _visit(ident.rhs, keys, program)), keys, program)
+                  for ident in identities]
+        self.names = sorted(key for key in program if key.__class__ is str)
+        axis = {v: i for i, v in enumerate(self.names)}
+        # per node: its variables as a bit mask and its tree size, which
+        # structurally equal subterms share
+        masks, sizes = [], []
+        for node, key in enumerate(program):
+            if key.__class__ is str:
+                program[node] = (_VAR, axis[key], 0)
+                masks.append(1 << axis[key])
+                sizes.append(1)
+            else:
+                masks.append(masks[key[1]] | masks[key[2]])
+                sizes.append(sizes[key[1]] + sizes[key[2]] + 1)
+        self.nodes = sum(sizes[program[c][1]] + sizes[program[c][2]] for c in checks)
+        self.cost = size ** len(self.names) * self.nodes
+        # the last node to read each node, so that a value can be dropped
+        # as soon as it is read for the last time
+        last = [None] * len(program)
+        for node, (op, a, b) in enumerate(program):
+            if op != _VAR:
+                last[a] = last[b] = node
+        self._program, self._masks, self._checks, self._last = program, masks, checks, last
+        self._var_nodes = [keys[v] for v in self.names]
+        self._inner = [node for node, (op, _, _) in enumerate(program) if op != _VAR]
+        join, meet = lat.narrow_tables
+        self._narrow = join.dtype
+        self._tables = (None, join, meet, None, lat.leq.ravel())
+        # a scalar of the wide dtype, so that left * size + right is
+        # computed in that dtype
+        self._wide_size = narrow_dtype(size * size).type(size)
 
-    def assignments(self, mode, samples, seed, block):
-        """Yield (offset, env) blocks of assignments to `names`.
+    def _run(self, vals, todo, free=frozenset()):
+        """Fill vals[node] for each node of todo, in program order, and drop
+        the value of each node of free once its last reader has run."""
+        size, program, tables, last = self._wide_size, self._program, self._tables, self._last
+        for node in todo:
+            op, a, b = program[node]
+            if op == _EQ:
+                vals[node] = vals[a] == vals[b]
+            else:
+                vals[node] = tables[op].take(vals[a] * size + vals[b])
+            if last[a] == node and a in free:
+                vals[a] = None
+            if last[b] == node and b in free:
+                vals[b] = None
 
-        env maps each variable to an array of elements, one per
-        assignment; offset is the number of assignments yielded before the
-        block.  Exhaustive mode enumerates all size**len(names)
-        assignments in lexicographic order, last variable fastest.
-        Sampled mode draws `samples` seeded uniform assignments, `block`
-        values per variable at a time (the last draw takes the rest),
-        which fixes the seeded stream.  Either way a yielded block holds
-        at most limits.chunk_rows(8 * (variables + nodes)) assignments:
-        room for one int64 per variable and per node.  The round of
-        sampled draws itself, `block` int64 values per variable, lies
-        outside that budget: 256 MiB for dn_pair_agreement's default
-        block at n = 4.
+    def _layout(self, split):
+        """Bytes of the grid whose first `split` variables form the prefix
+        axis: (fixed, per_row).  fixed holds the values of the nodes over
+        trailing variables only, computed once; per_row the values of the
+        other nodes in one prefix row, the index temporaries of a gather
+        filling the row (two in the wide dtype and numpy's intp copy) and
+        the boolean combination of the truths."""
+        size, prefix = self.size, (1 << split) - 1
+        item = self._narrow.itemsize
+        fixed = row = 0
+        for (op, _, _), mask in zip(self._program, self._masks):
+            cells = size ** (mask >> split).bit_count() * (1 if op >= _EQ else item)
+            if mask & prefix:
+                row += cells
+            else:
+                fixed += cells
+        cells = size ** (len(self.names) - split)
+        return fixed, row + cells * (2 * self._wide_size.itemsize + 9) + 16
+
+    def sweep(self, mode, samples, seed, block):
+        """Yield (offset, env, truths) blocks of assignments to `names`.
+
+        truths holds one boolean array per identity handed to the
+        constructor, in that order, all of one shape; env maps each
+        variable to its values in the block, arrays that broadcast to that
+        shape; offset is the number of assignments before the block.
+        Exhaustive mode covers all size**len(names) assignments in
+        lexicographic order, last variable fastest, on a broadcast grid:
+        variable i is arange(size) on its own axis, and each subterm is
+        gathered only over the axes of its own variables.  The leading
+        variables are flattened into one prefix axis, walked in chunks of
+        rows; the subterms over the trailing variables alone are computed
+        once per call.  The split is the first that lets one prefix row
+        fit limits.CHUNK_BYTES; the first chunk holds about FIRST_CELLS
+        assignments and each later one GROWTH times the rows of the one
+        before, while its live arrays and gather temporaries stay within
+        CHUNK_BYTES.  Flattened in C order, a block's arrays list its
+        assignments in lexicographic order.  Sampled mode evaluates the
+        same program on the seeded stream of `assignments`.
         """
-        names, size = self.names, self.size
-        rows = chunk_rows(8 * (len(names) + self.nodes))
-        if mode == "exhaustive":
-            total = size ** len(names)
-            shape = (size,) * len(names)
-            for lo in range(0, total, rows):
-                cols = np.unravel_index(np.arange(lo, min(total, lo + rows)), shape)
-                yield lo, dict(zip(names, cols))
-        elif mode == "sampled":
-            if samples is None or seed is None:
-                raise ValueError("sampled mode needs samples and an explicit seed")
-            if samples < 1 or block < 1:
-                raise ValueError("sampled mode needs samples >= 1 and block >= 1, got %d and %d"
-                                 % (samples, block))
-            rng = np.random.default_rng(seed)
-            for done in range(0, samples, block):
-                m = min(block, samples - done)
-                draw = {v: rng.integers(0, size, size=m, dtype=np.int64) for v in names}
-                for lo in range(0, m, rows):
-                    yield done + lo, {v: col[lo:lo + rows] for v, col in draw.items()}
-        else:
+        if mode == "sampled":
+            free = set(self._inner)
+            for offset, env in self.assignments(samples, seed, block):
+                # the drawn int64 columns are read in place: a gather over
+                # them computes its index in int64, the dtype take reads
+                vals = [None] * len(self._program)
+                for v, node in zip(self.names, self._var_nodes):
+                    vals[node] = env[v]
+                self._run(vals, self._inner, free)
+                yield offset, env, [vals[c] for c in self._checks]
+            return
+        if mode != "exhaustive":
             raise ValueError("mode must be 'exhaustive' or 'sampled'")
+        size, k, narrow, var_nodes = self.size, len(self.names), self._narrow, self._var_nodes
+        for split in range(1, k + 1):
+            fixed, per_row = self._layout(split)
+            if fixed + per_row <= limits.CHUNK_BYTES:
+                break
+        most = max(1, (limits.CHUNK_BYTES - fixed) // per_row)
+        cells = size ** (k - split)  # assignments per prefix row
+        vals = [None] * len(self._program)
+        axis = np.arange(size, dtype=narrow)
+        for i in range(split, k):
+            vals[var_nodes[i]] = axis.reshape((1,) * (i - split + 1) + (size,) + (1,) * (k - i - 1))
+        prefix = (1 << split) - 1
+        self._run(vals, [node for node in self._inner if not self._masks[node] & prefix])
+        row_nodes = [node for node in self._inner if self._masks[node] & prefix]
+        free = set(row_nodes)
+        column = (-1,) + (1,) * (k - split)
+        rows, total, lo = max(1, min(most, FIRST_CELLS // cells)), size ** split, 0
+        while lo < total:
+            hi = min(total, lo + rows)
+            if split == 1:
+                vals[var_nodes[0]] = axis[lo:hi].reshape(column)
+            else:
+                at = np.arange(lo, hi)
+                for i in range(split):
+                    col = at // size ** (split - 1 - i)
+                    vals[var_nodes[i]] = (col % size if i else col).astype(narrow).reshape(column)
+            self._run(vals, row_nodes, free)
+            shape = (hi - lo,) + (size,) * (k - split)
+            truths = [vals[c] for c in self._checks]
+            yield lo * cells, dict(zip(self.names, (vals[v] for v in var_nodes))), [
+                t if t.shape == shape else np.broadcast_to(t, shape) for t in truths]
+            lo, rows = hi, min(most, rows * GROWTH)
 
-    def run(self, term, env, cache):
-        hit = cache.get(term)
-        if hit is not None:
-            return hit
-        if isinstance(term, Var):
-            try:
-                return env[term.name]
-            except KeyError:
-                raise UnboundVariableError(term.name) from None
-        left = self.run(term.left, env, cache)
-        right = self.run(term.right, env, cache)
-        table = self.join_flat if isinstance(term, Join) else self.meet_flat
-        out = table[left * self.size + right]
-        if term in self.shared:
-            cache[term] = out
-        return out
+    def assignments(self, samples, seed, block):
+        """Yield (offset, env) blocks of seeded uniform assignments to `names`.
 
-    def truth(self, identity, env, cache):
-        """Boolean array: does the (in)equation hold at each assignment."""
-        lhs = self.run(identity.lhs, env, cache)
-        rhs = self.run(identity.rhs, env, cache)
-        if identity.kind == "eq":
-            return lhs == rhs
-        return self.join_flat[lhs * self.size + rhs] == rhs
+        env maps each variable to an int64 array of elements, one per
+        assignment; offset is the number of assignments yielded before the
+        block.  `samples` assignments are drawn, `block` values per
+        variable at a time (the last draw takes the rest), which fixes the
+        seeded stream.  A yielded block holds at most
+        limits.chunk_rows(8 * (variables + nodes)) assignments: room for one
+        int64 per variable and per node, which covers the program's values
+        and the int64 index temporaries of a gather.  The round of draws
+        itself, `block` int64 values per variable, lies outside that
+        budget: 256 MiB for dn_pair_agreement's default block at n = 4.
+        """
+        if samples is None or seed is None:
+            raise ValueError("sampled mode needs samples and an explicit seed")
+        if samples < 1 or block < 1:
+            raise ValueError("sampled mode needs samples >= 1 and block >= 1, got %d and %d"
+                             % (samples, block))
+        rows = chunk_rows(8 * (len(self.names) + self.nodes))
+        rng = np.random.default_rng(seed)
+        for done in range(0, samples, block):
+            m = min(block, samples - done)
+            draw = {v: rng.integers(0, self.size, size=m, dtype=np.int64) for v in self.names}
+            for lo in range(0, m, rows):
+                yield done + lo, {v: col[lo:lo + rows] for v, col in draw.items()}
+
+
+def assignment_at(env, shape, j):
+    """The assignment at flat index j, in C order, of a block of the given
+    shape, read from env's columns, which broadcast to that shape."""
+    at = []
+    for n in reversed(shape):
+        j, r = divmod(j, n)
+        at.append(r)
+    at.reverse()
+    return {v: int(col[tuple(i if n > 1 else 0 for i, n in zip(at, col.shape))])
+            for v, col in env.items()}
 
 
 @dataclass
@@ -586,33 +720,32 @@ def holds(lat, phi, mode="exhaustive", samples=None, seed=None, budget=DEFAULT_B
           block=1 << 18):
     """Check an identity or quasi-identity in a finite lattice.
 
-    Exhaustive mode enumerates all size**k assignments (variables in
-    lexicographic name order, last variable fastest) and is decisive;
-    the first counterexample in enumeration order is returned.  Sampled
-    mode draws `samples` seeded random assignments, `block` per variable
-    at a time, and can only report sampled_pass or fails.  Exhaustive
-    cost is counted in term-node evaluations and refuses to exceed
-    `budget` (pass budget=None to lift).
+    Exhaustive mode covers all size**k assignments (variables in
+    lexicographic name order, last variable fastest) on the broadcast grid
+    of VectorEvaluator.sweep and is decisive; the first counterexample in
+    that order is returned, with `checked` its rank + 1.  Sampled mode
+    draws `samples` seeded random assignments, `block` per variable at a
+    time, and can only report sampled_pass or fails.  Exhaustive mode
+    refuses when VectorEvaluator.cost, size**k times the term nodes of
+    the formula, exceeds `budget` (pass budget=None to lift); that figure
+    is a refusal threshold, kept although the grid evaluates each
+    distinct subterm only over its own variables and so does fewer.
     """
     premises, conclusion = _formula_parts(phi)
-    sides = [conclusion.lhs, conclusion.rhs]
-    for p in premises:
-        sides += [p.lhs, p.rhs]
-    ev = VectorEvaluator(lat, sides)
+    ev = VectorEvaluator(lat, (conclusion,) + tuple(premises))
     if mode == "exhaustive" and budget is not None and ev.cost > budget:
         raise BudgetExceededError(
             "exhaustive check needs %d term evaluations, budget is %d; "
             "use sampled mode with an explicit seed" % (ev.cost, budget)
         )
     checked = 0
-    for offset, env in ev.assignments(mode, samples, seed, block):
-        cache = {}
-        bad = ~ev.truth(conclusion, env, cache)
-        for p in premises:
-            bad &= ev.truth(p, env, cache)
-        if bad.any():
-            j = int(bad.argmax())
-            return Verdict("fails", {v: int(col[j]) for v, col in env.items()}, offset + j + 1)
+    for offset, env, (concluded, *premised) in ev.sweep(mode, samples, seed, block):
+        bad = ~concluded
+        for truth in premised:
+            bad &= truth
+        j = int(bad.argmax())
+        if bad.flat[j]:
+            return Verdict("fails", assignment_at(env, bad.shape, j), offset + j + 1)
         checked = offset + bad.size
     return Verdict("holds" if mode == "exhaustive" else "sampled_pass", None, checked)
 

@@ -87,25 +87,21 @@ class SuiteResult:
 
 
 def _dn_pair(n):
-    """The n-th cyclic inequality, its companion, and their four sides."""
-    dn = terms.generate_dn(n)
-    ds = terms.generate_dn_star(n)
-    return dn, ds, [dn.lhs, dn.rhs, ds.lhs, ds.rhs]
+    """The n-th cyclic inequality and its companion."""
+    return [terms.generate_dn(n), terms.generate_dn_star(n)]
 
 
 def _disagreements(lat, n, mode, samples, seed, block):
     """The paired sweep: yield (offset, env, bad) per block of assignments,
-    bad marking where the two inequalities disagree."""
-    dn, ds, sides = _dn_pair(n)
-    ev = terms.VectorEvaluator(lat, sides)
-    for offset, env in ev.assignments(mode, samples, seed, block):
-        cache = {}
-        yield offset, env, ev.truth(dn, env, cache) != ev.truth(ds, env, cache)
+    bad marking where the two inequalities disagree (see
+    terms.VectorEvaluator.sweep)."""
+    ev = terms.VectorEvaluator(lat, _dn_pair(n))
+    for offset, env, (dn, ds) in ev.sweep(mode, samples, seed, block):
+        yield offset, env, dn != ds
 
 
 def _witness(env, bad):
-    j = int(bad.argmax())
-    return {v: int(col[j]) for v, col in env.items()}
+    return terms.assignment_at(env, bad.shape, int(bad.argmax()))
 
 
 def dn_pair_agreement(lat, n, mode="exhaustive", samples=None, seed=0, block=1 << 22):
@@ -117,8 +113,9 @@ def dn_pair_agreement(lat, n, mode="exhaustive", samples=None, seed=0, block=1 <
     size**(2n) assignments without enumerating them, by a transfer over
     the cycle (terms._dn_transfer), and refuses with SizeLimitError when
     that count does not fit an int64.  Only when some assignment
-    disagrees does it sweep, in lexicographic order, up to the first
-    block that holds a disagreement, so first is the lexicographically
+    disagrees does it sweep the broadcast grid of
+    terms.VectorEvaluator.sweep, in lexicographic order, up to the first
+    chunk that holds a disagreement, so first is the lexicographically
     first disagreeing assignment.  Sampled mode sweeps `samples` seeded
     uniform assignments, `block` per variable at a time (see
     terms.VectorEvaluator.assignments).  On modular lattices the two
@@ -160,10 +157,10 @@ def suite_idequiv(seed=0, sampled_count=10**6, budget=None):
         ("sub-2-2", subspaces.subspace_lattice(2, 2).lattice),
     ]
     for n in (3, 4):
-        sides = _dn_pair(n)[2]
+        pair = _dn_pair(n)
         for name, lat in corpus:
             t0 = time.perf_counter()
-            if budget is not None and terms.VectorEvaluator(lat, sides).cost > budget:
+            if budget is not None and terms.VectorEvaluator(lat, pair).cost > budget:
                 checked, bad, first = dn_pair_agreement(
                     lat, n, "sampled", samples=sampled_count, seed=seed
                 )

@@ -10,8 +10,10 @@ from congforge import fixtures, subspaces
 def _span_count(dim, p):
     vectors = list(itertools.product(range(p), repeat=dim))
     spans = set()
+    # a span depends on neither the order nor the repetition of its
+    # generators, so sets of k distinct vectors reach every subspace
     for k in range(dim + 1):
-        for rows in itertools.product(vectors, repeat=k):
+        for rows in itertools.combinations(vectors, k):
             span = set()
             for coeffs in itertools.product(range(p), repeat=k):
                 span.add(
@@ -27,7 +29,7 @@ def _span_count(dim, p):
 @pytest.fixture(scope="session")
 def span_count():
     """Count the subspaces of GF(p)^dim by brute-force span enumeration
-    over all small generating tuples; no echelon forms involved.  Each
+    over all small generating sets; no echelon forms involved.  Each
     (dim, p) is enumerated once per session."""
     return _span_count
 

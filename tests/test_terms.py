@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congforge import fixtures, lattice, limits, subspaces, terms, verify
@@ -19,7 +19,9 @@ from congforge.terms import (
     TermSyntaxError,
     UnboundVariableError,
     Var,
+    VectorEvaluator,
     Verdict,
+    builtin_formula,
     evaluate,
     generate_2distributive,
     generate_dn,
@@ -210,6 +212,88 @@ def test_holds_matches_scalar_evaluation(labelings, conclusion, premises):
         assert holds(lat, phi) == _oracle_verdict(lat, phi)
 
 
+_CHECK_LATTICES = {
+    "chain1": fixtures.chain(1),
+    "chain2": fixtures.chain(2),
+    "chain3": fixtures.chain(3),
+    "m3": fixtures.m3(),
+    "n5": fixtures.n5(),
+}
+
+
+def _terms_over(names, leaves=()):
+    base = st.sampled_from(names).map(Var)
+    if leaves:
+        base = base | st.sampled_from(leaves)
+    return st.recursive(
+        base, lambda sub: st.builds(Join, sub, sub) | st.builds(Meet, sub, sub), max_leaves=5
+    )
+
+
+@st.composite
+def _formulas(draw):
+    """An identity or quasi-identity in at most four variables.  One drawn
+    term object may recur at several places; the premises draw on w, which
+    the conclusion never uses."""
+    shared = draw(_terms_over(["x", "y"]))
+    conclusion = Identity(
+        draw(_terms_over(["x", "y", "z"], [shared])),
+        draw(_terms_over(["x", "y", "z"], [shared])),
+        draw(st.sampled_from(["eq", "le"])),
+    )
+    premise_terms = _terms_over(["w", "x"], [shared])
+    premises = draw(st.lists(
+        st.builds(Identity, premise_terms, premise_terms, st.sampled_from(["eq", "le"])),
+        max_size=2,
+    ))
+    return QuasiIdentity(tuple(premises), conclusion) if premises else conclusion
+
+
+_x, _y, _z, _w = Var("x"), Var("y"), Var("z"), Var("w")
+_xy = Meet(_x, _y)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(_CHECK_LATTICES)), _formulas())
+@example("n5", Identity(_x, Join(_x, Meet(_y, _z))))  # a bare variable as a side
+@example("m3", Identity(Join(_x, _y), Meet(_z, _w), "le"))  # disjoint variable sets
+@example("n5", Identity(Join(_xy, Meet(_z, _xy)), Meet(Join(_z, _xy), _xy)))  # repeated subterms
+@example("m3", QuasiIdentity((Identity(Meet(_w, _z), _w),), Identity(_xy, Meet(_y, _x))))
+@example("n5", QuasiIdentity((Identity(_w, Join(_w, _z), "le"), Identity(_z, _w)),
+                             Identity(Meet(_x, Join(_y, _z)), Join(_xy, Meet(_x, _z)))))
+@example("chain1", Identity(_x, _y))
+@example("chain1", QuasiIdentity((Identity(_w, _x),), Identity(_xy, Join(_y, _z), "le")))
+def test_grid_sweep_matches_the_scalar_oracle(name, phi):
+    lat = _CHECK_LATTICES[name]
+    expected = _oracle_verdict(lat, phi)
+    assert holds(lat, phi) == expected
+    sampled = holds(lat, phi, mode="sampled", samples=200, seed=3, block=70)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "CHUNK_BYTES", 1)
+        assert holds(lat, phi) == expected
+        assert holds(lat, phi, mode="sampled", samples=200, seed=3, block=70) == sampled
+
+
+@pytest.mark.parametrize("size, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_sweep_crosses_the_narrow_dtype_boundary(size, dtype):
+    # values are held in narrow_dtype(size) and gather indices in
+    # narrow_dtype(size**2); an index that wrapped would read a wrong cell
+    # and break one of these laws somewhere on the size**k grid
+    assert limits.narrow_dtype(size) == dtype
+    chain = fixtures.chain(size)
+    for text in ("x*(x+y) = x", "x + x*y = x", "x*y = y*x", "x+y = y+x", "x*y <= x+y",
+                 "x*(y+z) = x*y + x*z"):
+        phi = parse(text)
+        k = len(phi.variables())
+        assert holds(chain, phi, budget=None) == Verdict("holds", None, size ** k), text
+        assert holds(chain, phi, "sampled", samples=4000, seed=size).status == "sampled_pass"
+    # the first counterexamples, pinned by hand: y above x first at (0, 1);
+    # y below both x and z, z not below x, first at (0, 0, 1)
+    assert holds(chain, parse("x + y = x")) == Verdict("fails", {"x": 0, "y": 1}, 2)
+    phi = parse("x*y = y & y + x = x & y + z = z -> z <= x")
+    assert holds(chain, phi, budget=None) == Verdict("fails", {"x": 0, "y": 0, "z": 1}, 2)
+
+
 def test_pinned_sweep_results_on_n5(n5):
     # the first counterexample and the seeded draws are part of the output
     dn = generate_dn(3)
@@ -267,6 +351,24 @@ def test_budget_and_sampling(sub32):
         holds(sub32.lattice, phi, mode="sampled")  # seed is mandatory
     # one budget error for sweeps and searches
     assert BudgetExceededError is limits.BudgetExceededError is lattice.BudgetExceededError
+
+
+def test_the_budget_counts_every_term_node_of_each_builtin(m3):
+    # the budget is a refusal threshold on size**k times the term nodes of
+    # the formula, every occurrence counted, whatever the engine evaluates;
+    # the figures on the 5-element M3 are pinned so refusals cannot drift
+    costs = {
+        ("modular", None): 1750, ("2dist", None): 15000, ("sd-meet", None): 1750,
+        ("sd-join", None): 1750, ("dn", 3): 500000, ("dn", 4): 17187500,
+        ("dn", 5): 546875000, ("dn-star", 3): 562500, ("dn-star", 4): 18750000,
+        ("dn-star", 5): 585937500, ("arguesian-d3", None): 562500,
+    }
+    for (name, n), cost in costs.items():
+        phi = builtin_formula(name, n)
+        parts = (phi.conclusion,) + phi.premises if isinstance(phi, QuasiIdentity) else (phi,)
+        assert VectorEvaluator(m3, parts).cost == cost, name
+        with pytest.raises(BudgetExceededError, match="needs %d term evaluations" % cost):
+            holds(m3, phi, budget=cost - 1)
 
 
 def test_dn_star_substitution_fails_in_n5(n5):
