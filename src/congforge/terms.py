@@ -475,10 +475,9 @@ _VAR, _JOIN, _MEET, _EQ, _LE = range(5)
 
 # Exhaustive sweeps read the grid in chunks of prefix rows: the first
 # chunk covers about FIRST_CELLS assignments, so a counterexample among the
-# first few costs little, and each later chunk GROWTH times the rows of the
-# one before, up to the CHUNK_BYTES bound.
+# first few costs little, and each later chunk twice the rows of the one
+# before, up to the CHUNK_BYTES bound.
 FIRST_CELLS = 1 << 14
-GROWTH = 2
 
 
 # The compiler is two module-level functions rather than closures: a
@@ -515,8 +514,9 @@ class VectorEvaluator:
     nodes: the figure `holds` compares with its budget.  Values are held in
     limits.narrow_dtype(size), and a join, a meet or an inequation is one
     gather from its flat table at left * size + right, that index being
-    computed in narrow_dtype(size**2); sampled mode reads its int64 draws
-    in place, so the gathers over them index in int64.
+    computed in narrow_dtype(size**2), named as the dtype of the multiply
+    so that no promotion rule can leave it in the narrower dtype of the
+    values; sampled mode gathers over narrow copies of its int64 draws.
     """
 
     def __init__(self, lat, identities):
@@ -552,20 +552,19 @@ class VectorEvaluator:
         join, meet = lat.narrow_tables
         self._narrow = join.dtype
         self._tables = (None, join, meet, None, lat.leq.ravel())
-        # a scalar of the wide dtype, so that left * size + right is
-        # computed in that dtype
         self._wide_size = narrow_dtype(size * size).type(size)
 
     def _run(self, vals, todo, free=frozenset()):
         """Fill vals[node] for each node of todo, in program order, and drop
         the value of each node of free once its last reader has run."""
         size, program, tables, last = self._wide_size, self._program, self._tables, self._last
+        wide = size.dtype
         for node in todo:
             op, a, b = program[node]
             if op == _EQ:
                 vals[node] = vals[a] == vals[b]
             else:
-                vals[node] = tables[op].take(vals[a] * size + vals[b])
+                vals[node] = tables[op].take(np.multiply(vals[a], size, dtype=wide) + vals[b])
             if last[a] == node and a in free:
                 vals[a] = None
             if last[b] == node and b in free:
@@ -605,8 +604,8 @@ class VectorEvaluator:
         rows; the subterms over the trailing variables alone are computed
         once per call.  The split is the first that lets one prefix row
         fit limits.CHUNK_BYTES; the first chunk holds about FIRST_CELLS
-        assignments and each later one GROWTH times the rows of the one
-        before, while its live arrays and gather temporaries stay within
+        assignments and each later one twice the rows of the one before,
+        while its live arrays and gather temporaries stay within
         CHUNK_BYTES.  Flattened in C order, a block's arrays list its
         assignments in lexicographic order.  Sampled mode evaluates the
         same program on the seeded stream of `assignments`.
@@ -614,11 +613,9 @@ class VectorEvaluator:
         if mode == "sampled":
             free = set(self._inner)
             for offset, env in self.assignments(samples, seed, block):
-                # the drawn int64 columns are read in place: a gather over
-                # them computes its index in int64, the dtype take reads
                 vals = [None] * len(self._program)
                 for v, node in zip(self.names, self._var_nodes):
-                    vals[node] = env[v]
+                    vals[node] = env[v].astype(self._narrow)
                 self._run(vals, self._inner, free)
                 yield offset, env, [vals[c] for c in self._checks]
             return
@@ -655,7 +652,7 @@ class VectorEvaluator:
             truths = [vals[c] for c in self._checks]
             yield lo * cells, dict(zip(self.names, (vals[v] for v in var_nodes))), [
                 t if t.shape == shape else np.broadcast_to(t, shape) for t in truths]
-            lo, rows = hi, min(most, rows * GROWTH)
+            lo, rows = hi, min(most, 2 * rows)
 
     def assignments(self, samples, seed, block):
         """Yield (offset, env) blocks of seeded uniform assignments to `names`.
@@ -666,10 +663,11 @@ class VectorEvaluator:
         variable at a time (the last draw takes the rest), which fixes the
         seeded stream.  A yielded block holds at most
         limits.chunk_rows(8 * (variables + nodes)) assignments: room for one
-        int64 per variable and per node, which covers the program's values
-        and the int64 index temporaries of a gather.  The round of draws
-        itself, `block` int64 values per variable, lies outside that
-        budget: 256 MiB for dn_pair_agreement's default block at n = 4.
+        int64 per variable and per node, which covers the narrow copies of
+        the drawn values, the program's values and the index temporaries
+        of a gather.  The round of draws itself, `block` int64 values per
+        variable, lies outside that budget: 256 MiB for
+        dn_pair_agreement's default block at n = 4.
         """
         if samples is None or seed is None:
             raise ValueError("sampled mode needs samples and an explicit seed")

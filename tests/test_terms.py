@@ -192,94 +192,77 @@ def _random_lattice(labelings):
     return closed_sublattice(gens).lattice
 
 
-_small_terms = st.recursive(
-    st.sampled_from(["x", "y", "z"]).map(Var),
-    lambda sub: st.builds(Join, sub, sub) | st.builds(Meet, sub, sub),
-    max_leaves=5,
-)
-_identities = st.builds(Identity, _small_terms, _small_terms, st.sampled_from(["eq", "le"]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=3),
-    _identities,
-    st.lists(_identities, max_size=2),
-)
-def test_holds_matches_scalar_evaluation(labelings, conclusion, premises):
-    lat = _random_lattice(labelings)
-    for phi in (conclusion, QuasiIdentity(tuple(premises), conclusion)):
-        assert holds(lat, phi) == _oracle_verdict(lat, phi)
-
-
-_CHECK_LATTICES = {
-    "chain1": fixtures.chain(1),
-    "chain2": fixtures.chain(2),
-    "chain3": fixtures.chain(3),
-    "m3": fixtures.m3(),
-    "n5": fixtures.n5(),
-}
-
-
-def _terms_over(names, leaves=()):
-    base = st.sampled_from(names).map(Var)
-    if leaves:
-        base = base | st.sampled_from(leaves)
+def _terms_over(names, shared):
     return st.recursive(
-        base, lambda sub: st.builds(Join, sub, sub) | st.builds(Meet, sub, sub), max_leaves=5
+        st.sampled_from(names).map(Var) | st.just(shared),
+        lambda sub: st.builds(Join, sub, sub) | st.builds(Meet, sub, sub),
+        max_leaves=5,
     )
 
 
 @st.composite
 def _formulas(draw):
-    """An identity or quasi-identity in at most four variables.  One drawn
-    term object may recur at several places; the premises draw on w, which
-    the conclusion never uses."""
-    shared = draw(_terms_over(["x", "y"]))
-    conclusion = Identity(
-        draw(_terms_over(["x", "y", "z"], [shared])),
-        draw(_terms_over(["x", "y", "z"], [shared])),
-        draw(st.sampled_from(["eq", "le"])),
-    )
-    premise_terms = _terms_over(["w", "x"], [shared])
-    premises = draw(st.lists(
-        st.builds(Identity, premise_terms, premise_terms, st.sampled_from(["eq", "le"])),
-        max_size=2,
-    ))
-    return QuasiIdentity(tuple(premises), conclusion) if premises else conclusion
+    """A conclusion in x, y, z and up to two premises in w, x, which the
+    conclusion never uses; one drawn term object may recur at several
+    places of both."""
+    shared = draw(st.recursive(st.sampled_from(["x", "y"]).map(Var),
+                               lambda sub: st.builds(Join, sub, sub) | st.builds(Meet, sub, sub),
+                               max_leaves=3))
+    kinds = st.sampled_from(["eq", "le"])
+    sides = _terms_over(["x", "y", "z"], shared)
+    conclusion = draw(st.builds(Identity, sides, sides, kinds))
+    sides = _terms_over(["w", "x"], shared)
+    premises = draw(st.lists(st.builds(Identity, sides, sides, kinds), max_size=2))
+    return conclusion, tuple(premises)
 
 
 _x, _y, _z, _w = Var("x"), Var("y"), Var("z"), Var("w")
 _xy = Meet(_x, _y)
+# block labels of partitions of {0, 1, 2, 3} generating N5, M3 and the
+# one-element lattice
+_N5 = [[0, 1, 0, 2], [0, 1, 0, 1], [0, 0, 1, 1]]
+_M3 = [[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
+_ONE = [[0, 0, 0, 0]]
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.sampled_from(sorted(_CHECK_LATTICES)), _formulas())
-@example("n5", Identity(_x, Join(_x, Meet(_y, _z))))  # a bare variable as a side
-@example("m3", Identity(Join(_x, _y), Meet(_z, _w), "le"))  # disjoint variable sets
-@example("n5", Identity(Join(_xy, Meet(_z, _xy)), Meet(Join(_z, _xy), _xy)))  # repeated subterms
-@example("m3", QuasiIdentity((Identity(Meet(_w, _z), _w),), Identity(_xy, Meet(_y, _x))))
-@example("n5", QuasiIdentity((Identity(_w, Join(_w, _z), "le"), Identity(_z, _w)),
-                             Identity(Meet(_x, Join(_y, _z)), Join(_xy, Meet(_x, _z)))))
-@example("chain1", Identity(_x, _y))
-@example("chain1", QuasiIdentity((Identity(_w, _x),), Identity(_xy, Join(_y, _z), "le")))
-def test_grid_sweep_matches_the_scalar_oracle(name, phi):
-    lat = _CHECK_LATTICES[name]
-    expected = _oracle_verdict(lat, phi)
-    assert holds(lat, phi) == expected
-    sampled = holds(lat, phi, mode="sampled", samples=200, seed=3, block=70)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(limits, "CHUNK_BYTES", 1)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=3),
+    _formulas(),
+)
+@example(_N5, (Identity(_x, Join(_x, Meet(_y, _z))), ()))  # a bare variable as a side
+@example(_M3, (Identity(Join(_x, _y), Meet(_z, _w), "le"), ()))  # disjoint variable sets
+@example(_N5, (Identity(Join(_xy, Meet(_z, _xy)), Meet(Join(_z, _xy), _xy)), ()))  # repeats
+@example(_M3, (Identity(_xy, Meet(_y, _x)), (Identity(Meet(_w, _z), _w),)))
+@example(_N5, (Identity(Meet(_x, Join(_y, _z)), Join(_xy, Meet(_x, _z))),
+               (Identity(_w, Join(_w, _z), "le"), Identity(_z, _w))))
+@example(_ONE, (Identity(_x, _y), ()))
+@example(_ONE, (Identity(_xy, Join(_y, _z), "le"), (Identity(_w, _x),)))
+def test_holds_matches_scalar_evaluation(labelings, formula):
+    lat = _random_lattice(labelings)
+    conclusion, premises = formula
+    for phi in (conclusion, QuasiIdentity(premises, conclusion)):
+        expected = _oracle_verdict(lat, phi)
         assert holds(lat, phi) == expected
-        assert holds(lat, phi, mode="sampled", samples=200, seed=3, block=70) == sampled
+        sampled = holds(lat, phi, mode="sampled", samples=200, seed=3, block=70)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "CHUNK_BYTES", 1)
+            assert holds(lat, phi) == expected
+            assert holds(lat, phi, mode="sampled", samples=200, seed=3, block=70) == sampled
 
 
-@pytest.mark.parametrize("size, dtype", [(256, np.uint8), (257, np.uint16)])
-def test_sweep_crosses_the_narrow_dtype_boundary(size, dtype):
+@pytest.mark.parametrize("size, values, index", [
+    (17, np.uint8, np.uint16),
+    (256, np.uint8, np.uint16),
+    (257, np.uint16, np.uint32),
+])
+def test_sweep_crosses_the_narrow_dtype_boundary(size, values, index):
     # values are held in narrow_dtype(size) and gather indices in
-    # narrow_dtype(size**2); an index that wrapped would read a wrong cell
-    # and break one of these laws somewhere on the size**k grid
-    assert limits.narrow_dtype(size) == dtype
+    # narrow_dtype(size**2); an index left in the values' dtype would wrap
+    # from 17 elements on, read a wrong cell and break one of these laws
+    # somewhere on the size**k grid
+    assert limits.narrow_dtype(size) == values
+    assert limits.narrow_dtype(size ** 2) == index
     chain = fixtures.chain(size)
     for text in ("x*(x+y) = x", "x + x*y = x", "x*y = y*x", "x+y = y+x", "x*y <= x+y",
                  "x*(y+z) = x*y + x*z"):
