@@ -7,11 +7,16 @@ by one routine, an up-set lookup.  Everything downstream is table-bound,
 so all checkers are simple scans over these arrays.  The exhaustive
 scans over tuples of elements share one mask scan that walks the first
 coordinate in row chunks sized by the byte budget of limits.chunk_rows
-and reads the lexicographically first hit or every hit in that order.
+and reads the lexicographically first hit or every hit in that order; a
+scan for the first hit grows its chunks by limits.doubling_chunks, so an
+early hit costs little.
 
-All objects here are immutable after construction and safe to share;
-the Hasse diagram, which covers(), atoms(), coatoms() and height() read,
-is derived from the order on first use and cached on the lattice.
+All objects here are immutable after construction and safe to share.
+Two things are derived from the order on first use and cached on the
+lattice: the rank of each element (the length of a longest chain up to
+it from the bottom), which height() and the modularity test read, and
+the Hasse diagram, which only covers() reads; atoms() and coatoms() are
+counted from the order directly.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .limits import BudgetExceededError, CongforgeError, NonConvergenceError, check_cap, chunk_rows
-from .limits import narrow_dtype
+from .limits import doubling_chunks, narrow_dtype
 
 
 class LatticeError(CongforgeError):
@@ -140,6 +145,32 @@ class FiniteLattice:
         return self.labels[a] if self.labels else str(a)
 
     @cached_property
+    def _rank(self):
+        """The length of a longest chain from the bottom to each element,
+        in narrow_dtype(2 * size) so that two ranks add without overflow.
+
+        One pass over the linear extension by down-set size: each element
+        ranks one above the highest element strictly below it, read from
+        its row of leq.T.  Elements with down-sets of equal size are
+        incomparable, so each run of them is ranked at once, in row chunks
+        of CHUNK_BYTES.  While the pass runs, rank holds rank + 1, and 0
+        for the elements not yet reached, the element itself among them.
+        """
+        n = self.size
+        below = np.ascontiguousarray(self.leq.T)
+        down = below.sum(axis=1)
+        order = np.argsort(down, kind="stable")
+        rank = np.zeros(n, dtype=narrow_dtype(2 * n))
+        step = chunk_rows((1 + rank.itemsize) * n)  # the rows of leq.T and their product
+        for run in np.split(order, np.flatnonzero(np.diff(down[order])) + 1):
+            for lo in range(0, len(run), step):
+                rows = run[lo:lo + step]
+                rank[rows] = (below[rows] * rank).max(axis=1) + 1
+        rank -= 1
+        rank.setflags(write=False)
+        return rank
+
+    @cached_property
     def _hasse(self):
         """The cover pairs (lower, upper) in ascending order, from one n^3
         boolean product on first use."""
@@ -163,22 +194,16 @@ class FiniteLattice:
         return list(self._hasse)
 
     def atoms(self):
-        return [b for (a, b) in self._hasse if a == self.bottom]
+        """The elements with exactly two elements below them, ascending."""
+        return np.flatnonzero(self.leq.sum(axis=0) == 2).tolist()
 
     def coatoms(self):
-        return [a for (a, b) in self._hasse if b == self.top]
+        """The elements with exactly two elements above them, ascending."""
+        return np.flatnonzero(self.leq.sum(axis=1) == 2).tolist()
 
     def height(self):
         """Length of a longest chain (number of covers bottom to top)."""
-        depth = [0] * self.size
-        order = np.argsort(self.leq.sum(axis=0), kind="stable")  # linear extension
-        up = [[] for _ in range(self.size)]
-        for a, b in self._hasse:
-            up[a].append(b)
-        for a in order:
-            for b in up[int(a)]:
-                depth[b] = max(depth[b], depth[int(a)] + 1)
-        return depth[self.top]
+        return int(self._rank[self.top])
 
     def is_complemented(self):
         """True iff every element has a complement."""
@@ -226,43 +251,68 @@ def from_cover_relation(size, covers, labels=None):
 # -- structural predicates ------------------------------------------------
 
 
-def _scan(n, row_cells, mask, first):
+def _scan(n, row_cells, mask, first, settle=None):
     """Read a boolean mask over tuples whose first coordinate runs over 0..n-1.
 
     mask(rows) gives the mask of the tuples whose first coordinate lies in
     the slice rows, row_cells cells per row over any number of trailing
     axes.  Chunks of rows fit the byte budget with two int64 temporaries
     and two boolean ones per cell.  With first, returns (True, None) or
-    (False, the lexicographically first hit), stopping at the first chunk
-    with a hit; otherwise every hit, in lexicographic order, as the rows
-    of an int64 array.
+    (False, the lexicographically first hit), reading the chunks of
+    limits.doubling_chunks and stopping at the first with a hit; when the
+    first chunk holds none and rows remain, settle() is called if given,
+    and a true answer ends the scan with (True, None).  Otherwise every
+    hit, in lexicographic order, as the rows of an int64 array.
     """
-    step = chunk_rows(18 * row_cells)
-    hits = []
-    for lo in range(0, n, step):
-        chunk = mask(slice(lo, lo + step))
-        if first:
-            # argmax stops at the first True; np.nonzero would list them all
-            flat = int(chunk.argmax())
-            if chunk.flat[flat]:
-                hit = np.unravel_index(flat, chunk.shape)
-                return False, (lo + int(hit[0]),) + tuple(int(i) for i in hit[1:])
-        else:
-            found = np.argwhere(chunk)
+    most = chunk_rows(18 * row_cells)
+    if not first:
+        hits = []
+        for lo in range(0, n, most):
+            found = np.argwhere(mask(slice(lo, lo + most)))
             found[:, 0] += lo
             hits.append(found)
-    return (True, None) if first else np.concatenate(hits)
+        return np.concatenate(hits)
+    for lo, hi in doubling_chunks(n, row_cells, most):
+        chunk = mask(slice(lo, hi))
+        # argmax stops at the first True; np.nonzero would list them all
+        flat = int(chunk.argmax())
+        if chunk.flat[flat]:
+            hit = np.unravel_index(flat, chunk.shape)
+            return False, (lo + int(hit[0]),) + tuple(int(i) for i in hit[1:])
+        if lo == 0 and hi < n and settle is not None and settle():
+            break
+    return True, None
+
+
+def _rank_is_a_valuation(lat):
+    """Whether r(x) + r(y) = r(x v y) + r(x ^ y) for all x, y, r the rank."""
+    r, J, M = lat._rank, lat.join, lat.meet
+    ok, _ = _scan(lat.size, lat.size, lambda x: r[J[x]] + r[M[x]] != r[x, None] + r, first=True)
+    return ok
 
 
 def is_modular(lat):
     """Modularity check: a <= c implies a v (b ^ c) = (a v b) ^ c.
 
     Returns (True, None) or (False, (a, b, c)) with the lexicographically
-    first witnessing triple.
+    first witnessing triple.  The n^3 scan reads its first chunk of rows;
+    if that holds no witness and rows remain, an n^2 test settles the
+    modular case.  A lattice of finite length is modular iff its rank
+    (height) function r is a valuation, r(x) + r(y) = r(x v y) + r(x ^ y)
+    (G. Birkhoff, Lattice Theory, 3rd ed., 1967, Ch. II): for a <= c,
+    a v (b ^ c) <= (a v b) ^ c always, the valuation gives both sides the
+    same rank, and r is strictly monotone.  When the test fails the
+    lattice is not modular and the n^3 scan goes on from its second
+    chunk, so the witness is still the lexicographically first triple.
+    Lattices whose whole scan fits the first chunk never compute a rank.
     """
     J, M, leq, n = lat.join, lat.meet, lat.leq, lat.size
-    # J[a][:, M][a, b, c] = a v (b ^ c) and M[J[a]][a, b, c] = (a v b) ^ c
-    return _scan(n, n * n, lambda a: leq[a, None, :] & (J[a][:, M] != M[J[a]]), first=True)
+    # the values are gathered from the narrow tables, the indices read
+    # from the int64 ones: Jn[a][:, M][a, b, c] = a v (b ^ c) and
+    # Mn[J[a]][a, b, c] = (a v b) ^ c
+    Jn, Mn = (table.reshape(n, n) for table in lat.narrow_tables)
+    return _scan(n, n * n, lambda a: leq[a, None, :] & (Jn[a][:, M] != Mn[J[a]]), first=True,
+                 settle=lambda: _rank_is_a_valuation(lat))
 
 
 def check_semidistributivity(lat, side):
@@ -313,10 +363,12 @@ def interval(lat, lo, hi):
     """The interval sublattice {x : lo <= x <= hi} plus its element map.
 
     Returns (sub, elements) where elements[i] is the index in lat of the
-    i-th element of sub.
+    i-th element of sub; the whole lattice is lat itself.
     """
     if not lat.le(lo, hi):
         raise NotComparableError(lo, hi)
+    if (lo, hi) == (lat.bottom, lat.top):
+        return lat, list(range(lat.size))
     elems = [x for x in range(lat.size) if lat.le(lo, x) and lat.le(x, hi)]
     idx = np.asarray(elems)
     sub_leq = lat.leq[np.ix_(idx, idx)]

@@ -8,12 +8,14 @@ use the fixed DEFAULT_ALGEBRA_CAP and DEFAULT_POWER_CAP.  Work: an
 exhaustive identity check spends at most DEFAULT_BUDGET term evaluations
 by default, and a check or search past its budget raises
 BudgetExceededError.  Bytes: every vectorised scan takes its chunk size
-from CHUNK_BYTES, and state that cannot be chunked (the 2x2-matrix
-closure) must fit CLOSURE_BYTES before it is allocated.  Iterations:
-every iteration to a fixpoint walks a monotone chain in a finite
-lattice, so it stops within a bound fixed by the size of its input;
-running past that bound raises NonConvergenceError.  Widths:
-narrow_dtype and index_dtype pick the dtypes of value and index arrays.
+from CHUNK_BYTES (scans that stop at a first hit grow their chunks up to
+it from FIRST_CELLS cells, by doubling_chunks), and state that cannot be
+chunked (the 2x2-matrix closure) must fit CLOSURE_BYTES before it is
+allocated.  Iterations: every iteration to a fixpoint walks a monotone
+chain in a finite lattice, so it stops within a bound fixed by the size
+of its input; running past that bound raises NonConvergenceError.
+Widths: narrow_dtype and index_dtype pick the dtypes of value and index
+arrays.
 Every exception class congforge defines derives from CongforgeError.
 """
 
@@ -28,6 +30,12 @@ DEFAULT_BUDGET = 10**8
 
 # Byte budget for the temporaries of one chunk of a vectorised scan.
 CHUNK_BYTES = 1 << 24
+
+# Scans that stop at their first hit read rows in growing chunks: the first
+# chunk covers about FIRST_CELLS cells, so a hit among the first few costs
+# little, and each later chunk twice the rows of the one before, up to the
+# CHUNK_BYTES bound (see doubling_chunks).
+FIRST_CELLS = 1 << 14
 
 # Byte bound on the state of one 2x2-matrix closure (algebras._matrix_closure):
 # its bitmaps, its rows in the worst case and its pair tables.
@@ -78,6 +86,17 @@ def check_cap(requested, what, fixed=None):
 def chunk_rows(bytes_per_row):
     """Rows per chunk that keep one chunk's temporaries within CHUNK_BYTES."""
     return max(1, CHUNK_BYTES // max(1, bytes_per_row))
+
+
+def doubling_chunks(total, cells, most):
+    """(lo, hi) row ranges covering 0..total-1 in order: the first of about
+    FIRST_CELLS cells at `cells` cells per row, each later one twice the
+    rows of the one before, and none over `most` rows."""
+    rows, lo = max(1, min(most, FIRST_CELLS // cells)), 0
+    while lo < total:
+        hi = min(total, lo + rows)
+        yield lo, hi
+        lo, rows = hi, min(most, 2 * rows)
 
 
 def narrow_dtype(limit):

@@ -473,12 +473,6 @@ def evaluate(term, lat, assignment):
 # and the truth of an equation or of an inequation
 _VAR, _JOIN, _MEET, _EQ, _LE = range(5)
 
-# Exhaustive sweeps read the grid in chunks of prefix rows: the first
-# chunk covers about FIRST_CELLS assignments, so a counterexample among the
-# first few costs little, and each later chunk twice the rows of the one
-# before, up to the CHUNK_BYTES bound.
-FIRST_CELLS = 1 << 14
-
 
 # The compiler is two module-level functions rather than closures: a
 # recursive closure is a reference cycle, and one per check left the
@@ -603,12 +597,13 @@ class VectorEvaluator:
         variables are flattened into one prefix axis, walked in chunks of
         rows; the subterms over the trailing variables alone are computed
         once per call.  The split is the first that lets one prefix row
-        fit limits.CHUNK_BYTES; the first chunk holds about FIRST_CELLS
-        assignments and each later one twice the rows of the one before,
-        while its live arrays and gather temporaries stay within
-        CHUNK_BYTES.  Flattened in C order, a block's arrays list its
-        assignments in lexicographic order.  Sampled mode evaluates the
-        same program on the seeded stream of `assignments`.
+        fit limits.CHUNK_BYTES; the chunks follow limits.doubling_chunks,
+        the first holding about limits.FIRST_CELLS assignments and each
+        later one twice the rows of the one before, while its live arrays
+        and gather temporaries stay within CHUNK_BYTES.  Flattened in C
+        order, a block's arrays list its assignments in lexicographic
+        order.  Sampled mode evaluates the same program on the seeded
+        stream of `assignments`.
         """
         if mode == "sampled":
             free = set(self._inner)
@@ -637,9 +632,7 @@ class VectorEvaluator:
         row_nodes = [node for node in self._inner if self._masks[node] & prefix]
         free = set(row_nodes)
         column = (-1,) + (1,) * (k - split)
-        rows, total, lo = max(1, min(most, FIRST_CELLS // cells)), size ** split, 0
-        while lo < total:
-            hi = min(total, lo + rows)
+        for lo, hi in limits.doubling_chunks(size ** split, cells, most):
             if split == 1:
                 vals[var_nodes[0]] = axis[lo:hi].reshape(column)
             else:
@@ -652,7 +645,6 @@ class VectorEvaluator:
             truths = [vals[c] for c in self._checks]
             yield lo * cells, dict(zip(self.names, (vals[v] for v in var_nodes))), [
                 t if t.shape == shape else np.broadcast_to(t, shape) for t in truths]
-            lo, rows = hi, min(most, 2 * rows)
 
     def assignments(self, samples, seed, block):
         """Yield (offset, env) blocks of seeded uniform assignments to `names`.

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from congforge import fixtures, limits, projectivity
@@ -28,6 +28,7 @@ from congforge.lattice import (
 )
 from congforge.limits import NonConvergenceError, SizeLimitError
 from congforge.partitions import all_partitions, closed_sublattice, full_partition_lattice
+from congforge.subspaces import subspace_lattice
 
 
 def test_two_chain_tables():
@@ -284,6 +285,104 @@ def test_scan_reads_masks_in_lexicographic_order(monkeypatch):
             assert np.array_equal(_scan(*args, first=False), hits)
 
 
+def test_first_hit_scan_grows_its_chunks(monkeypatch):
+    monkeypatch.setattr(limits, "FIRST_CELLS", 4)  # 4 cells a row: chunks of 1, 2, 4, 8 rows
+    chunks = [(0, 1), (1, 3), (3, 7), (7, 15), (15, 20)]
+    for row, read_to in ((0, 1), (2, 2), (5, 3), (19, 5)):
+        mask = np.zeros((20, 4), dtype=bool)
+        mask[row, 3] = True
+        mask[row + 1:] = True
+        read = []
+
+        def reading(rows):
+            read.append((rows.start, min(rows.stop, 20)))
+            return mask[rows]
+
+        assert _scan(20, 4, reading, first=True) == (False, (row, 3))
+        assert read == chunks[:read_to]
+        read.clear()
+        assert np.array_equal(_scan(20, 4, reading, first=False), np.argwhere(mask))
+        assert read == [(0, 20)]  # every hit: chunks of the most rows the budget allows
+
+    # settle runs once, after a first chunk without a hit, and a true
+    # answer ends the scan
+    empty = np.zeros((20, 4), dtype=bool)
+    for answer, read_to in ((True, 1), (False, 5)):
+        read, calls = [], []
+
+        def reading(rows):
+            read.append((rows.start, min(rows.stop, 20)))
+            return empty[rows]
+
+        assert _scan(20, 4, reading, first=True, settle=lambda: calls.append(1) or answer) == (
+            True, None)
+        assert read == chunks[:read_to] and calls == [1]
+    never = lambda: pytest.fail("settle called")  # noqa: E731
+    assert _scan(1, 4, lambda rows: empty[rows], first=True, settle=never) == (True, None)
+    assert _scan(20, 4, lambda rows: ~empty[rows], first=True, settle=never) == (False, (0, 0))
+
+
+def _modular_by_full_scan(lat):
+    """is_modular's n^3 mask read by _scan alone, with no rank test."""
+    J, M, leq, n = lat.join, lat.meet, lat.leq, lat.size
+    return _scan(n, n * n, lambda a: leq[a, None, :] & (J[a][:, M] != M[J[a]]), first=True)
+
+
+def _assert_is_modular_matches_full_scan(lat, name):
+    """is_modular against the full scan, at the default and a 1-byte chunk
+    budget; at 1 byte the first chunk is one row, so the rank test runs
+    on every lattice of more than one element.  Returns the verdict."""
+    want = _modular_by_full_scan(lat)
+    with pytest.MonkeyPatch.context() as mp:
+        for budget in (limits.CHUNK_BYTES, 1):
+            mp.setattr(limits, "CHUNK_BYTES", budget)
+            assert is_modular(lat) == want, name
+    return want[0]
+
+
+def _small_lattices(lattice_corpus):
+    return list(lattice_corpus) + [
+        ("pi%d" % k, full_partition_lattice(k).lattice) for k in range(1, 7)] + [
+        ("sub(%d,%d)" % dp, subspace_lattice(*dp).lattice)
+        for dp in ((1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3))]
+
+
+def test_is_modular_matches_the_full_scan(lattice_corpus):
+    verdicts = {name: _assert_is_modular_matches_full_scan(lat, name)
+                for name, lat in _small_lattices(lattice_corpus)}
+    assert verdicts["sub(4,2)"] and not verdicts["n5"] and not verdicts["pi6"]
+
+
+@seed(12)
+@settings(max_examples=40, deadline=None)
+@example(points=4, picks=list(range(15)))  # all of Pi(4), not modular
+@given(st.integers(1, 5), st.lists(st.integers(0, 51), min_size=1, max_size=5))
+def test_is_modular_matches_the_full_scan_on_closed_sublattices(points, picks):
+    everything = all_partitions(points)
+    gens = [everything[i % len(everything)] for i in picks]
+    _assert_is_modular_matches_full_scan(closed_sublattice(gens).lattice, gens)
+
+
+def test_a_constant_rank_passes_the_pentagon(monkeypatch, n5):
+    # with one row in the first chunk the rank test decides: the real rank
+    # fails on N5, so the scan goes on to the first witness, while a
+    # constant rank is a valuation and passes N5 as modular
+    monkeypatch.setattr(limits, "FIRST_CELLS", 1)
+    assert is_modular(FiniteLattice(n5.leq)) == (False, (1, 3, 2))
+    mutant = FiniteLattice(n5.leq)
+    vars(mutant)["_rank"] = np.zeros(n5.size, dtype=np.uint8)
+    assert is_modular(mutant) == (True, None)
+
+
+def test_height_is_a_longest_path_over_covers(lattice_corpus):
+    for name, lat in _small_lattices(lattice_corpus):
+        up_to = {}
+        for a, b in sorted(lat.covers(), key=lambda ab: int(lat.leq[:, ab[0]].sum())):
+            up_to[b] = max(up_to.get(b, 0), up_to.get(a, 0) + 1)
+        assert lat._rank.tolist() == [up_to.get(x, 0) for x in range(lat.size)], name
+        assert lat.height() == up_to.get(lat.top, 0), name
+
+
 def test_semidistributivity(m3, n5):
     ok, witness = check_semidistributivity(m3, "meet")
     assert not ok and witness == (1, 2, 3)
@@ -343,7 +442,7 @@ def test_find_sublattice_budget(m3, sub32):
 
 def test_interval(m3, n5):
     sub, elems = interval(m3, m3.bottom, m3.top)
-    assert sub.size == m3.size and elems == list(range(5))
+    assert sub is m3 and elems == list(range(5))  # the whole lattice is not derived again
     sub, elems = interval(m3, 0, 1)
     assert sub.size == 2
     sub, elems = interval(n5, 0, 2)  # 0 < a < c is a 3-chain
@@ -440,3 +539,9 @@ def test_covers_returns_a_fresh_list(n5):
     hasse = vars(lat)["_hasse"]  # one cover computation serves every query
     assert lat.atoms() == [1, 3] and lat.coatoms() == [2, 3] and lat.height() == 3
     assert vars(lat)["_hasse"] is hasse
+
+
+def test_atoms_coatoms_and_height_need_no_hasse_diagram(n5):
+    lat = FiniteLattice(n5.leq)
+    assert lat.atoms() == [1, 3] and lat.coatoms() == [2, 3] and lat.height() == 3
+    assert "_hasse" not in vars(lat)

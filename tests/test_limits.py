@@ -31,3 +31,10 @@ def test_check_cap_reads_the_environment_unless_a_fixed_cap_is_given(monkeypatch
     assert limits.check_cap(6, "x", 6) == 6
     with pytest.raises(limits.SizeLimitError, match="x has 7 elements, over the cap of 6$"):
         limits.check_cap(7, "x", 6)
+
+
+def test_doubling_chunks_cover_the_rows_in_order(monkeypatch):
+    monkeypatch.setattr(limits, "FIRST_CELLS", 8)
+    assert list(limits.doubling_chunks(20, 4, 6)) == [(0, 2), (2, 6), (6, 12), (12, 18), (18, 20)]
+    assert list(limits.doubling_chunks(3, 100, 6)) == [(0, 1), (1, 3)]
+    assert list(limits.doubling_chunks(5, 1, 3)) == [(0, 3), (3, 5)]

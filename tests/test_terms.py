@@ -312,6 +312,9 @@ def test_tiny_chunk_budget_gives_the_same_sweeps(monkeypatch, m3, n5):
     expected = outcomes()
     monkeypatch.setattr(limits, "CHUNK_BYTES", 1)
     assert outcomes() == expected
+    monkeypatch.undo()
+    monkeypatch.setattr(limits, "FIRST_CELLS", 1)  # the shared schedule starts at one row
+    assert outcomes() == expected
 
 
 def test_sampled_mode_needs_a_positive_count(m3):
