@@ -6,11 +6,12 @@ generated in batches: a (k, n) array of canonical reps is closed under
 the algebra's unary translations, cached as one (n, C) table, by a
 fixpoint that joins into each row the pairs (t(a), t(rep[a])) it does
 not yet relate (partitions._join_edges), in row chunks of
-limits.CHUNK_BYTES.  Con(A) is the sublattice of Eq(A) generated by
-bottom and the principal congruences, which are generated as one batch;
-it is built by partitions.closed_sublattice, so its size meets the
-CONGFORGE_CAP check after every closure round, and every row of the
-result is then checked for compatibility in one vectorised pass.
+limits.CHUNK_BYTES.  Con(A) is the join-closure of bottom and the
+principal congruences, which are generated as one batch: the semi-naive
+closure of partitions._close_rows joins each new row with the
+principals only, its size meets the CONGFORGE_CAP check after every
+chunk of a round, and every row of the result is then checked for
+compatibility in one vectorised pass.
 Centrality C(a, b; d) is decided by generating the closure of the 2x2
 matrix set from its generators under the basic operations and scanning;
 the commutator [a, b] is the ascending fixpoint of the induced closure.
@@ -44,10 +45,13 @@ from . import limits
 from .lattice import FiniteLattice, interval, is_modular
 from .limits import CongforgeError, NonConvergenceError, SizeLimitError, narrow_dtype
 from .partitions import (
+    EqRelLattice,
     Partition,
     SizeMismatchError,
+    _close_rows,
+    _fresh_rows,
     _join_edges,
-    closed_sublattice,
+    _join_reps,
     p_join,
     p_leq,
     p_meet,
@@ -364,16 +368,21 @@ class ConLattice:
 
 
 def con_lattice(algebra, cap=limits.DEFAULT_ALGEBRA_CAP):
-    """All congruences: the sublattice of Eq(A) generated by bottom and the
-    principal congruences.
+    """All congruences: the join-closure of bottom and the principal
+    congruences.
 
     Every congruence is the join of the principal congruences below it,
-    and joins and meets of congruences are congruences, so the closure is
-    Con(A); its size is checked against CONGFORGE_CAP after every round.
-    The n(n-1)/2 principal congruences are generated as one batch.
-    Compatibility of every result row is re-verified as a self-test (it
-    must hold automatically).  Algebras over cap elements are refused;
-    cap=None lifts that.
+    and the join of two congruences in Eq(A) is a congruence, so Con(A)
+    is reached by joining each new row with the P distinct principal
+    congruences only, m * P pairs in all and no meets
+    (partitions._close_rows; R. Freese, "Computing congruences
+    efficiently", Algebra Universalis 59 (2008)).  Its size is checked
+    against CONGFORGE_CAP after every chunk of a round, before the
+    round's rows are added.  The n(n-1)/2 principal congruences are
+    generated as one batch.  EqRelLattice re-checks that the result is
+    closed under the join and meet of Eq(A), and compatibility of every
+    row is re-verified, as self-tests (both must hold automatically).
+    Algebras over cap elements are refused; cap=None lifts that.
     """
     n = algebra.size
     if cap is not None:
@@ -381,15 +390,16 @@ def con_lattice(algebra, cap=limits.DEFAULT_ALGEBRA_CAP):
     a, b = np.triu_indices(n, 1)
     rows = np.tile(np.arange(n), (a.size, 1))
     rows[np.arange(a.size), b] = a  # row p relates a[p] and b[p] alone
-    principals = np.unique(_generate(algebra, rows), axis=0)
-    gens = [Partition.singletons(n)] + [Partition(tuple(r)) for r in principals.tolist()]
-    eq = closed_sublattice(gens)
-    if not _compatible(algebra, eq.reps):
+    dtype = narrow_dtype(n)
+    principals = _fresh_rows(_generate(algebra, rows).astype(dtype), set())
+    bottom = np.arange(n, dtype=dtype).reshape(1, n)
+    reps = _close_rows(np.concatenate([bottom, principals]), (_join_reps,), principals)
+    if not _compatible(algebra, reps):
         raise RuntimeError(
-            "the closure of the principal congruences holds a partition "
+            "the join-closure of the principal congruences holds a partition "
             "that is not a congruence; this indicates a bug in the closure"
         )
-    return ConLattice(algebra, eq)
+    return ConLattice(algebra, EqRelLattice(Partition(tuple(r)) for r in reps.tolist()))
 
 
 # -- centrality and the commutator --------------------------------------------

@@ -7,13 +7,22 @@ partitions double as dictionary keys when lattices of them are built.
 
 Join and meet come in two forms: on one pair of rep tuples (union-find,
 and one pass over the pairs of blocks), behind p_join, p_meet and the
-permuting-family harness; and on arrays of rep rows, behind
-closed_sublattice (and so algebras.con_lattice, which builds Con(A) as
-the sublattice of Eq(A) generated by the principal congruences) and
-EqRelLattice's check that a family is closed in Eq(A).  Every join on
-arrays goes through one kernel, _join_edges, which joins each rep row
-with a list of edges by scatter-min onto the roots and pointer jumping;
-algebras' congruence generation runs on it too.  The harness evaluates
+permuting-family harness; and on arrays of rep rows, behind the
+closures and EqRelLattice's check that a family is closed in Eq(A).
+Every join on arrays goes through one kernel, _join_edges, which joins
+each rep row with a list of edges by scatter-min onto the roots and
+pointer jumping; algebras' congruence generation runs on it too.
+
+One semi-naive closure of rep rows, _close_rows, serves both families
+that are built by closing: closed_sublattice, the sublattice of Eq(A)
+that generators span under join and meet, and algebras.con_lattice,
+the join-closure of the principal congruences.  It tells new rows from
+found ones by their bytes, in a set local to the call, and checks the
+element cap on the rows found so far after every chunk of pairs, before
+a round's rows are added.  EqRelLattice checks closedness over the
+irreducibles of the derived lattice: a family is closed under the join
+of Eq(A) iff a v j lies in it for every member a and every
+join-irreducible member j, and dually for meets.  The harness evaluates
 its inequality straight in Eq(A) and builds no lattice per instance.
 """
 
@@ -234,38 +243,81 @@ def _join_reps(ra, rb):
     return _join_edges(ra, np.arange(k * n), (rb + offset).ravel())
 
 
-def _closed_in_eq(reps, lattice):
+def _irreducibles(table, order, empty):
+    """The irreducible elements, ascending: those x that differ from the
+    fold of table over the elements e != x with order[x, e], where the
+    fold of nothing is empty.  The join table with order = leq.T (e below
+    x) and empty = bottom gives the join-irreducibles; the meet table
+    with leq and the top gives the meet-irreducibles.
+
+    Each row is folded as a balanced tree: row x starts as e where e is
+    strictly below x (above, for meets) and empty elsewhere, and every
+    step combines its two halves with one table gather, in row chunks of
+    CHUNK_BYTES.
+    """
+    m = len(table)
+    out = np.empty(m, dtype=table.dtype)
+    rows = chunk_rows(m * 4 * table.itemsize)
+    for lo in range(0, m, rows):
+        acc = np.where(order[lo:lo + rows], np.arange(m), empty)
+        acc[np.arange(len(acc)), np.arange(lo, lo + len(acc))] = empty
+        while acc.shape[1] > 1:
+            if acc.shape[1] % 2:
+                acc = np.concatenate([acc, np.full((len(acc), 1), empty)], axis=1)
+            acc = table[acc[:, 0::2], acc[:, 1::2]]
+        out[lo:lo + rows] = acc[:, 0]
+    return np.flatnonzero(out != np.arange(m))
+
+
+def _closed_by_irreducibles(reps, lattice):
     """True iff the derived join and meet of every pair are those of Eq(A).
 
-    The derived meet c of a and b refines their meet in Eq(A), and the
-    derived join coarsens their join, so each is equal to it exactly when
-    the block counts agree: the meet has one block per distinct pair
-    (rep_a[i], rep_b[i]), the join one per component of the union.  A
-    canonical partition has one block per point with rep[i] == i.
-    Comparable pairs are skipped, since their bounds are a and b.
+    A family L is closed under the join of Eq(A) iff a v j lies in L for
+    every a in L and every join-irreducible j of L: each b in L is the
+    join in L of the join-irreducibles below it, so joining them into a
+    one at a time stays in L and ends at a v b.  Meets are the dual, with
+    the meet-irreducibles, so only those m * (|J| + |M|) pairs are
+    evaluated.  The derived meet c of a and b refines their meet in Eq(A),
+    and the derived join coarsens their join, so each is equal to it
+    exactly when the block counts agree: the meet has one block per
+    distinct pair (rep_a[i], rep_b[i]), the join one per component of the
+    union.  A canonical partition has one block per point with
+    rep[i] == i.  Comparable pairs are skipped, since their bounds are a
+    and b.
     """
     m, n = reps.shape
     points = np.arange(n)
     blocks = np.count_nonzero(reps == points, axis=1)
     codes = reps.astype(narrow_dtype(n * n)) * n
-    incomparable = ~(lattice.leq | lattice.leq.T)
-    rows = chunk_rows(m * n * 64)
-    for lo in range(0, m, rows):
-        a, b = np.nonzero(incomparable[lo:lo + rows])
-        a += lo
-        a, b = a[a < b], b[a < b]
-        if a.size == 0:
-            continue
-        if (_distinct_counts(codes[a] + reps[b]) != blocks[lattice.meet[a, b]]).any():
-            return False
-        joins = np.count_nonzero(_join_reps(reps[a], reps[b]) == points, axis=1)
-        if (joins != blocks[lattice.join[a, b]]).any():
-            return False
+    leq = lattice.leq
+    halves = (
+        (_irreducibles(lattice.join, leq.T, lattice.bottom), lattice.join,
+         lambda a, b: np.count_nonzero(_join_reps(reps[a], reps[b]) == points, axis=1)),
+        (_irreducibles(lattice.meet, leq, lattice.top), lattice.meet,
+         lambda a, b: _distinct_counts(codes[a] + reps[b])),
+    )
+    for members, table, count in halves:
+        rows = chunk_rows(len(members) * n * 64)
+        for lo in range(0, m, rows):
+            a, b = np.nonzero(~(leq[lo:lo + rows, members] | leq[members, lo:lo + rows].T))
+            a += lo
+            b = members[b]
+            if a.size and (count(a, b) != blocks[table[a, b]]).any():
+                return False
     return True
 
 
 class EqRelLattice:
-    """A finite lattice whose elements are partitions of a fixed base set."""
+    """A finite lattice whose elements are partitions of a fixed base set.
+
+    The partitions are sorted by rep, ordered by refinement, and their
+    join and meet tables derived from that order (FiniteLattice).  The
+    family must be closed in Eq(A), or ValueError is raised: its order
+    must be a lattice, and the derived join and meet must be those of
+    Eq(A) on every pair of a member with a join-irreducible
+    (respectively meet-irreducible) member, which implies it for every
+    pair (_closed_by_irreducibles).
+    """
 
     def __init__(self, partitions):
         parts = sorted(set(partitions), key=lambda p: p.rep)
@@ -287,7 +339,7 @@ class EqRelLattice:
             )
         except NotALatticeError:
             lattice = None
-        if lattice is None or not _closed_in_eq(reps, lattice):
+        if lattice is None or not _closed_by_irreducibles(reps, lattice):
             raise ValueError("partitions are not closed under join/meet")
         reps.setflags(write=False)
         self.base_size = base
@@ -338,14 +390,77 @@ def full_partition_lattice(n):
     return EqRelLattice(all_partitions(n))
 
 
+# Bytes per pair of closure rows and row operation: 64 per point for the
+# gathered rows and the operation's temporaries, and 120 for the result's
+# bytes key, its list slot and its entry in the dedup dict and set.
+_PAIR_POINT_BYTES = 64
+_PAIR_KEY_BYTES = 120
+
+
+def _fresh_rows(found, seen):
+    """The distinct rows of found whose bytes are not in seen, in order of
+    first occurrence; their bytes are added to seen."""
+    found = np.ascontiguousarray(found)
+    n = found.shape[1]
+    keys = found.view(np.dtype((np.void, n * found.itemsize))).ravel().tolist()
+    new = [key for key in dict.fromkeys(keys) if key not in seen]
+    seen.update(new)
+    return np.frombuffer(b"".join(new), dtype=found.dtype).reshape(len(new), n)
+
+
+def _close_rows(rows, ops, partners=None):
+    """The closure of rep rows under the row operations ops, semi-naive.
+
+    Each round pairs the rows found in the last round with partners: the
+    rows of partners when given, else every row found so far, each
+    unordered pair once.  Every op maps two (k, n) arrays of reps to the
+    reps of the k results, and the pairs are evaluated in chunks of
+    limits.CHUNK_BYTES.  Rows are deduplicated by their bytes, through a
+    set local to the call; a round that finds nothing new ends it.  After
+    every chunk the closure's size so far, the rows before the round and
+    those it has found, is checked against CONGFORGE_CAP, before the
+    round's rows are added.  Returns the distinct rows in order of
+    discovery.
+    """
+    seen = set()
+    closed = _fresh_rows(rows, seen)
+    n = closed.shape[1]
+    start = 0  # rows from here on were found in the last round
+    while start < len(closed):
+        m = len(closed)
+        width = m if partners is None else len(partners)
+        step = chunk_rows(width * len(ops) * (n * _PAIR_POINT_BYTES + _PAIR_KEY_BYTES))
+        fresh, count = [], m
+        for lo in range(start, m, step):
+            hi = min(m, lo + step)
+            if partners is None:
+                # row g pairs with every row before it
+                a, b = np.nonzero(np.tri(hi - lo, m, lo - 1, dtype=bool))
+                left, right = closed[a + lo], closed[b]
+            else:
+                left = np.repeat(closed[lo:hi], width, axis=0)
+                right = np.tile(partners, (hi - lo, 1))
+            found = np.concatenate([op(left, right) for op in ops]).astype(closed.dtype)
+            fresh.append(_fresh_rows(found, seen))
+            count += len(fresh[-1])
+            check_cap(count, "partition sublattice closure")
+        closed = np.concatenate([closed, *fresh])
+        start = m
+    return closed
+
+
 def closed_sublattice(gens):
     """Closure of the generators under join and meet in Eq(A), as an EqRelLattice.
 
-    The closure runs in semi-naive rounds: each round pairs the partitions
-    found in the last round with every partition found so far, each
-    unordered pair once, and evaluates their joins and meets as arrays of
-    reps, in chunks of limits.CHUNK_BYTES.  A round that finds nothing new
-    ends it.  The size is checked against CONGFORGE_CAP after every round.
+    The closure runs in semi-naive rounds (_close_rows): each round pairs
+    the partitions found in the last round with every partition found so
+    far, each unordered pair once, and evaluates their joins and meets as
+    arrays of reps, in chunks of limits.CHUNK_BYTES.  New partitions are
+    told apart from found ones by the bytes of their rows, and a round
+    that finds nothing new ends the closure.  The size is checked
+    against CONGFORGE_CAP after every chunk, on the partitions found so
+    far, so an oversized closure is refused within the round that
+    crosses the cap.
     """
     gens = list(gens)
     if not gens:
@@ -353,25 +468,8 @@ def closed_sublattice(gens):
     for g in gens:
         _check_sizes(gens[0], g)
     base = gens[0].base_size
-    closed = np.array([g.rep for g in gens], dtype=narrow_dtype(base))
-    closed = np.unique(closed.reshape(len(gens), base), axis=0)
-    key = np.dtype((np.void, base * closed.itemsize))
-    start = 0  # rows from here on were found in the last round
-    while start < len(closed):
-        m = len(closed)
-        rows = chunk_rows(m * base * 128)
-        fresh = []
-        for lo in range(start, m, rows):
-            # row g of the closure pairs with every row before it
-            a, b = np.nonzero(np.tri(min(rows, m - lo), m, lo - 1, dtype=bool))
-            a += lo
-            found = np.concatenate([_join_reps(closed[a], closed[b]),
-                                    _meet_reps(closed[a], closed[b])])
-            found = np.unique(found.astype(closed.dtype), axis=0)
-            fresh.append(found[~np.isin(found.view(key).ravel(), closed.view(key).ravel())])
-        closed = np.concatenate([closed, np.unique(np.concatenate(fresh), axis=0)])
-        start = m
-        check_cap(len(closed), "partition sublattice closure")
+    rows = np.array([g.rep for g in gens], dtype=narrow_dtype(base)).reshape(len(gens), base)
+    closed = _close_rows(rows, (_join_reps, _meet_reps))
     return EqRelLattice(Partition(tuple(rep)) for rep in closed.tolist())
 
 

@@ -236,6 +236,18 @@ def test_alg_commutator_over_the_closure_bound_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "bytes" in err
 
 
+def test_alg_con_far_over_the_element_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # Con of the 9-point identity algebra is all 21147 partitions
+    monkeypatch.delenv("CONGFORGE_CAP", raising=False)
+    ident = FiniteAlgebra(9, [make_operation("id", 1, range(9), 9)])
+    path = tmp_path / "id9.json"
+    path.write_text(json.dumps(jsonio.algebra_to_dict(ident)))
+    assert main(["alg", str(path), "con"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "over the cap of 20000" in captured.err
+
+
 def test_verify_cli(files, capsys):
     assert main(["verify", "abx", "--seed", "7"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -16,7 +16,13 @@ from congforge.algebras import (
     make_operation,
     principal_congruence,
 )
-from congforge.partitions import Partition, SizeMismatchError, all_partitions, p_join
+from congforge.partitions import (
+    Partition,
+    SizeMismatchError,
+    all_partitions,
+    closed_sublattice,
+    p_join,
+)
 
 
 def congruence_by_union_find(algebra, pairs, start=None):
@@ -164,3 +170,68 @@ def test_start_on_another_base_set_is_rejected():
     for start in (Partition.singletons(3), Partition.one_block(5)):
         with pytest.raises(SizeMismatchError):
             congruence_from_pairs(z4, [(0, 2)], start=start)
+
+
+# -- Con(A) as the join-closure of the principal congruences --------------------
+
+
+def assert_con_matches_the_closure_oracle(alg):
+    """con_lattice, the join-closure of the principal congruences, against
+    the sublattice of Eq(A) that bottom and every principal congruence
+    generate under join and meet."""
+    n = alg.size
+    con = con_lattice(alg, cap=None)
+    principals = [Partition(tuple(row)) for row in _generate(alg, principal_rows(n)).tolist()]
+    eq = closed_sublattice([Partition.singletons(n)] + principals)
+    assert con.congruences == eq.partitions
+    assert np.array_equal(con.lattice.leq, eq.lattice.leq)
+    assert con.bottom == eq.index[Partition.singletons(n)]
+    assert con.top == eq.index[Partition.one_block(n)]
+
+
+def _oracle_cases(algebra_corpus):
+    """The fixture algebras, a nullary-only one, a 6-point unary one whose
+    Con is all of Eq(A), and small abelian groups Z_p^k."""
+    return ([alg for _, alg, _ in algebra_corpus]
+            + [FiniteAlgebra(4, [make_operation("c", 0, [2], 4)]),
+               FiniteAlgebra(6, [make_operation("id", 1, range(6), 6)])]
+            + [fixtures.abelian_group(orders)
+               for orders in ((2, 2, 2, 2), (2, 2, 2, 2, 2), (3, 3, 3), (5, 5))])
+
+
+def test_con_lattice_matches_the_closure_oracle(algebra_corpus):
+    for alg in _oracle_cases(algebra_corpus):
+        assert_con_matches_the_closure_oracle(alg)
+
+
+def test_con_lattice_matches_the_closure_oracle_at_a_tiny_chunk_budget(monkeypatch,
+                                                                        algebra_corpus):
+    cases = _oracle_cases(algebra_corpus)
+    monkeypatch.setattr(limits, "CHUNK_BYTES", 1)
+    for alg in cases:
+        assert_con_matches_the_closure_oracle(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras_with_inputs())
+def test_con_lattice_matches_the_closure_oracle_on_random_algebras(case):
+    assert_con_matches_the_closure_oracle(case[0])
+
+
+def test_con_lattice_far_over_the_element_cap_is_refused(monkeypatch):
+    # Con of the 9-point identity algebra is all 21147 partitions, over the
+    # default cap of 20000; the refusal comes within the round that crosses it
+    monkeypatch.delenv("CONGFORGE_CAP", raising=False)
+    alg = FiniteAlgebra(9, [make_operation("id", 1, range(9), 9)])
+    with pytest.raises(limits.SizeLimitError, match="over the cap of 20000"):
+        con_lattice(alg, cap=None)
+
+
+def test_con_lattice_meets_the_element_cap_at_its_size(monkeypatch):
+    # Con of the 5-point identity algebra is all Bell(5) = 52 partitions
+    alg = FiniteAlgebra(5, [make_operation("id", 1, range(5), 5)])
+    monkeypatch.setenv("CONGFORGE_CAP", "52")
+    assert len(con_lattice(alg)) == 52
+    monkeypatch.setenv("CONGFORGE_CAP", "51")
+    with pytest.raises(limits.SizeLimitError, match="over the cap of 51"):
+        con_lattice(alg)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congforge import fixtures, limits, partitions, terms
-from congforge.lattice import find_sublattice
+from congforge.lattice import FiniteLattice, NotALatticeError, find_sublattice
 from congforge.limits import SizeLimitError
 from congforge.partitions import (
     EqRelLattice,
@@ -234,6 +234,103 @@ def test_tiny_chunk_budget_gives_the_same_partition_lattices(monkeypatch):
     again = full_partition_lattice(4)
     for table in ("leq", "join", "meet"):
         assert np.array_equal(getattr(again.lattice, table), getattr(pi4.lattice, table))
+    with pytest.raises(ValueError, match="not closed"):
+        EqRelLattice(family)
+
+
+def closed_in_eq_by_pairs(reps, lattice):
+    """Oracle of the closedness check: the derived join and meet of every
+    incomparable pair, m^2/2 of them, against those of Eq(A), compared by
+    block counts (the derived meet refines the meet of Eq(A) and the
+    derived join coarsens the join, so equal counts mean equal
+    partitions)."""
+    m, n = reps.shape
+    points = np.arange(n)
+    blocks = np.count_nonzero(reps == points, axis=1)
+    codes = reps.astype(limits.narrow_dtype(n * n)) * n
+    incomparable = ~(lattice.leq | lattice.leq.T)
+    rows = limits.chunk_rows(m * n * 64)
+    for lo in range(0, m, rows):
+        a, b = np.nonzero(incomparable[lo:lo + rows])
+        a += lo
+        a, b = a[a < b], b[a < b]
+        if a.size == 0:
+            continue
+        if (partitions._distinct_counts(codes[a] + reps[b]) != blocks[lattice.meet[a, b]]).any():
+            return False
+        joins = np.count_nonzero(partitions._join_reps(reps[a], reps[b]) == points, axis=1)
+        if (joins != blocks[lattice.join[a, b]]).any():
+            return False
+    return True
+
+
+def _reps_and_order(family):
+    """Sorted rep rows of a family and its refinement lattice, or None when
+    the refinement order is not a lattice."""
+    parts = sorted(set(family), key=lambda p: p.rep)
+    reps = np.array([p.rep for p in parts], dtype=np.intp).reshape(len(parts), -1)
+    try:
+        return reps, FiniteLattice(partitions._refinement_order(reps))
+    except NotALatticeError:
+        return reps, None
+
+
+def _irreducibles_by_covers(lattice):
+    """Join- and meet-irreducibles by definition: exactly one lower
+    (respectively upper) cover."""
+    lower, upper = np.zeros(lattice.size, dtype=int), np.zeros(lattice.size, dtype=int)
+    for lo, hi in lattice.covers():
+        lower[hi] += 1
+        upper[lo] += 1
+    return np.flatnonzero(lower == 1).tolist(), np.flatnonzero(upper == 1).tolist()
+
+
+def _assert_irreducible_check_matches_the_oracle(family):
+    """Irreducibles and closedness against their oracles; returns the
+    lattice and its join- and meet-irreducibles (None when the family's
+    order is no lattice)."""
+    reps, lattice = _reps_and_order(family)
+    if lattice is None:
+        return None, None
+    found = (partitions._irreducibles(lattice.join, lattice.leq.T, lattice.bottom).tolist(),
+             partitions._irreducibles(lattice.meet, lattice.leq, lattice.top).tolist())
+    assert found == _irreducibles_by_covers(lattice)
+    verdict = closed_in_eq_by_pairs(reps, lattice)
+    assert partitions._closed_by_irreducibles(reps, lattice) == verdict
+    assert verdict == _closed_by_definition(set(family))
+    return lattice, found
+
+
+def test_irreducible_check_matches_the_oracle_on_partition_lattices():
+    for n in range(1, 6):
+        lattice, found = _assert_irreducible_check_matches_the_oracle(all_partitions(n))
+        # the atoms of Pi(n) are its join-irreducibles, the coatoms its meet-irreducibles
+        assert found == (lattice.atoms(), lattice.coatoms())
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_irreducible_check_matches_the_oracle_on_closures_and_families(data):
+    n = data.draw(st.integers(1, 5))
+    parts = all_partitions(n)
+    picks = data.draw(st.sets(st.integers(0, len(parts) - 1), min_size=1, max_size=6))
+    family = {parts[i] for i in picks}
+    _assert_irreducible_check_matches_the_oracle(closed_sublattice(family).partitions)
+    # bounded families are lattices more often, and most are not closed
+    _assert_irreducible_check_matches_the_oracle(
+        family | {Partition.singletons(n), Partition.one_block(n)})
+
+
+def test_the_irreducibles_of_a_square_that_is_not_closed():
+    # {bottom, 01|2|3, 0|1|23, top} is a lattice under refinement, a square
+    # whose atoms are its only join- and meet-irreducibles; the join of the
+    # atoms in Eq(4) is 01|23, outside the family
+    atoms = [Partition.from_blocks(4, [[0, 1], [2], [3]]),
+             Partition.from_blocks(4, [[0], [1], [2, 3]])]
+    family = [Partition.singletons(4), *atoms, Partition.one_block(4)]
+    _, found = _assert_irreducible_check_matches_the_oracle(family)
+    assert found == ([1, 2], [1, 2])  # in rep order: top, 01|2|3, 0|1|23, bottom
+    assert not _closed_by_definition(set(family))
     with pytest.raises(ValueError, match="not closed"):
         EqRelLattice(family)
 
