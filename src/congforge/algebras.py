@@ -5,8 +5,8 @@ Congruences are Partitions compatible with every operation.  They are
 generated in batches: a (k, n) array of canonical reps is closed under
 the algebra's unary translations, cached as one (n, C) table, by a
 fixpoint that joins into each row the pairs (t(a), t(rep[a])) it does
-not yet relate (partitions._join_edges), in row chunks of
-limits.CHUNK_BYTES.  Con(A) is the join-closure of bottom and the
+not yet relate (partitions._join_edges), in the row ranges of
+limits.chunks.  Con(A) is the join-closure of bottom and the
 principal congruences, which are generated as one batch: the semi-naive
 closure of partitions._close_rows joins each new row with the
 principals only, its size meets the CONGFORGE_CAP check after every
@@ -83,6 +83,8 @@ class Operation:
 
 class FiniteAlgebra:
     def __init__(self, size, operations):
+        if size < 1:
+            raise ValueError("an algebra needs size >= 1, got %r" % (size,))
         self.size = size
         self.operations = tuple(operations)
         names = [op.name for op in self.operations]
@@ -275,35 +277,33 @@ def _compatible(algebra, reps):
 
     A partition is compatible iff each unary translation t keeps every
     point related to its representative: rep[t(a)] == rep[t(rep[a])] for
-    all a.  All rows are checked at once, in row chunks of
-    limits.CHUNK_BYTES.
+    all a.  All rows are checked at once, in the row ranges of
+    limits.chunks.
     """
     moves = algebra._moves
-    rows = limits.chunk_rows(_GEN_BYTES * moves.size)
-    return not any(_images(reps[lo:lo + rows], moves)[2].any()
-                   for lo in range(0, len(reps), rows))
+    return not any(_images(reps[lo:hi], moves)[2].any()
+                   for lo, hi in limits.chunks(len(reps), _GEN_BYTES * moves.size))
 
 
 def _generate(algebra, reps):
     """The least congruence above each row of reps, a (k, n) array of
     canonical partitions.
 
-    A fixpoint per row chunk of limits.CHUNK_BYTES: while some row fails
+    A fixpoint per row range of limits.chunks: while some row fails
     the compatibility test of _compatible, the pairs (t(a), t(rep[a])) it
     does not relate are joined into it by partitions._join_edges.  Each
     round merges blocks, so at most n - 1 rounds change a row.
     """
     moves = algebra._moves
-    rows = limits.chunk_rows(_GEN_BYTES * moves.size)
     out = np.array(reps)
-    for lo in range(0, len(out), rows):
-        chunk = out[lo:lo + rows]
+    for lo, hi in limits.chunks(len(out), _GEN_BYTES * moves.size):
+        chunk = out[lo:hi]
         while True:
             at_point, at_rep, apart = _images(chunk, moves)
             if not apart.any():
                 break
             chunk = _join_edges(chunk, at_point[apart], at_rep[apart])
-        out[lo:lo + rows] = chunk
+        out[lo:hi] = chunk
     return out
 
 
@@ -423,12 +423,12 @@ def _closure_bytes(algebra):
 
 def _boxes(spans, cell_bytes, row_bytes):
     """Split the product of index spans [(start, stop), ...] into boxes,
-    trailing spans whole first, so that a box fits limits.CHUNK_BYTES at
+    trailing spans whole first, so that a box fits one chunk (limits.fits) at
     cell_bytes per cell plus row_bytes per cell of its leading spans (one
     gathered table row each); an empty span yields no box."""
     lead = math.prod(stop - start for start, stop in spans[:-1])
     start, stop = spans[-1]
-    if lead * ((stop - start) * cell_bytes + row_bytes) <= limits.CHUNK_BYTES:
+    if limits.fits(lead * ((stop - start) * cell_bytes + row_bytes)):
         return (spans,) if lead and stop > start else ()  # the whole product
     last = max(1, min(stop - start, limits.chunk_rows(cell_bytes)))
     steps = [last]
@@ -479,8 +479,8 @@ def _matrix_closure(algebra, alpha, beta):
     each argument tuple holding a new matrix is evaluated exactly once.
     Images are scattered into an n^4 mark bitmap, minus the seen bitmap,
     and np.flatnonzero yields the next round's matrices.  Argument tuples
-    are evaluated in boxes whose keys and gathered table rows fit
-    limits.CHUNK_BYTES; the bitmaps, rows and pair tables must fit
+    are evaluated in boxes whose keys and gathered table rows fit one
+    chunk (limits.fits); the bitmaps, rows and pair tables must fit
     limits.CLOSURE_BYTES or SizeLimitError is raised before anything is
     allocated.
 

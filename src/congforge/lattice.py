@@ -6,10 +6,9 @@ all a builder supplies: join and meet tables are always derived from it
 by one routine, an up-set lookup.  Everything downstream is table-bound,
 so all checkers are simple scans over these arrays.  The exhaustive
 scans over tuples of elements share one mask scan that walks the first
-coordinate in row chunks sized by the byte budget of limits.chunk_rows
-and reads the lexicographically first hit or every hit in that order; a
-scan for the first hit grows its chunks by limits.doubling_chunks, so an
-early hit costs little.
+coordinate in the row ranges of limits.chunks and reads the
+lexicographically first hit or every hit in that order; a scan for the
+first hit asks for growing ranges, so an early hit costs little.
 
 All objects here are immutable after construction and safe to share.
 Two things are derived from the order on first use and cached on the
@@ -26,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .limits import BudgetExceededError, CongforgeError, NonConvergenceError, check_cap, chunk_rows
-from .limits import doubling_chunks, narrow_dtype
+from .limits import BudgetExceededError, CongforgeError, NonConvergenceError, check_cap, chunks
+from .limits import narrow_dtype
 
 
 class LatticeError(CongforgeError):
@@ -85,17 +84,16 @@ def _bound_table(packed, kind):
     order = np.argsort(keys)
     keys = keys[order]
     table = np.empty((n, n), dtype=np.int64)
-    rows = chunk_rows(n * (2 * width + 24))
-    for lo in range(0, n, rows):
-        common = (packed[lo:lo + rows, None, :] & packed[None, lo:, :]).view(key)[..., 0]
+    for lo, hi in chunks(n, n * (2 * width + 24)):
+        common = (packed[lo:hi, None, :] & packed[None, lo:, :]).view(key)[..., 0]
         pos = np.searchsorted(keys, common)
         missing = keys.take(pos, mode="clip") != common
         if missing.any():
             a, b = np.argwhere(missing)[0].tolist()
             raise NotALatticeError((a + lo, b + lo), kind)
         cand = order[pos]
-        table[lo:lo + rows, lo:] = cand
-        table[lo:, lo:lo + rows] = cand.T
+        table[lo:hi, lo:] = cand
+        table[lo:, lo:hi] = cand.T
     return table
 
 
@@ -152,8 +150,8 @@ class FiniteLattice:
         One pass over the linear extension by down-set size: each element
         ranks one above the highest element strictly below it, read from
         its row of leq.T.  Elements with down-sets of equal size are
-        incomparable, so each run of them is ranked at once, in row chunks
-        of CHUNK_BYTES.  While the pass runs, rank holds rank + 1, and 0
+        incomparable, so each run of them is ranked at once, in the ranges
+        of limits.chunks.  While the pass runs, rank holds rank + 1, and 0
         for the elements not yet reached, the element itself among them.
         """
         n = self.size
@@ -161,10 +159,9 @@ class FiniteLattice:
         down = below.sum(axis=1)
         order = np.argsort(down, kind="stable")
         rank = np.zeros(n, dtype=narrow_dtype(2 * n))
-        step = chunk_rows((1 + rank.itemsize) * n)  # the rows of leq.T and their product
         for run in np.split(order, np.flatnonzero(np.diff(down[order])) + 1):
-            for lo in range(0, len(run), step):
-                rows = run[lo:lo + step]
+            for lo, hi in chunks(len(run), (1 + rank.itemsize) * n):  # leq.T rows, products
+                rows = run[lo:hi]
                 rank[rows] = (below[rows] * rank).max(axis=1) + 1
         rank -= 1
         rank.setflags(write=False)
@@ -256,24 +253,23 @@ def _scan(n, row_cells, mask, first, settle=None):
 
     mask(rows) gives the mask of the tuples whose first coordinate lies in
     the slice rows, row_cells cells per row over any number of trailing
-    axes.  Chunks of rows fit the byte budget with two int64 temporaries
-    and two boolean ones per cell.  With first, returns (True, None) or
-    (False, the lexicographically first hit), reading the chunks of
-    limits.doubling_chunks and stopping at the first with a hit; when the
-    first chunk holds none and rows remain, settle() is called if given,
-    and a true answer ends the scan with (True, None).  Otherwise every
-    hit, in lexicographic order, as the rows of an int64 array.
+    axes.  The rows are walked in the ranges of limits.chunks, which fit
+    the byte budget with two int64 temporaries and two boolean ones per
+    cell.  With first, returns (True, None) or (False, the
+    lexicographically first hit), asking for growing ranges and stopping
+    at the first with a hit; when the first range holds none and rows
+    remain, settle() is called if given, and a true answer ends the scan
+    with (True, None).  Otherwise every hit, in lexicographic order, as
+    the rows of an int64 array.
     """
-    most = chunk_rows(18 * row_cells)
-    if not first:
-        hits = []
-        for lo in range(0, n, most):
-            found = np.argwhere(mask(slice(lo, lo + most)))
+    hits = []
+    for lo, hi in chunks(n, 18 * row_cells, cells=row_cells if first else None):
+        chunk = mask(slice(lo, hi))
+        if not first:
+            found = np.argwhere(chunk)
             found[:, 0] += lo
             hits.append(found)
-        return np.concatenate(hits)
-    for lo, hi in doubling_chunks(n, row_cells, most):
-        chunk = mask(slice(lo, hi))
+            continue
         # argmax stops at the first True; np.nonzero would list them all
         flat = int(chunk.argmax())
         if chunk.flat[flat]:
@@ -281,7 +277,7 @@ def _scan(n, row_cells, mask, first, settle=None):
             return False, (lo + int(hit[0]),) + tuple(int(i) for i in hit[1:])
         if lo == 0 and hi < n and settle is not None and settle():
             break
-    return True, None
+    return (True, None) if first else np.concatenate(hits)
 
 
 def _rank_is_a_valuation(lat):

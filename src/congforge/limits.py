@@ -7,15 +7,14 @@ variable CONGFORGE_CAP overrides it; con_lattice and alpha_power_algebra
 use the fixed DEFAULT_ALGEBRA_CAP and DEFAULT_POWER_CAP.  Work: an
 exhaustive identity check spends at most DEFAULT_BUDGET term evaluations
 by default, and a check or search past its budget raises
-BudgetExceededError.  Bytes: every vectorised scan takes its chunk size
-from CHUNK_BYTES (scans that stop at a first hit grow their chunks up to
-it from FIRST_CELLS cells, by doubling_chunks), and state that cannot be
-chunked (the 2x2-matrix closure) must fit CLOSURE_BYTES before it is
-allocated.  Iterations: every iteration to a fixpoint walks a monotone
-chain in a finite lattice, so it stops within a bound fixed by the size
-of its input; running past that bound raises NonConvergenceError.
-Widths: narrow_dtype and index_dtype pick the dtypes of value and index
-arrays.
+BudgetExceededError.  Bytes: every vectorised pass walks its rows in the
+ranges of chunks, each within CHUNK_BYTES; sampled draws come in rounds
+of HOLDS_ROUND or PAIR_ROUND; and state that cannot be chunked (the
+2x2-matrix closure) must fit CLOSURE_BYTES before it is allocated.
+Iterations: every iteration to a fixpoint walks a monotone chain in a
+finite lattice, so it stops within a bound fixed by the size of its
+input; running past that bound raises NonConvergenceError.  Widths:
+narrow_dtype and index_dtype pick the dtypes of value and index arrays.
 Every exception class congforge defines derives from CongforgeError.
 """
 
@@ -31,11 +30,17 @@ DEFAULT_BUDGET = 10**8
 # Byte budget for the temporaries of one chunk of a vectorised scan.
 CHUNK_BYTES = 1 << 24
 
-# Scans that stop at their first hit read rows in growing chunks: the first
-# chunk covers about FIRST_CELLS cells, so a hit among the first few costs
-# little, and each later chunk twice the rows of the one before, up to the
-# CHUNK_BYTES bound (see doubling_chunks).
+# A pass that can stop at its first hit reads rows in growing ranges: the
+# first covers about FIRST_CELLS cells, so a hit among the first few costs
+# little, and each later range twice the rows of the one before, up to the
+# CHUNK_BYTES bound (see chunks).
 FIRST_CELLS = 1 << 14
+
+# Values per variable in one round of the seeded draws of terms.holds and
+# of verify.dn_pair_agreement; they fix the seeded streams.  A round's int64
+# draws are held whole, outside CHUNK_BYTES: 256 MiB for PAIR_ROUND at n = 4.
+HOLDS_ROUND = 1 << 18
+PAIR_ROUND = 1 << 22
 
 # Byte bound on the state of one 2x2-matrix closure (algebras._matrix_closure):
 # its bitmaps, its rows in the worst case and its pair tables.
@@ -83,18 +88,27 @@ def check_cap(requested, what, fixed=None):
     return requested
 
 
-def chunk_rows(bytes_per_row):
-    """Rows per chunk that keep one chunk's temporaries within CHUNK_BYTES."""
-    return max(1, CHUNK_BYTES // max(1, bytes_per_row))
+def fits(nbytes):
+    """Whether temporaries of nbytes fit one chunk, CHUNK_BYTES."""
+    return nbytes <= CHUNK_BYTES
 
 
-def doubling_chunks(total, cells, most):
-    """(lo, hi) row ranges covering 0..total-1 in order: the first of about
-    FIRST_CELLS cells at `cells` cells per row, each later one twice the
-    rows of the one before, and none over `most` rows."""
-    rows, lo = max(1, min(most, FIRST_CELLS // cells)), 0
-    while lo < total:
-        hi = min(total, lo + rows)
+def chunk_rows(bytes_per_row, fixed=0):
+    """Rows per chunk (at least one) that keep fixed bytes plus
+    bytes_per_row per row within CHUNK_BYTES."""
+    return max(1, (CHUNK_BYTES - fixed) // max(1, bytes_per_row))
+
+
+def chunks(stop, bytes_per_row, start=0, cells=None, fixed=0):
+    """(lo, hi) row ranges covering start..stop-1 in order, each of
+    chunk_rows(bytes_per_row, fixed) rows but the last; given cells, the
+    cells per row of a pass that can stop at its first hit, they grow
+    instead, from about FIRST_CELLS cells, doubling up to that bound."""
+    most = chunk_rows(bytes_per_row, fixed)
+    rows = most if cells is None else max(1, min(most, FIRST_CELLS // cells))
+    lo = start
+    while lo < stop:
+        hi = min(stop, lo + rows)
         yield lo, hi
         lo, rows = hi, min(most, 2 * rows)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FiniteLattice, NotALatticeError
-from .limits import CongforgeError, check_cap, chunk_rows, index_dtype, narrow_dtype, size_cap
+from .limits import CongforgeError, check_cap, chunks, index_dtype, narrow_dtype, size_cap
 from . import terms
 
 
@@ -179,10 +179,9 @@ def _refinement_order(reps):
     """leq[a, b] iff partition a refines b: rep_b[rep_a[i]] == rep_b[i] for all i."""
     m, n = reps.shape
     leq = np.empty((m, m), dtype=bool)
-    rows = chunk_rows(m * n * (reps.itemsize + 9))
-    for lo in range(0, m, rows):
-        lifted = reps[:, reps[lo:lo + rows]]  # [b, a, i] = rep_b[rep_a[i]]
-        leq[lo:lo + rows] = (lifted == reps[:, None, :]).all(axis=2).T
+    for lo, hi in chunks(m, m * n * (reps.itemsize + 9)):
+        lifted = reps[:, reps[lo:hi]]  # [b, a, i] = rep_b[rep_a[i]]
+        leq[lo:hi] = (lifted == reps[:, None, :]).all(axis=2).T
     return leq
 
 
@@ -252,20 +251,19 @@ def _irreducibles(table, order, empty):
 
     Each row is folded as a balanced tree: row x starts as e where e is
     strictly below x (above, for meets) and empty elsewhere, and every
-    step combines its two halves with one table gather, in row chunks of
-    CHUNK_BYTES.
+    step combines its two halves with one table gather, in the row ranges
+    of limits.chunks.
     """
     m = len(table)
     out = np.empty(m, dtype=table.dtype)
-    rows = chunk_rows(m * 4 * table.itemsize)
-    for lo in range(0, m, rows):
-        acc = np.where(order[lo:lo + rows], np.arange(m), empty)
-        acc[np.arange(len(acc)), np.arange(lo, lo + len(acc))] = empty
+    for lo, hi in chunks(m, m * 4 * table.itemsize):
+        acc = np.where(order[lo:hi], np.arange(m), empty)
+        acc[np.arange(hi - lo), np.arange(lo, hi)] = empty
         while acc.shape[1] > 1:
             if acc.shape[1] % 2:
                 acc = np.concatenate([acc, np.full((len(acc), 1), empty)], axis=1)
             acc = table[acc[:, 0::2], acc[:, 1::2]]
-        out[lo:lo + rows] = acc[:, 0]
+        out[lo:hi] = acc[:, 0]
     return np.flatnonzero(out != np.arange(m))
 
 
@@ -297,9 +295,8 @@ def _closed_by_irreducibles(reps, lattice):
          lambda a, b: _distinct_counts(codes[a] + reps[b])),
     )
     for members, table, count in halves:
-        rows = chunk_rows(len(members) * n * 64)
-        for lo in range(0, m, rows):
-            a, b = np.nonzero(~(leq[lo:lo + rows, members] | leq[members, lo:lo + rows].T))
+        for lo, hi in chunks(m, len(members) * n * 64):
+            a, b = np.nonzero(~(leq[lo:hi, members] | leq[members, lo:hi].T))
             a += lo
             b = members[b]
             if a.size and (count(a, b) != blocks[table[a, b]]).any():
@@ -414,8 +411,8 @@ def _close_rows(rows, ops, partners=None):
     Each round pairs the rows found in the last round with partners: the
     rows of partners when given, else every row found so far, each
     unordered pair once.  Every op maps two (k, n) arrays of reps to the
-    reps of the k results, and the pairs are evaluated in chunks of
-    limits.CHUNK_BYTES.  Rows are deduplicated by their bytes, through a
+    reps of the k results, and the pairs are evaluated in the row ranges
+    of limits.chunks.  Rows are deduplicated by their bytes, through a
     set local to the call; a round that finds nothing new ends it.  After
     every chunk the closure's size so far, the rows before the round and
     those it has found, is checked against CONGFORGE_CAP, before the
@@ -429,10 +426,9 @@ def _close_rows(rows, ops, partners=None):
     while start < len(closed):
         m = len(closed)
         width = m if partners is None else len(partners)
-        step = chunk_rows(width * len(ops) * (n * _PAIR_POINT_BYTES + _PAIR_KEY_BYTES))
         fresh, count = [], m
-        for lo in range(start, m, step):
-            hi = min(m, lo + step)
+        row_bytes = width * len(ops) * (n * _PAIR_POINT_BYTES + _PAIR_KEY_BYTES)
+        for lo, hi in chunks(m, row_bytes, start=start):
             if partners is None:
                 # row g pairs with every row before it
                 a, b = np.nonzero(np.tri(hi - lo, m, lo - 1, dtype=bool))
@@ -455,7 +451,7 @@ def closed_sublattice(gens):
     The closure runs in semi-naive rounds (_close_rows): each round pairs
     the partitions found in the last round with every partition found so
     far, each unordered pair once, and evaluates their joins and meets as
-    arrays of reps, in chunks of limits.CHUNK_BYTES.  New partitions are
+    arrays of reps, in the row ranges of limits.chunks.  New partitions are
     told apart from found ones by the bytes of their rows, and a round
     that finds nothing new ends the closure.  The size is checked
     against CONGFORGE_CAP after every chunk, on the partitions found so

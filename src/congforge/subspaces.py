@@ -20,7 +20,7 @@ from .lattice import (
     find_sublattice,
     is_modular,
 )
-from .limits import CongforgeError, check_cap, chunk_rows
+from .limits import CongforgeError, check_cap, chunks
 
 
 class FieldMismatchError(CongforgeError):
@@ -196,28 +196,21 @@ def _containment_order(subs, dim, p):
     weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     members = np.zeros((m, p**dim), dtype=bool)
     basis_codes = np.zeros((m, dim), dtype=np.int64)
-    start = 0
-    while start < m:
-        k = subs[start].dim
-        stop = start
-        while stop < m and subs[stop].dim == k:
-            stop += 1
+    stop = 0
+    for k, group in itertools.groupby(sub.dim for sub in subs):
+        start, stop = stop, stop + sum(1 for _ in group)
         coeffs = np.indices((p,) * k).reshape(k, p**k).T  # all of GF(p)^k
-        rows = chunk_rows(p**k * dim * 16)
-        for lo in range(start, stop, rows):
-            hi = min(stop, lo + rows)
+        for lo, hi in chunks(stop, p**k * dim * 16, start=start):
             bases = np.array([s.basis for s in subs[lo:hi]], dtype=np.int64)
             bases = bases.reshape(hi - lo, k, dim)
             basis_codes[lo:hi, :k] = bases @ weights
             codes = (coeffs @ bases) % p @ weights  # (rows, p^k)
             members[np.arange(lo, hi)[:, None], codes] = True
-        start = stop
     leq = np.empty((m, m), dtype=bool)
-    rows = chunk_rows(m * dim * 9)
-    for lo in range(0, m, rows):
+    for lo, hi in chunks(m, m * dim * 9):
         # [w, u, j] = the j-th basis vector of u lies in w
-        inside = members[:, basis_codes[lo:lo + rows]]
-        leq[lo:lo + rows] = inside.all(axis=2).T
+        inside = members[:, basis_codes[lo:hi]]
+        leq[lo:hi] = inside.all(axis=2).T
     return leq
 
 
@@ -225,6 +218,8 @@ class SubspaceLattice:
     """The full lattice of subspaces of GF(p)^dim with element dictionary."""
 
     def __init__(self, dim, p):
+        if dim < 0:
+            raise ValueError("dim must be >= 0, got %r" % (dim,))
         if not is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
         check_cap(p**dim, "GF(%d)^%d" % (p, dim))

@@ -13,10 +13,10 @@ paired sweep of the verification suite alike, runs on one engine,
 `VectorEvaluator`.  It compiles the formula once into a program over its
 structurally distinct subterms and evaluates that program either on a
 broadcast grid of all assignments, each subterm over the axes of its own
-variables only (exhaustive mode, walked in chunks of leading-variable
-rows within `limits.CHUNK_BYTES`), or on the seeded stream of
-`VectorEvaluator.assignments` (sampled mode; the `block` arguments set
-only how many draws are taken at a time).  The one exception is the
+variables only (exhaustive mode, walked in the leading-variable row
+ranges of `limits.chunks`), or on the seeded stream of
+`VectorEvaluator.assignments` (sampled mode, drawn in the rounds of
+`limits.HOLDS_ROUND` or `PAIR_ROUND`).  The one exception is the
 exhaustive count of assignments at which the n-th cyclic inequality and
 its companion disagree: `_dn_transfer` counts them by a transfer over
 the cycle of variable pairs, without visiting the assignments one by one.
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import limits
 from .limits import DEFAULT_BUDGET, BudgetExceededError, CongforgeError, SizeLimitError
-from .limits import chunk_rows, index_dtype, narrow_dtype
+from .limits import chunk_rows, chunks, index_dtype, narrow_dtype
 
 
 class TermSyntaxError(CongforgeError):
@@ -322,9 +322,9 @@ def _dn_transfer(lat, n):
 
     States merge by exact int64 accumulation into a dense table of the
     next states.  Outer pairs are taken in batches and next pairs in
-    slices so that the table holds at most a sixteenth of
-    limits.CHUNK_BYTES (one slice of size**2 cells when a single next pair
-    needs more), and states expand and are evaluated in row chunks of the
+    slices so that the table holds at most a sixteenth of a chunk (one
+    slice of size**2 cells when a single next pair needs more), and states
+    expand and are evaluated in the row ranges of limits.chunks at the
     same share.  A batch's live states are the table's nonzero cells, so
     they stay within that bound too unless the next pairs had to be
     sliced, which takes a lattice of 20 or more elements.  Raises
@@ -363,9 +363,8 @@ def _dn_transfer(lat, n):
             t_row = (elements if close else meet[elements * size + pair_join[q]]) \
                 + np.arange(m) * pairs
             acc = np.zeros(count * m * pairs, np.int64)
-            rows = chunk_rows(40 * share * m)
-            for a in range(0, w.size, rows):
-                s = slice(a, a + rows)
+            for a, b in chunks(w.size, 40 * share * m):
+                s = slice(a, b)
                 key = join_scaled[(y[s] * size)[:, None] + y_row[p[s]]]
                 key += t_row[t[s]]
                 key += (o[s] * (m * pairs))[:, None]
@@ -378,7 +377,6 @@ def _dn_transfer(lat, n):
             y_next, t_next = np.divmod(rest, size)
             yield o_next, q0 + j, y_next, t_next, acc[keys]
 
-    eval_rows = chunk_rows(128 * share)
     checked = discrepancies = 0
     for first in range(0, pairs, batch):
         outer = np.arange(first, min(pairs, first + batch))
@@ -388,8 +386,8 @@ def _dn_transfer(lat, n):
         for _ in range(n - 2):
             state = tuple(map(np.concatenate, zip(*advance(*state, outer.size, False))))
         for o, p, y, t, w in advance(*state, outer.size, True):
-            for a in range(0, w.size, eval_rows):
-                s = slice(a, a + eval_rows)
+            for a, b in chunks(w.size, 128 * share):
+                s = slice(a, b)
                 x1, x1p = np.divmod(first + o[s], size)
                 x0, x0p, ys, ts = hi[p[s]], lo[p[s]], y[s], t[s]
                 cross = join[x1 * size + meet[join[x0p * size + x1p] * size + ys]]
@@ -583,7 +581,7 @@ class VectorEvaluator:
         cells = size ** (len(self.names) - split)
         return fixed, row + cells * (2 * self._wide_size.itemsize + 9) + 16
 
-    def sweep(self, mode, samples, seed, block):
+    def sweep(self, mode, samples, seed, draws):
         """Yield (offset, env, truths) blocks of assignments to `names`.
 
         truths holds one boolean array per identity handed to the
@@ -597,17 +595,17 @@ class VectorEvaluator:
         variables are flattened into one prefix axis, walked in chunks of
         rows; the subterms over the trailing variables alone are computed
         once per call.  The split is the first that lets one prefix row
-        fit limits.CHUNK_BYTES; the chunks follow limits.doubling_chunks,
-        the first holding about limits.FIRST_CELLS assignments and each
-        later one twice the rows of the one before, while its live arrays
-        and gather temporaries stay within CHUNK_BYTES.  Flattened in C
-        order, a block's arrays list its assignments in lexicographic
-        order.  Sampled mode evaluates the same program on the seeded
-        stream of `assignments`.
+        fit a chunk (limits.fits), and the rows are walked in the growing
+        ranges of limits.chunks, so that the first range holds few
+        assignments and no range's live arrays and gather temporaries
+        outgrow the chunk.  Flattened in C order, a block's arrays list
+        its assignments in lexicographic order.  Sampled mode evaluates
+        the same program on the seeded stream of `assignments`, drawn
+        `draws` values per variable at a time.
         """
         if mode == "sampled":
             free = set(self._inner)
-            for offset, env in self.assignments(samples, seed, block):
+            for offset, env in self.assignments(samples, seed, draws):
                 vals = [None] * len(self._program)
                 for v, node in zip(self.names, self._var_nodes):
                     vals[node] = env[v].astype(self._narrow)
@@ -619,9 +617,8 @@ class VectorEvaluator:
         size, k, narrow, var_nodes = self.size, len(self.names), self._narrow, self._var_nodes
         for split in range(1, k + 1):
             fixed, per_row = self._layout(split)
-            if fixed + per_row <= limits.CHUNK_BYTES:
+            if limits.fits(fixed + per_row):
                 break
-        most = max(1, (limits.CHUNK_BYTES - fixed) // per_row)
         cells = size ** (k - split)  # assignments per prefix row
         vals = [None] * len(self._program)
         axis = np.arange(size, dtype=narrow)
@@ -632,7 +629,7 @@ class VectorEvaluator:
         row_nodes = [node for node in self._inner if self._masks[node] & prefix]
         free = set(row_nodes)
         column = (-1,) + (1,) * (k - split)
-        for lo, hi in limits.doubling_chunks(size ** split, cells, most):
+        for lo, hi in chunks(size ** split, per_row, cells=cells, fixed=fixed):
             if split == 1:
                 vals[var_nodes[0]] = axis[lo:hi].reshape(column)
             else:
@@ -646,33 +643,30 @@ class VectorEvaluator:
             yield lo * cells, dict(zip(self.names, (vals[v] for v in var_nodes))), [
                 t if t.shape == shape else np.broadcast_to(t, shape) for t in truths]
 
-    def assignments(self, samples, seed, block):
+    def assignments(self, samples, seed, draws):
         """Yield (offset, env) blocks of seeded uniform assignments to `names`.
 
         env maps each variable to an int64 array of elements, one per
         assignment; offset is the number of assignments yielded before the
-        block.  `samples` assignments are drawn, `block` values per
-        variable at a time (the last draw takes the rest), which fixes the
-        seeded stream.  A yielded block holds at most
-        limits.chunk_rows(8 * (variables + nodes)) assignments: room for one
-        int64 per variable and per node, which covers the narrow copies of
-        the drawn values, the program's values and the index temporaries
-        of a gather.  The round of draws itself, `block` int64 values per
-        variable, lies outside that budget: 256 MiB for
-        dn_pair_agreement's default block at n = 4.
+        block.  `samples` assignments are drawn in rounds of `draws` values
+        per variable (the last round takes the rest), which fixes the
+        seeded stream.  Each round is yielded in the row ranges of
+        limits.chunks at room for one int64 per variable and per node,
+        which covers the narrow copies of the drawn values, the program's
+        values and the index temporaries of a gather.  The round itself
+        lies outside that budget (see limits.PAIR_ROUND).
         """
         if samples is None or seed is None:
             raise ValueError("sampled mode needs samples and an explicit seed")
-        if samples < 1 or block < 1:
-            raise ValueError("sampled mode needs samples >= 1 and block >= 1, got %d and %d"
-                             % (samples, block))
-        rows = chunk_rows(8 * (len(self.names) + self.nodes))
+        if samples < 1:
+            raise ValueError("sampled mode needs samples >= 1, got %d" % samples)
+        row_bytes = 8 * (len(self.names) + self.nodes)
         rng = np.random.default_rng(seed)
-        for done in range(0, samples, block):
-            m = min(block, samples - done)
+        for done in range(0, samples, draws):
+            m = min(draws, samples - done)
             draw = {v: rng.integers(0, self.size, size=m, dtype=np.int64) for v in self.names}
-            for lo in range(0, m, rows):
-                yield done + lo, {v: col[lo:lo + rows] for v, col in draw.items()}
+            for lo, hi in chunks(m, row_bytes):
+                yield done + lo, {v: col[lo:hi] for v, col in draw.items()}
 
 
 def assignment_at(env, shape, j):
@@ -706,20 +700,20 @@ def _formula_parts(phi):
     raise TypeError("holds() expects an Identity or QuasiIdentity")
 
 
-def holds(lat, phi, mode="exhaustive", samples=None, seed=None, budget=DEFAULT_BUDGET,
-          block=1 << 18):
+def holds(lat, phi, mode="exhaustive", samples=None, seed=None, budget=DEFAULT_BUDGET):
     """Check an identity or quasi-identity in a finite lattice.
 
     Exhaustive mode covers all size**k assignments (variables in
     lexicographic name order, last variable fastest) on the broadcast grid
     of VectorEvaluator.sweep and is decisive; the first counterexample in
     that order is returned, with `checked` its rank + 1.  Sampled mode
-    draws `samples` seeded random assignments, `block` per variable at a
-    time, and can only report sampled_pass or fails.  Exhaustive mode
-    refuses when VectorEvaluator.cost, size**k times the term nodes of
-    the formula, exceeds `budget` (pass budget=None to lift); that figure
-    is a refusal threshold, kept although the grid evaluates each
-    distinct subterm only over its own variables and so does fewer.
+    draws `samples` seeded random assignments in rounds of
+    limits.HOLDS_ROUND, and can only report sampled_pass or fails.
+    Exhaustive mode refuses when VectorEvaluator.cost, size**k times the
+    term nodes of the formula, exceeds `budget` (pass budget=None to
+    lift); that figure is a refusal threshold, kept although the grid
+    evaluates each distinct subterm only over its own variables and so
+    does fewer.
     """
     premises, conclusion = _formula_parts(phi)
     ev = VectorEvaluator(lat, (conclusion,) + tuple(premises))
@@ -729,7 +723,7 @@ def holds(lat, phi, mode="exhaustive", samples=None, seed=None, budget=DEFAULT_B
             "use sampled mode with an explicit seed" % (ev.cost, budget)
         )
     checked = 0
-    for offset, env, (concluded, *premised) in ev.sweep(mode, samples, seed, block):
+    for offset, env, (concluded, *premised) in ev.sweep(mode, samples, seed, limits.HOLDS_ROUND):
         bad = ~concluded
         for truth in premised:
             bad &= truth

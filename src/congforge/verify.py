@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from . import algebras, fixtures, jsonio, projectivity, subspaces, terms
+from . import algebras, fixtures, jsonio, limits, projectivity, subspaces, terms
 from .lattice import LatticeHom, find_sublattice, m3_configurations
 from .partitions import (
     Partition,
@@ -91,12 +91,12 @@ def _dn_pair(n):
     return [terms.generate_dn(n), terms.generate_dn_star(n)]
 
 
-def _disagreements(lat, n, mode, samples, seed, block):
+def _disagreements(lat, n, mode, samples, seed):
     """The paired sweep: yield (offset, env, bad) per block of assignments,
     bad marking where the two inequalities disagree (see
     terms.VectorEvaluator.sweep)."""
     ev = terms.VectorEvaluator(lat, _dn_pair(n))
-    for offset, env, (dn, ds) in ev.sweep(mode, samples, seed, block):
+    for offset, env, (dn, ds) in ev.sweep(mode, samples, seed, limits.PAIR_ROUND):
         yield offset, env, dn != ds
 
 
@@ -104,7 +104,7 @@ def _witness(env, bad):
     return terms.assignment_at(env, bad.shape, int(bad.argmax()))
 
 
-def dn_pair_agreement(lat, n, mode="exhaustive", samples=None, seed=0, block=1 << 22):
+def dn_pair_agreement(lat, n, mode="exhaustive", samples=None, seed=0):
     """Compare per-assignment truth of the n-th cyclic inequality and its
     companion over a lattice.
 
@@ -117,7 +117,7 @@ def dn_pair_agreement(lat, n, mode="exhaustive", samples=None, seed=0, block=1 <
     terms.VectorEvaluator.sweep, in lexicographic order, up to the first
     chunk that holds a disagreement, so first is the lexicographically
     first disagreeing assignment.  Sampled mode sweeps `samples` seeded
-    uniform assignments, `block` per variable at a time (see
+    uniform assignments, limits.PAIR_ROUND per variable at a time (see
     terms.VectorEvaluator.assignments).  On modular lattices the two
     must agree at every assignment, so any discrepancy is a bug witness.
     """
@@ -125,14 +125,14 @@ def dn_pair_agreement(lat, n, mode="exhaustive", samples=None, seed=0, block=1 <
         checked, discrepancies = terms._dn_transfer(lat, n)
         first = None
         if discrepancies:
-            for _, env, bad in _disagreements(lat, n, mode, samples, seed, block):
+            for _, env, bad in _disagreements(lat, n, mode, samples, seed):
                 if bad.any():
                     first = _witness(env, bad)
                     break
         return checked, discrepancies, first
     checked = discrepancies = 0
     first = None
-    for offset, env, bad in _disagreements(lat, n, mode, samples, seed, block):
+    for offset, env, bad in _disagreements(lat, n, mode, samples, seed):
         count = int(np.count_nonzero(bad))
         if count and first is None:
             first = _witness(env, bad)

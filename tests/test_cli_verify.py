@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -138,6 +139,16 @@ def test_gen_respects_cap(monkeypatch, capsys):
     assert main(["gen", "sub", "--dim", "3", "--p", "2"]) == 2
 
 
+def test_gen_sub_refuses_a_negative_dimension(capsys):
+    assert main(["gen", "sub", "--dim", "-1", "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "dim must be >= 0, got -1" in captured.err
+    # GF(2)^0 has one subspace, the zero space
+    assert main(["gen", "sub", "--dim", "0", "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 1
+
+
 def test_alg_commands(files, capsys):
     assert main(["alg", files["z2z2"], "con"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -179,6 +190,16 @@ def test_alg_rejects_malformed_algebra_files(tmp_path, capsys, data, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("action", [["con"], ["embed-construct", "--alpha", "top"]])
+def test_alg_refuses_an_empty_universe(tmp_path, capsys, action):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"size": 0, "ops": [{"name": "mul", "arity": 2, "table": []}]}))
+    assert main(["alg", str(path)] + action) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "size >= 1, got 0" in captured.err
 
 
 def test_every_exception_is_a_congforge_error():
@@ -294,3 +315,20 @@ def test_every_suite_has_unique_check_ids():
             seen.add(c.check_id)
             if not c.passed:
                 assert c.witness is not None
+
+
+def _without_elapsed(node):
+    if isinstance(node, dict):
+        return {k: _without_elapsed(v) for k, v in node.items() if k != "elapsed"}
+    if isinstance(node, list):
+        return [_without_elapsed(v) for v in node]
+    return node
+
+
+def test_verify_all_seed0_matches_the_golden_output(capsys):
+    # every check id, verdict and witness of `verify all --seed 0`, as
+    # committed in tests/data; only the timings may differ between runs
+    assert main(["verify", "all", "--seed", "0"]) == 0
+    got = _without_elapsed(json.loads(capsys.readouterr().out))
+    golden = pathlib.Path(__file__).parent / "data" / "verify_all_seed0.json"
+    assert got == json.loads(golden.read_text())

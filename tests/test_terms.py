@@ -36,6 +36,15 @@ from congforge.terms import (
 from congforge.verify import dn_pair_agreement
 
 
+def _in_rounds_of(draws, check):
+    """check() with both sampling rounds, limits.HOLDS_ROUND and
+    limits.PAIR_ROUND, at `draws` values per variable."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "HOLDS_ROUND", draws)
+        mp.setattr(limits, "PAIR_ROUND", draws)
+        return check()
+
+
 def test_parse_meet_join():
     assert parse("x0 * (x1 + x2)") == Meet(Var("x0"), Join(Var("x1"), Var("x2")))
 
@@ -244,11 +253,14 @@ def test_holds_matches_scalar_evaluation(labelings, formula):
     for phi in (conclusion, QuasiIdentity(premises, conclusion)):
         expected = _oracle_verdict(lat, phi)
         assert holds(lat, phi) == expected
-        sampled = holds(lat, phi, mode="sampled", samples=200, seed=3, block=70)
+        def sampled_check():
+            return holds(lat, phi, mode="sampled", samples=200, seed=3)
+
+        sampled = _in_rounds_of(70, sampled_check)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(limits, "CHUNK_BYTES", 1)
             assert holds(lat, phi) == expected
-            assert holds(lat, phi, mode="sampled", samples=200, seed=3, block=70) == sampled
+            assert _in_rounds_of(70, sampled_check) == sampled
 
 
 @pytest.mark.parametrize("size, values, index", [
@@ -288,7 +300,8 @@ def test_pinned_sweep_results_on_n5(n5):
     assert dn_pair_agreement(n5, 3, "exhaustive") == (15625, 155, env(2, 3, 0, 1, 1, 0))
     assert dn_pair_agreement(n5, 3, "sampled", samples=5000, seed=7) == (
         5000, 49, env(3, 1, 1, 2, 4, 0))
-    assert dn_pair_agreement(n5, 3, "sampled", samples=5000, seed=7, block=1000) == (
+    assert _in_rounds_of(1000, lambda: dn_pair_agreement(n5, 3, "sampled", samples=5000,
+                                                         seed=7)) == (
         5000, 51, env(3, 1, 2, 1, 2, 1))
     assert holds(n5, dn) == Verdict("fails", env(2, 0, 0, 2, 1, 3), 6309)
     assert holds(n5, dn, mode="sampled", samples=5000, seed=7) == Verdict(
@@ -301,9 +314,10 @@ def test_tiny_chunk_budget_gives_the_same_sweeps(monkeypatch, m3, n5):
             holds(n5, generate_dn(3)),
             holds(n5, generate_sd("meet")),
             holds(m3, generate_2distributive()),
-            holds(m3, generate_sd("join"), mode="sampled", samples=300, seed=5, block=70),
+            _in_rounds_of(70, lambda: holds(m3, generate_sd("join"), mode="sampled",
+                                            samples=300, seed=5)),
             holds(m3, generate_dn_star(3), mode="sampled", samples=300, seed=5),
-            dn_pair_agreement(n5, 3, "sampled", samples=300, seed=2, block=70),
+            _in_rounds_of(70, lambda: dn_pair_agreement(n5, 3, "sampled", samples=300, seed=2)),
             dn_pair_agreement(fixtures.chain(2), 3, "exhaustive"),
             dn_pair_agreement(n5, 3, "exhaustive"),
             terms._dn_transfer(fixtures.chain(3), 4),
@@ -411,7 +425,7 @@ def _swept_pair_agreement(lat, n):
     """Exhaustive dn/dn* agreement by enumerating every assignment."""
     discrepancies = 0
     first = None
-    for _, env, bad in verify._disagreements(lat, n, "exhaustive", None, 0, 1):
+    for _, env, bad in verify._disagreements(lat, n, "exhaustive", None, 0):
         if first is None and bad.any():
             first = verify._witness(env, bad)
         discrepancies += int(np.count_nonzero(bad))
