@@ -26,10 +26,12 @@ matrices is T[their his]*n^2 + T[their los].  A box of argument tuples
 is gathered rows first: the leading k-1 arguments pick whole rows of
 the table and one take picks the last argument's columns from them.
 Rounds are semi-naive, so every argument tuple with a new matrix in it
-is evaluated once, and duplicates are removed by an n^4 bitmap, not by
-sorting.  The tables and the translation table are derived lazily on
-first use and cached on the algebra; no closure or congruence is cached
-across calls.
+is evaluated once; an associative binary operation is applied only to
+pairs of a matrix and one of its generators.  Duplicates are removed by
+an n^4 bitmap, not by sorting.  The tables, which of them are
+associative and the translation table are derived lazily on first use
+and cached on the algebra; no closure or congruence is cached across
+calls.
 """
 
 from __future__ import annotations
@@ -128,6 +130,15 @@ class FiniteAlgebra:
             table.setflags(write=False)
             out.append(table)
         return tuple(out)
+
+    @cached_property
+    def _associative(self):
+        """For each pair table, whether its operation is binary and
+        associative: (x*y)*z = x*(y*z) on all triples, read as
+        arr[arr] = arr[:, arr] (n^3 entries each; the matrix closure asks
+        only after its byte bound has admitted the algebra)."""
+        return tuple(arr.ndim == 2 and np.array_equal(arr[arr], arr[:, arr])
+                     for arr in self.by_name.values() if arr.ndim)
 
     def __repr__(self):
         return "FiniteAlgebra(size=%d, ops=%s)" % (
@@ -408,17 +419,24 @@ def con_lattice(algebra, cap=limits.DEFAULT_ALGEBRA_CAP):
 # (1 + 1), the row codes hi and lo (8 + 8), and the returned row (4 * 8)
 # with the transients of decoding it (4 * 8).
 _MATRIX_BYTES = 82
+# Worst-case bytes per matrix for each binary operation, which may be
+# associative: its own image bitmap (1) and the hi and lo codes of its
+# generators (8 + 8).
+_GENERATOR_BYTES = 17
 # Bytes per evaluated argument tuple: two table gathers (up to 2 each), the
 # key (up to 4) and the intp copy of it that the bitmap scatter makes.
 _CELL_BYTES = 16
 
 
 def _closure_bytes(algebra):
-    """Bytes of the closure's state: bitmaps, rows and pair tables."""
+    """Bytes of the closure's state: bitmaps, rows, generators and pair
+    tables.  Every binary operation is counted as associative, so the bound
+    is settled before associativity is."""
     n2 = algebra.size**2
     item = narrow_dtype(n2).itemsize
-    tables = sum(item * n2**arr.ndim for arr in algebra.by_name.values() if arr.ndim)
-    return n2 * n2 * _MATRIX_BYTES + tables
+    arities = [arr.ndim for arr in algebra.by_name.values() if arr.ndim]
+    per_matrix = _MATRIX_BYTES + _GENERATOR_BYTES * arities.count(2)
+    return n2 * n2 * per_matrix + sum(item * n2**k for k in arities)
 
 
 def _boxes(spans, cell_bytes, row_bytes):
@@ -445,19 +463,20 @@ def _boxes(spans, cell_bytes, row_bytes):
 
 
 def _gather(table, codes, box):
-    """table[codes[s0:e0], ..., codes[s(k-1):e(k-1)]] over the box, gathered
-    rows first: the leading k-1 coordinates pick whole rows of the table
-    viewed as (n^2)^(k-1) rows of n^2 entries, and one take then picks the
-    columns of the last coordinate from them."""
+    """table[c0[s0:e0], ..., c(k-1)[s(k-1):e(k-1)]] over the box, where
+    ci = codes[i] holds the codes of coordinate i, gathered rows first: the
+    leading k-1 coordinates pick whole rows of the table viewed as
+    (n^2)^(k-1) rows of n^2 entries, and one take then picks the columns of
+    the last coordinate from them."""
     start, stop = box[-1]
-    cols = codes[start:stop]
+    cols = codes[-1][start:stop]
     if len(box) == 1:
         return table[cols]
     n2 = table.shape[-1]
     start, stop = box[0]
-    lead = codes[start:stop]
-    for start, stop in box[1:-1]:
-        lead = (lead[:, None] * n2 + codes[start:stop]).ravel()
+    lead = codes[0][start:stop]
+    for coord, (start, stop) in zip(codes[1:-1], box[1:-1]):
+        lead = (lead[:, None] * n2 + coord[start:stop]).ravel()
     return table.reshape(-1, n2)[lead].take(cols, axis=1)
 
 
@@ -473,16 +492,32 @@ def _matrix_closure(algebra, alpha, beta):
     hi = m00*n + m01 and lo = m10*n + m11, and a k-ary operation maps k
     matrices to pair_table[his]*n^2 + pair_table[los].
 
-    Rounds are semi-naive: with old the matrices found before the last
-    round, new those found in it and current their union, argument slot i
-    takes new, the slots before it old and the slots after it current, so
-    each argument tuple holding a new matrix is evaluated exactly once.
+    Rounds are semi-naive.  With old the matrices found before the last
+    round, new those found in it and current their union, a k-ary
+    operation takes new in argument slot i, old in the slots before it and
+    current in the slots after it, so each argument tuple holding a new
+    matrix is evaluated exactly once.
+
+    An associative binary operation f is applied only to pairs (matrix,
+    generator), m * |G_f| products instead of m^2, as V. Froidure and
+    J.-E. Pin enumerate a semigroup by its right Cayley graph
+    ("Algorithms for computing finite semigroups", 1997).  G_f starts as
+    the seeds, and each round adds every fresh matrix that f did not
+    produce in that round, read from a bitmap of f's own images.  By
+    induction every matrix is then an f-product g1*...*gk of matrices of
+    G_f: it is in G_f, or f produced it as a*g from a found matrix a and g
+    in G_f.  So S*G_f within S gives S*S within S, since
+    a*(g1*...*gk) = ((a*g1)*...)*gk (f acts entrywise, so it is
+    associative on the 4th power too).  Each round evaluates f on new x
+    all of G_f and on old x the generators added in the last round, so
+    each pair is evaluated exactly once.
+
     Images are scattered into an n^4 mark bitmap, minus the seen bitmap,
     and np.flatnonzero yields the next round's matrices.  Argument tuples
     are evaluated in boxes whose keys and gathered table rows fit one
-    chunk (limits.fits); the bitmaps, rows and pair tables must fit
-    limits.CLOSURE_BYTES or SizeLimitError is raised before anything is
-    allocated.
+    chunk (limits.fits); the bitmaps, rows, generators and pair tables
+    must fit limits.CLOSURE_BYTES or SizeLimitError is raised before
+    anything is allocated.
 
     Returns an (m, 4) int64 array of rows (m00, m01, m10, m11) in ascending
     key order, i.e. lexicographically ascending rows.
@@ -508,26 +543,50 @@ def _matrix_closure(algebra, alpha, beta):
     key_dtype = narrow_dtype(n2 * n2)
     mark = np.zeros_like(seen)
     hi, lo = np.divmod(np.flatnonzero(seen), n2)
+    # per associative table: its image bitmap, its generators' hi and lo
+    # codes, and how many of them the last round added
+    gens = {j: [np.zeros_like(seen), hi, lo, hi.size]
+            for j, assoc in enumerate(algebra._associative) if assoc}
     n_old = 0
     while n_old < hi.size:
         m = hi.size
-        for table in tables:
+        for j, table in enumerate(tables):
             k = table.ndim
             # a gathered row of n^2 table entries, and for k >= 3 the
             # flat row index and its product (8 each)
             row_bytes = n2 * table.itemsize + 16
-            for i in range(k):
-                spans = [(0, n_old)] * i + [(n_old, m)] + [(0, m)] * (k - 1 - i)
+            if j in gens:
+                images, ghi, glo, added = gens[j]
+                images.fill(False)
+                g = ghi.size
+                products = [((0, n_old), (g - added, g)), ((n_old, m), (0, g))]
+                his, los = (hi, ghi), (lo, glo)
+            else:
+                images = mark
+                products = [[(0, n_old)] * i + [(n_old, m)] + [(0, m)] * (k - 1 - i)
+                            for i in range(k)]
+                his, los = (hi,) * k, (lo,) * k
+            for spans in products:
                 for box in _boxes(spans, _CELL_BYTES, row_bytes):
-                    key = _gather(table, hi, box).astype(key_dtype)
+                    key = _gather(table, his, box).astype(key_dtype)
                     key *= n2
-                    key += _gather(table, lo, box)
-                    mark[key] = True
+                    key += _gather(table, los, box)
+                    images[key] = True
+            if j in gens:
+                mark |= images
         np.greater(mark, seen, out=mark)
         fresh = np.flatnonzero(mark)
         seen[fresh] = True
         mark[fresh] = False
         fresh_hi, fresh_lo = np.divmod(fresh, n2)
+        for gen in gens.values():
+            images, ghi, glo, _ = gen
+            other = ~images[fresh]  # fresh matrices this operation did not produce
+            added = np.count_nonzero(other)
+            if added:
+                ghi = np.concatenate([ghi, fresh_hi[other]])
+                glo = np.concatenate([glo, fresh_lo[other]])
+            gen[1:] = ghi, glo, added
         hi = np.concatenate([hi, fresh_hi])
         lo = np.concatenate([lo, fresh_lo])
         n_old = m

@@ -58,7 +58,7 @@ def lattice_from_dict(data):
     if not isinstance(data, dict) or "size" not in data or "covers" not in data:
         raise ValueError("lattice JSON needs 'size' and 'covers'")
     size, covers, labels = data["size"], data["covers"], data.get("labels")
-    _check(type(size) is int, "size", "an integer")
+    _check(type(size) is int and size >= 1, "size", "a positive integer")
     _check(isinstance(covers, list) and all(_ints(c) and len(c) == 2 for c in covers),
            "covers", "a list of integer pairs")
     if labels is not None:

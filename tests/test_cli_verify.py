@@ -90,6 +90,16 @@ def test_check_rejects_bad_lattice_files(tmp_path, capsys):
         assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("size", [-2, 0])
+def test_check_refuses_a_lattice_file_without_elements(tmp_path, capsys, size):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"size": size, "covers": []}))
+    assert main(["check", str(path), "--builtin", "modular"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: JSON field size must be a positive integer\n"
+
+
 def test_duplicate_check_ids_are_rejected():
     result = verify.SuiteResult("demo", 0)
     result.add("same-id", "first", True)
