@@ -32,6 +32,13 @@ an n^4 bitmap, not by sorting.  The tables, which of them are
 associative and the translation table are derived lazily on first use
 and cached on the algebra; no closure or congruence is cached across
 calls.
+
+The power construction holds its universe, the alpha-constant n-tuples
+in lexicographic order, as one (m, n) array.  A k-ary table is one
+gather over the (m,)*k grid of argument rows, coordinates last, in row
+ranges of limits.chunks; image tuples are looked up among the rows by
+byte key (argsort, then searchsorted).  alpha_bar and the kernels eta_i
+are fibres, read off by partitions._first_reps.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .partitions import (
     Partition,
     SizeMismatchError,
     _close_rows,
+    _first_reps,
     _fresh_rows,
     _join_edges,
     _join_reps,
@@ -154,14 +162,15 @@ def make_operation(name, arity, flat_table, size):
         raise ValueError(
             "operation %s: expected %d entries, got %d" % (name, size**arity, arr.size)
         )
-    shaped = arr.reshape((size,) * arity) if arity else arr.reshape(())
-    return Operation(name, arity, _to_nested(shaped))
+    return Operation(name, arity, _to_nested(arr.reshape((size,) * arity)))
 
 
 def _to_nested(arr):
-    if arr.ndim == 0:
-        return int(arr)
-    return tuple(_to_nested(sub) for sub in arr)
+    """arr as nested tuples, built from arr.tolist() a row at a time."""
+    def nest(rows, depth):
+        return tuple(rows) if depth == 1 else tuple(nest(row, depth - 1) for row in rows)
+
+    return arr.item() if arr.ndim == 0 else nest(arr.tolist(), arr.ndim)
 
 
 # -- algebra-side terms -------------------------------------------------------
@@ -720,53 +729,43 @@ def alpha_power_algebra(algebra, alpha, n):
     congruence relating tuples drawn from the same alpha class, and the
     kernels of the n coordinate projections.
     """
+    if n < 1:
+        raise ValueError("the construction needs n >= 1, got %d" % n)
     if not is_congruence(algebra, alpha):
         raise ValueError("alpha is not a congruence of the algebra")
     blocks = alpha.blocks()
     m = limits.check_cap(sum(len(block) ** n for block in blocks), "power subalgebra",
                          limits.DEFAULT_POWER_CAP)
-    tuples = []
-    for block in blocks:
-        tuples.extend(itertools.product(block, repeat=n))
-    tuples.sort()
-    index = {t: i for i, t in enumerate(tuples)}
-    tup_arr = np.array(tuples, dtype=np.int64)
+    tup = np.concatenate([np.array(block)[np.indices((len(block),) * n).reshape(n, -1).T]
+                          for block in blocks])
+    tup = tup[np.lexsort(tup.T[::-1])]
+    dtype = narrow_dtype(algebra.size)
+    rows = tup.astype(dtype)
+    key = np.dtype((np.void, n * dtype.itemsize))
+    order = np.argsort(rows.view(key)[:, 0])
+    keys = rows.view(key)[order, 0]
+
+    def find(images):
+        return order[np.searchsorted(keys, images.view(key)[..., 0])]
 
     ops = []
     for op in algebra.operations:
-        arr = algebra.by_name[op.name]
+        arr = algebra.by_name[op.name].astype(dtype)
         k = arr.ndim
         if k == 0:
-            c = (int(arr),) * n
-            ops.append(Operation(op.name, 0, index[c]))
+            ops.append(Operation(op.name, 0, int(find(np.full(n, arr)))))
             continue
-        shape = (m,) * k
-        out = np.empty(shape, dtype=np.int64)
-        for args in itertools.product(range(m), repeat=k):
-            coords = tuple(
-                int(arr[tuple(tup_arr[args[j], i] for j in range(k))]) for i in range(n)
-            )
-            out[args] = index[coords]
+        # argument j runs along axis j of the grid, its coordinates last
+        grid = [rows.reshape((1,) * j + (m,) + (1,) * (k - 1 - j) + (n,)) for j in range(k)]
+        out = np.empty((m,) * k, dtype=np.int64)
+        # per argument tuple: its image, then a key position and a row (8 each)
+        for lo, hi in limits.chunks(m, m ** (k - 1) * (n * dtype.itemsize + 16)):
+            out[lo:hi] = find(arr[(grid[0][lo:hi], *grid[1:])])
         ops.append(Operation(op.name, k, _to_nested(out)))
-    power = FiniteAlgebra(m, ops)
-
-    block_of = {}
-    for bi, block in enumerate(blocks):
-        for x in block:
-            block_of[x] = bi
-    bar_rep = [-1] * m
-    first_in_block = {}
-    for i, t in enumerate(tuples):
-        b = block_of[t[0]]
-        bar_rep[i] = first_in_block.setdefault(b, i)
-    alpha_bar = Partition(tuple(bar_rep))
-
-    etas = []
-    for coord in range(n):
-        firsts = {}
-        rep = [firsts.setdefault(t[coord], i) for i, t in enumerate(tuples)]
-        etas.append(Partition(tuple(rep)))
-    return power, tuples, alpha_bar, etas
+    # the fibres of the first coordinate's alpha class, then of each coordinate
+    fibres = np.concatenate([np.asarray(alpha.rep)[tup[:, :1].T], tup.T])
+    alpha_bar, *etas = (Partition(tuple(r)) for r in _first_reps(fibres, algebra.size).tolist())
+    return FiniteAlgebra(m, ops), list(map(tuple, tup.tolist())), alpha_bar, etas
 
 
 @dataclass
@@ -788,23 +787,16 @@ def construct_delta(algebra, alpha):
     delta ^ eta_i is trivial.
     """
     power, tuples, alpha_bar, etas = alpha_power_algebra(algebra, alpha, 2)
-    index = {t: i for i, t in enumerate(tuples)}
-    arep = alpha.rep
-    pairs = []
-    for a in range(algebra.size):
-        for b in range(algebra.size):
-            if arep[a] == arep[b]:
-                pairs.append((index[(a, a)], index[(b, b)]))
-    delta = congruence_from_pairs(power, pairs)
+    first, second = np.array(tuples).T
+    diagonal = np.flatnonzero(first == second)  # the index of (a, a), by a
+    # the pairs ((a, a), (rep(a), rep(a))) generate the same congruence
+    delta = congruence_from_pairs(power, np.stack([diagonal, diagonal[list(alpha.rep)]], axis=1))
     checks = None
     if abelian_interval(algebra, Partition.singletons(algebra.size), alpha):
         bottom = Partition.singletons(power.size)
-        checks = {
-            "join_eta_0": p_join(delta, etas[0]) == alpha_bar,
-            "join_eta_1": p_join(delta, etas[1]) == alpha_bar,
-            "meet_eta_0": p_meet(delta, etas[0]) == bottom,
-            "meet_eta_1": p_meet(delta, etas[1]) == bottom,
-        }
+        checks = {"%s_eta_%d" % (kind, i): op(delta, eta) == want
+                  for kind, op, want in (("join", p_join, alpha_bar), ("meet", p_meet, bottom))
+                  for i, eta in enumerate(etas)}
     return DeltaConstruction(power, tuples, delta, alpha_bar, etas, checks)
 
 
@@ -841,15 +833,11 @@ def verify_embedding_construction(algebra, alpha, n):
 
     Requires alpha abelian; that is what forces the structure.
     """
-    if n < 1:
-        raise ValueError("the construction needs n >= 1, got %d" % n)
     if not abelian_interval(algebra, Partition.singletons(algebra.size), alpha):
         raise PreconditionFailedError("alpha must be an abelian congruence")
     power, tuples, alpha_bar, etas = alpha_power_algebra(algebra, alpha, n)
     con = con_lattice(power, cap=None)
-    lo = con.bottom
-    hi = con.index[alpha_bar]
-    ln, elems = interval(con.lattice, lo, hi)
+    ln, elems = interval(con.lattice, con.bottom, con.index[alpha_bar])
     pos = {e: i for i, e in enumerate(elems)}
     eta_idx = [pos[con.index[e]] for e in etas]
 
@@ -860,15 +848,13 @@ def verify_embedding_construction(algebra, alpha, n):
         "complemented": ln.is_complemented(),
     }
     coatoms = ln.coatoms()
-    meet_coatoms = coatoms[0] if coatoms else ln.top
-    for c in coatoms[1:]:
-        meet_coatoms = int(ln.meet[meet_coatoms, c])
-    checks["bottom_is_meet_of_coatoms"] = meet_coatoms == ln.bottom
+
+    def meet_is_bottom(elems):  # the bottom alone lies below all of them
+        return bool(np.count_nonzero(ln.leq[:, elems].all(axis=1)) == 1)
+
+    checks["bottom_is_meet_of_coatoms"] = meet_is_bottom(coatoms)
     checks["etas_are_coatoms"] = all(e in coatoms for e in eta_idx)
-    bottom_eta = eta_idx[0]
-    for e in eta_idx[1:]:
-        bottom_eta = int(ln.meet[bottom_eta, e])
-    checks["bottom_is_meet_of_etas"] = bottom_eta == ln.bottom
+    checks["bottom_is_meet_of_etas"] = meet_is_bottom(eta_idx)
 
     common = _common_complements(ln, eta_idx)
     for i, j in zip(*np.triu_indices(n, 1)):

@@ -251,6 +251,9 @@ def main(argv=None):
     except (CongforgeError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: the input is nested too deeply to process", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebras import FiniteAlgebra, make_operation
 from .lattice import from_cover_relation
-from .partitions import Partition
+from .partitions import Partition, _int_list
 
 
 def jsonable(obj):
@@ -49,17 +49,12 @@ def _check(ok, field, what):
         raise ValueError("JSON field %s must be %s" % (field, what))
 
 
-def _ints(value):
-    """Whether value is a list of integers (a bool is no integer)."""
-    return isinstance(value, list) and all(type(v) is int for v in value)
-
-
 def lattice_from_dict(data):
     if not isinstance(data, dict) or "size" not in data or "covers" not in data:
         raise ValueError("lattice JSON needs 'size' and 'covers'")
     size, covers, labels = data["size"], data["covers"], data.get("labels")
     _check(type(size) is int and size >= 1, "size", "a positive integer")
-    _check(isinstance(covers, list) and all(_ints(c) and len(c) == 2 for c in covers),
+    _check(isinstance(covers, list) and all(_int_list(c) and len(c) == 2 for c in covers),
            "covers", "a list of integer pairs")
     if labels is not None:
         _check(isinstance(labels, list), "labels", "a list")
@@ -106,7 +101,7 @@ def algebra_from_dict(data):
                "ops[%d]" % k, "an object with 'name', 'arity' and 'table'")
         _check(type(op["arity"]) is int and op["arity"] >= 0, "ops[%d].arity" % k,
                "a nonnegative integer")
-        _check(_ints(op["table"]), "ops[%d].table" % k, "a list of integers")
+        _check(_int_list(op["table"]), "ops[%d].table" % k, "a list of integers")
     ops = [make_operation(str(op["name"]), op["arity"], op["table"], size) for op in ops]
     return FiniteAlgebra(size, ops)
 

@@ -11,7 +11,9 @@ permuting-family harness; and on arrays of rep rows, behind the
 closures and EqRelLattice's check that a family is closed in Eq(A).
 Every join on arrays goes through one kernel, _join_edges, which joins
 each rep row with a list of edges by scatter-min onto the roots and
-pointer jumping; algebras' congruence generation runs on it too.
+pointer jumping; algebras' congruence generation runs on it too.  Every
+kernel on arrays, the meet and the power construction's fibres, goes
+through _first_reps: a point's rep is the first point with its key.
 
 One semi-naive closure of rep rows, _close_rows, serves both families
 that are built by closing: closed_sublattice, the sublattice of Eq(A)
@@ -46,6 +48,11 @@ class NotPermutingError(CongforgeError):
     def __init__(self, index):
         self.index = index
         super().__init__("pair %d does not permute" % index)
+
+
+def _int_list(value):
+    """Whether value is a list of integers (a bool is no integer)."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,8 @@ class Partition:
 
     @staticmethod
     def from_blocks(n, blocks):
+        if not isinstance(blocks, list) or not all(_int_list(b) for b in blocks):
+            raise ValueError("blocks must be a list of lists of integer points")
         rep = [-1] * n
         seen = set()
         for block in blocks:
@@ -191,17 +200,21 @@ def _distinct_counts(codes):
     return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
-def _meet_reps(ra, rb):
-    """Canonical reps of the meet of each row pair.
-
-    A point's representative is the first point with the same pair of
-    blocks (rep_a[i], rep_b[i]): the first occurrence of its code, which
-    is tagged with the row so that one flat pass serves every row.
-    """
-    k, n = ra.shape
-    codes = (np.arange(k, dtype=index_dtype(k * n * n))[:, None] * n + ra) * n + rb
+def _first_reps(keys, span):
+    """Canonical reps of the kernel of each row of keys, a (k, n) array of
+    integers in 0..span-1: each point's rep is the first point of its row
+    with the same key.  Keys are tagged with their row, so that one flat
+    pass serves every row."""
+    k, n = keys.shape
+    codes = np.arange(k, dtype=index_dtype(k * span))[:, None] * span + keys
     _, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
     return (first % n)[inverse].reshape(k, n)
+
+
+def _meet_reps(ra, rb):
+    """Canonical reps of the meet of each row pair: the kernel of (rep_a, rep_b)."""
+    n = ra.shape[1]
+    return _first_reps(ra.astype(index_dtype(n * n)) * n + rb, n * n)
 
 
 def _join_edges(lab, u, v):

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -318,6 +319,55 @@ def test_alpha_power_algebra():
     assert power.size == 8
     for e in etas + [bar]:
         assert is_congruence(power, e)
+
+
+def power_by_definition(alg, alpha, n):
+    """The alpha-constant n-tuples in lexicographic order, and each
+    operation's table on them as a dict from argument tuples of indices
+    to the index of f applied coordinatewise."""
+    tuples = [t for t in itertools.product(range(alg.size), repeat=n)
+              if all(alpha.rep[x] == alpha.rep[t[0]] for x in t)]
+    index = {t: i for i, t in enumerate(tuples)}
+    tables = {
+        op.name: {args: index[tuple(entry(op.table, [tuples[a][i] for a in args])
+                                    for i in range(n))]
+                  for args in itertools.product(range(len(tuples)), repeat=op.arity)}
+        for op in alg.operations
+    }
+    return tuples, tables
+
+
+def fibres(tuples, key):
+    """The kernel of key on the tuples: each point's rep is the first point
+    with the same key."""
+    keys = [key(t) for t in tuples]
+    return Partition(tuple(keys.index(k) for k in keys))
+
+
+# Congruences and exponents whose power tables hold more entries than this
+# are left out of the definition check, which evaluates them one by one.
+_DEFINITION_ENTRIES = 1 << 12
+
+
+@pytest.mark.parametrize("chunk_bytes", [limits.CHUNK_BYTES, 1])
+@settings(deadline=None)
+@given(alg=small_algebras())
+def test_alpha_power_matches_definition(chunk_bytes, alg):
+    with mock.patch.object(limits, "CHUNK_BYTES", chunk_bytes):
+        for alpha in con_lattice(alg).congruences:
+            for n in (1, 2, 3):
+                m = sum(len(block) ** n for block in alpha.blocks())
+                if sum(m ** op.arity for op in alg.operations) > _DEFINITION_ENTRIES:
+                    continue
+                power, tuples, bar, etas = alpha_power_algebra(alg, alpha, n)
+                want_tuples, tables = power_by_definition(alg, alpha, n)
+                assert tuples == want_tuples and power.size == m
+                for op in power.operations:
+                    assert all(entry(op.table, args) == value
+                               for args, value in tables[op.name].items())
+                assert bar == fibres(tuples, lambda t: alpha.rep[t[0]])
+                assert etas == [fibres(tuples, lambda t: t[i]) for i in range(n)]
+                assert all(is_congruence(power, e) for e in [bar] + etas)
 
 
 def test_construct_delta():

@@ -181,12 +181,31 @@ def test_alg_commands(files, capsys):
     (["z2", "embed-construct", "--alpha", "top", "--n", "0"], "n >= 1"),
     (["z2", "embed-construct"], "--alpha"),
     (["s3", "wdt", "foo(x,y,z)"], "no operation named 'foo'"),
+    (["z2", "commutator", "5", "top"], "a list of lists of integer points"),
+    (["z2", "commutator", '[["a"]]', "top"], "a list of lists of integer points"),
+    (["z2", "commutator", "[[0, true]]", "top"], "a list of lists of integer points"),
+    (["z2", "embed-construct", "--alpha", "5"], "a list of lists of integer points"),
 ])
 def test_alg_bad_input_exits_2(files, capsys, argv, message):
     assert main(["alg", files[argv[0]]] + argv[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "m3", "--builtin", "dn", "--n", "2000"],
+    ["check", "m3", "--identity", "+".join(["x"] * 990) + "=x"],
+    ["check", "m3", "--identity", "(" * 3000 + "x" + ")" * 3000 + "=x"],
+    ["alg", "s3", "wdt", "mul(" * 2000 + "x" + ",x)" * 2000],
+])
+def test_deeply_nested_input_exits_2(files, capsys, argv):
+    assert main([argv[0], files[argv[1]]] + argv[2:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+    # a 400-term chain is still checked
+    assert main(["check", files["m3"], "--identity", "+".join(["x"] * 400) + "=x"]) == 0
 
 
 @pytest.mark.parametrize("data, message", [

@@ -30,6 +30,25 @@ from congforge.partitions import (
 )
 
 
+def random_partition(rng, n):
+    """A partition of n points by uniform labels from a drawn number of them."""
+    first = {}
+    labels = rng.integers(0, rng.integers(1, n + 1), size=n).tolist()
+    return Partition(tuple(first.setdefault(label, i) for i, label in enumerate(labels)))
+
+
+def test_meet_reps_on_uint8_rows_matches_p_meet():
+    # the meet's key rep_a * n + rep_b passes 255 from 17 points on, so
+    # uint8 rows catch a key computed in the rows' own dtype
+    rng = np.random.default_rng(0)
+    for n in (17, 20, 33):
+        a = [random_partition(rng, n) for _ in range(40)]
+        b = [random_partition(rng, n) for _ in range(40)]
+        ra, rb = (np.array([p.rep for p in ps], dtype=np.uint8) for ps in (a, b))
+        got = partitions._meet_reps(ra, rb).tolist()
+        assert got == [list(p_meet(x, y).rep) for x, y in zip(a, b)]
+
+
 def bell_numbers(limit):
     """Binomial recurrence, independent of the enumeration."""
     bell = [1]
