@@ -1,6 +1,10 @@
 """Finite algebras, congruence lattices, and the term-condition commutator.
 
 An algebra is a universe 0..size-1 with named finitary operation tables.
+Each table is held once, as the algebra's read-only int64 array of shape
+(size,)*arity: FiniteAlgebra copies whatever array-like an Operation
+brings (nested tuples included) and builds its own operations around
+the copies, so alg.operations[i].table is alg.by_name[name].
 Congruences are Partitions compatible with every operation.  They are
 generated in batches: a (k, n) array of canonical reps is closed under
 the algebra's unary translations, cached as one (n, C) table, by a
@@ -81,14 +85,11 @@ class PreconditionFailedError(CongforgeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operation:
     name: str
     arity: int
-    table: tuple  # nested tuples of shape (size,)*arity; a plain value for arity 0
-
-    def array(self, size):
-        return np.array(self.table, dtype=np.int64).reshape((size,) * self.arity)
+    table: np.ndarray  # shape (size,)*arity; in a FiniteAlgebra its read-only int64 array
 
 
 class FiniteAlgebra:
@@ -96,17 +97,17 @@ class FiniteAlgebra:
         if size < 1:
             raise ValueError("an algebra needs size >= 1, got %r" % (size,))
         self.size = size
-        self.operations = tuple(operations)
-        names = [op.name for op in self.operations]
-        if len(set(names)) != len(names):
-            raise ValueError("operation names must be unique")
         self.by_name = {}
-        for op in self.operations:
-            arr = op.array(size)
+        for op in operations:
+            if op.name in self.by_name:
+                raise ValueError("operation names must be unique")
+            arr = np.array(op.table, dtype=np.int64).reshape((size,) * op.arity)
             if arr.size and (arr.min() < 0 or arr.max() >= size):
                 raise ValueError("operation %s has out-of-range entries" % op.name)
             arr.setflags(write=False)
             self.by_name[op.name] = arr
+        self.operations = tuple(Operation(name, arr.ndim, arr)
+                                for name, arr in self.by_name.items())
 
     @cached_property
     def _moves(self):
@@ -162,15 +163,7 @@ def make_operation(name, arity, flat_table, size):
         raise ValueError(
             "operation %s: expected %d entries, got %d" % (name, size**arity, arr.size)
         )
-    return Operation(name, arity, _to_nested(arr.reshape((size,) * arity)))
-
-
-def _to_nested(arr):
-    """arr as nested tuples, built from arr.tolist() a row at a time."""
-    def nest(rows, depth):
-        return tuple(rows) if depth == 1 else tuple(nest(row, depth - 1) for row in rows)
-
-    return arr.item() if arr.ndim == 0 else nest(arr.tolist(), arr.ndim)
+    return Operation(name, arity, arr.reshape((size,) * arity))
 
 
 # -- algebra-side terms -------------------------------------------------------
@@ -753,7 +746,7 @@ def alpha_power_algebra(algebra, alpha, n):
         arr = algebra.by_name[op.name].astype(dtype)
         k = arr.ndim
         if k == 0:
-            ops.append(Operation(op.name, 0, int(find(np.full(n, arr)))))
+            ops.append(Operation(op.name, 0, find(np.full(n, arr))))
             continue
         # argument j runs along axis j of the grid, its coordinates last
         grid = [rows.reshape((1,) * j + (m,) + (1,) * (k - 1 - j) + (n,)) for j in range(k)]
@@ -761,7 +754,7 @@ def alpha_power_algebra(algebra, alpha, n):
         # per argument tuple: its image, then a key position and a row (8 each)
         for lo, hi in limits.chunks(m, m ** (k - 1) * (n * dtype.itemsize + 16)):
             out[lo:hi] = find(arr[(grid[0][lo:hi], *grid[1:])])
-        ops.append(Operation(op.name, k, _to_nested(out)))
+        ops.append(Operation(op.name, k, out))
     # the fibres of the first coordinate's alpha class, then of each coordinate
     fibres = np.concatenate([np.asarray(alpha.rep)[tup[:, :1].T], tup.T])
     alpha_bar, *etas = (Partition(tuple(r)) for r in _first_reps(fibres, algebra.size).tolist())

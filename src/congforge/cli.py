@@ -183,7 +183,7 @@ def cmd_verify(args):
             json.dumps(
                 {
                     "passed": all_pass,
-                    "suites": [json.loads(r.to_json()) for r in results],
+                    "suites": [r.to_dict() for r in results],
                 },
                 indent=2,
             )

@@ -73,20 +73,14 @@ def partition_to_dict(part):
 def partition_from_dict(data):
     if not isinstance(data, dict) or "base_size" not in data or "blocks" not in data:
         raise ValueError("partition JSON needs 'base_size' and 'blocks'")
-    return Partition.from_blocks(int(data["base_size"]), data["blocks"])
+    size = data["base_size"]
+    _check(type(size) is int and size >= 0, "base_size", "a nonnegative integer")
+    return Partition.from_blocks(size, data["blocks"])
 
 
 def algebra_to_dict(alg):
-    ops = []
-    for op in alg.operations:
-        arr = alg.by_name[op.name]
-        ops.append(
-            {
-                "name": op.name,
-                "arity": int(arr.ndim),
-                "table": [int(x) for x in arr.ravel()],
-            }
-        )
+    ops = [{"name": op.name, "arity": op.arity, "table": op.table.ravel().tolist()}
+           for op in alg.operations]
     return {"size": alg.size, "ops": ops}
 
 

@@ -555,7 +555,7 @@ def abelian_coset_partitions(orders):
         return frozenset(sub)
 
     subgroups = {close(())}
-    for k in (1, 2, 3):
+    for k in range(1, len(orders) + 1):  # r generators suffice in a product of r cyclic groups
         for gens in itertools.combinations(elements, k):
             subgroups.add(close(gens))
     out = []

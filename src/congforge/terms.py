@@ -396,7 +396,10 @@ def _dn_transfer(lat, n):
                            + join[x0p * size + meet[x0 * size + cross]]]
                 discrepancies += int(w[s][t_dn != t_ds].sum())
             checked += int(w.sum())
-    assert checked == size ** (2 * n), (checked, size, n)
+    if checked != size ** (2 * n):
+        raise RuntimeError(
+            "the dn transfer weighed %d of %d**%d assignments; this indicates a bug"
+            % (checked, size, 2 * n))
     return checked, discrepancies
 
 

@@ -64,19 +64,19 @@ class SuiteResult:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def to_json(self):
+    def to_dict(self):
         ids = [c.check_id for c in self.checks]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate check ids in suite %r" % self.suite)
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "seed": self.seed,
-                "passed": self.passed,
-                "checks": [c.to_dict() for c in sorted(self.checks, key=lambda c: c.check_id)],
-            },
-            indent=2,
-        )
+        return {
+            "suite": self.suite,
+            "seed": self.seed,
+            "passed": self.passed,
+            "checks": [c.to_dict() for c in sorted(self.checks, key=lambda c: c.check_id)],
+        }
+
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2)
 
     def add(self, check_id, description, passed, witness=None, started=None):
         elapsed = time.perf_counter() - started if started is not None else 0.0

@@ -12,6 +12,7 @@ from congforge.algebras import (
     _compatible,
     FiniteAlgebra,
     NonConvergenceError,
+    Operation,
     PreconditionFailedError,
     TOp,
     TVar,
@@ -88,6 +89,29 @@ def test_is_congruence():
     assert not is_congruence(z4, Partition.from_blocks(4, [[0, 1], [2, 3]]))
 
 
+def test_operation_tables_are_the_algebras_read_only_arrays():
+    mul = tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3))
+    nested = FiniteAlgebra(3, [Operation("mul", 2, mul), Operation("inv", 1, (0, 2, 1)),
+                               Operation("zero", 0, 0)])
+    flat = FiniteAlgebra(3, [make_operation("mul", 2, [x for row in mul for x in row], 3),
+                             make_operation("inv", 1, [0, 2, 1], 3),
+                             make_operation("zero", 0, [0], 3)])
+    power = alpha_power_algebra(nested, top(nested), 2)[0]
+    for alg in (nested, flat, power):
+        assert [op.name for op in alg.operations] == ["mul", "inv", "zero"]
+        for op in alg.operations:
+            arr = alg.by_name[op.name]
+            assert op.table is arr and arr.dtype == np.int64
+            assert arr.shape == (alg.size,) * op.arity
+            with pytest.raises(ValueError):
+                arr[(0,) * op.arity] = 0
+    for op in nested.operations:
+        assert np.array_equal(op.table, flat.by_name[op.name])
+    assert nested.by_name["mul"].tolist() == [list(row) for row in mul]
+    assert nested.by_name["zero"].shape == () and power.by_name["zero"].item() == 0
+    assert nested.operations[0] != flat.operations[0]  # operations compare by identity
+
+
 def entry(table, args):
     for a in args:
         table = table[a]
@@ -96,13 +120,14 @@ def entry(table, args):
 
 def compatible_by_definition(alg, part):
     """Does f(args) relate to f(alt) for every operation f and all argument
-    tuples related entrywise?  Checked tuple by tuple on the nested tables."""
+    tuples related entrywise?  Checked tuple by tuple on the tables as nested lists."""
     blocks = {x: block for block in part.blocks() for x in block}
     for op in alg.operations:
+        table = op.table.tolist()
         for args in itertools.product(range(alg.size), repeat=op.arity):
-            want = part.rep[entry(op.table, args)]
+            want = part.rep[entry(table, args)]
             for alt in itertools.product(*(blocks[a] for a in args)):
-                if part.rep[entry(op.table, alt)] != want:
+                if part.rep[entry(table, alt)] != want:
                     return False
     return True
 
@@ -328,8 +353,9 @@ def power_by_definition(alg, alpha, n):
     tuples = [t for t in itertools.product(range(alg.size), repeat=n)
               if all(alpha.rep[x] == alpha.rep[t[0]] for x in t)]
     index = {t: i for i, t in enumerate(tuples)}
+    lists = {op.name: op.table.tolist() for op in alg.operations}
     tables = {
-        op.name: {args: index[tuple(entry(op.table, [tuples[a][i] for a in args])
+        op.name: {args: index[tuple(entry(lists[op.name], [tuples[a][i] for a in args])
                                     for i in range(n))]
                   for args in itertools.product(range(len(tuples)), repeat=op.arity)}
         for op in alg.operations
@@ -363,7 +389,8 @@ def test_alpha_power_matches_definition(chunk_bytes, alg):
                 want_tuples, tables = power_by_definition(alg, alpha, n)
                 assert tuples == want_tuples and power.size == m
                 for op in power.operations:
-                    assert all(entry(op.table, args) == value
+                    table = op.table.tolist()
+                    assert all(entry(table, args) == value
                                for args, value in tables[op.name].items())
                 assert bar == fibres(tuples, lambda t: alpha.rep[t[0]])
                 assert etas == [fibres(tuples, lambda t: t[i]) for i in range(n)]

@@ -59,6 +59,9 @@ def test_partition_json():
     assert again == part
     with pytest.raises(ValueError):
         jsonio.partition_from_dict({"base_size": 3, "blocks": [[0, 1]]})
+    for size, blocks in ((2.9, [[0, 1]]), (True, [[0]]), ("2", [[0, 1]])):
+        with pytest.raises(ValueError, match="base_size"):
+            jsonio.partition_from_dict({"base_size": size, "blocks": blocks})
 
 
 def test_check_exit_codes(files, capsys):
@@ -104,8 +107,9 @@ def test_duplicate_check_ids_are_rejected():
     result = verify.SuiteResult("demo", 0)
     result.add("same-id", "first", True)
     result.add("same-id", "second", True)
-    with pytest.raises(ValueError, match="duplicate check ids"):
-        result.to_json()
+    for dump in (result.to_dict, result.to_json):
+        with pytest.raises(ValueError, match="duplicate check ids"):
+            dump()
 
 
 def test_check_dn_star_on_line_lattice(tmp_path, capsys):

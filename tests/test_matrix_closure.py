@@ -27,7 +27,7 @@ def closure_by_definition(algebra, alpha, beta):
     n = algebra.size
     rows = {(a, a, b, b) for a in range(n) for b in range(n) if alpha.rep[a] == alpha.rep[b]}
     rows |= {(u, v, u, v) for u in range(n) for v in range(n) if beta.rep[u] == beta.rep[v]}
-    ops = [(op.table, op.arity) for op in algebra.operations]
+    ops = [(op.table.tolist(), op.arity) for op in algebra.operations]
 
     def apply(table, args):
         for a in args:

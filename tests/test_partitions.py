@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congforge import fixtures, limits, partitions, terms
+from congforge import fixtures, limits, partitions, terms, verify
+from congforge.algebras import con_lattice
 from congforge.lattice import FiniteLattice, NotALatticeError, find_sublattice
 from congforge.limits import SizeLimitError
 from congforge.partitions import (
@@ -495,6 +496,15 @@ def test_abelian_coset_partitions():
     assert len(cube) == 16
     for a, b in itertools.combinations(cube, 2):
         assert permutes(a, b)
+
+
+def test_abelian_coset_partitions_are_the_congruences_of_the_group():
+    z2_4 = abelian_coset_partitions((2, 2, 2, 2))
+    assert len(z2_4) == 67  # the subgroups of Z2^4, the whole group among them
+    assert Partition.one_block(16) in z2_4
+    for orders in verify._ABELIAN_ORDERS + [(2, 2, 2, 2)]:
+        con = con_lattice(fixtures.abelian_group(orders), cap=None)
+        assert set(abelian_coset_partitions(orders)) == set(con.congruences), orders
 
 
 @settings(max_examples=30, deadline=None)

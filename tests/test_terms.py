@@ -461,6 +461,13 @@ def test_pinned_discrepancy_counts_on_n5(n5, monkeypatch):
     assert terms._dn_transfer(n5, 4) == (5 ** 8, 2531)
 
 
+def test_transfer_raises_when_its_walk_misses_assignments(n5, monkeypatch):
+    real = terms.chunks
+    monkeypatch.setattr(terms, "chunks", lambda *args, **kw: list(real(*args, **kw))[:-1])
+    with pytest.raises(RuntimeError, match="indicates a bug"):
+        terms._dn_transfer(n5, 3)
+
+
 def test_transfer_refuses_counts_past_int64():
     two = fixtures.chain(2)
     assert terms._dn_transfer(two, 31) == (2 ** 62, 0)
