@@ -16,9 +16,17 @@ closure of partitions._close_rows joins each new row with the
 principals only, its size meets the CONGFORGE_CAP check after every
 chunk of a round, and every row of the result is then checked for
 compatibility in one vectorised pass.
-Centrality C(a, b; d) is decided by generating the closure of the 2x2
-matrix set from its generators under the basic operations and scanning;
-the commutator [a, b] is the ascending fixpoint of the induced closure.
+Centrality C(a, b; d) and the commutator [a, b] of congruences a and b
+are read off the closure M(a, b) of the 2x2 matrices under the basic
+operations, unless the order settles them first.  For a congruence d,
+C(a, b; d) holds when b <= d, since the bottom row of a matrix is then
+d-related, and when a <= d, since a d-related top row then gives
+t(b,u) d t(a,u) d t(a,v) d t(b,v).  Meets keep the term condition, so
+[a, b] <= a ^ b, and it is the bottom when a ^ b is.  A bound is used
+only once the partitions it needs are checked to be congruences, so
+other partitions get the closure's answer.  Otherwise centrality scans
+M and the commutator is the ascending fixpoint of the congruence it
+induces.
 
 The closure works on integer keys.  A matrix (m00, m01, m10, m11) is the
 key hi*n^2 + lo with hi = m00*n + m01 and lo = m10*n + m11, so one key
@@ -32,17 +40,24 @@ the table and one take picks the last argument's columns from them.
 Rounds are semi-naive, so every argument tuple with a new matrix in it
 is evaluated once; an associative binary operation is applied only to
 pairs of a matrix and one of its generators.  Duplicates are removed by
-an n^4 bitmap, not by sorting.  The tables, which of them are
-associative and the translation table are derived lazily on first use
+an n^4 bitmap, not by sorting.  The same rounds (_close) run in A^2,
+on pairs of points and the operation tables themselves, for algebras
+with a majority basic operation: by the Baker-Pixley theorem M is then
+the set of 4-tuples whose six pairs of coordinates lie in the
+subalgebras of A^2 spanned by the projected seeds, b, a and Sg(a u b)
+on the diagonals, so M is one filter over n^4 cells and no n^(2k) pair
+table is built.  The tables, which of them are associative or majority
+operations and the translation table are derived lazily on first use
 and cached on the algebra; no closure or congruence is cached across
 calls.
 
 The power construction holds its universe, the alpha-constant n-tuples
 in lexicographic order, as one (m, n) array.  A k-ary table is one
 gather over the (m,)*k grid of argument rows, coordinates last, in row
-ranges of limits.chunks; image tuples are looked up among the rows by
-byte key (argsort, then searchsorted).  alpha_bar and the kernels eta_i
-are fibres, read off by partitions._first_reps.
+ranges of limits.chunks; image tuples are found among the rows by an
+integer key that grows with the lexicographic order (searchsorted).
+alpha_bar and the kernels eta_i are fibres, read off by
+partitions._first_reps.
 """
 
 from __future__ import annotations
@@ -139,6 +154,16 @@ class FiniteAlgebra:
             table.setflags(write=False)
             out.append(table)
         return tuple(out)
+
+    @cached_property
+    def _majority(self):
+        """For each operation of positive arity, whether it is a majority
+        operation: ternary, with m(x,x,y) = m(x,y,x) = m(y,x,x) = x for
+        all x and y (3 n^2 entries each)."""
+        x, y = np.indices((self.size, self.size))
+        return tuple(arr.ndim == 3 and bool(((arr[x, x, y] == x) & (arr[x, y, x] == x)
+                                             & (arr[y, x, x] == x)).all())
+                     for arr in self.by_name.values() if arr.ndim)
 
     @cached_property
     def _associative(self):
@@ -417,11 +442,13 @@ def con_lattice(algebra, cap=limits.DEFAULT_ALGEBRA_CAP):
 
 # -- centrality and the commutator --------------------------------------------
 
-# Worst-case bytes per matrix of the closure: the seen and mark bitmaps
-# (1 + 1), the row codes hi and lo (8 + 8), and the returned row (4 * 8)
-# with the transients of decoding it (4 * 8).
-_MATRIX_BYTES = 82
-# Worst-case bytes per matrix for each binary operation, which may be
+# Worst-case bytes per element of a closure's rounds: the seen and mark
+# bitmaps (1 + 1) and the codes hi and lo (8 + 8).
+_ELEMENT_BYTES = 18
+# Worst-case bytes per returned matrix: its row (4 * 8) and the transients
+# of decoding it (4 * 8).
+_ROW_BYTES = 64
+# Worst-case bytes per element for each binary operation, which may be
 # associative: its own image bitmap (1) and the hi and lo codes of its
 # generators (8 + 8).
 _GENERATOR_BYTES = 17
@@ -430,15 +457,22 @@ _GENERATOR_BYTES = 17
 _CELL_BYTES = 16
 
 
-def _closure_bytes(algebra):
-    """Bytes of the closure's state: bitmaps, rows, generators and pair
-    tables.  Every binary operation is counted as associative, so the bound
-    is settled before associativity is."""
+def _closure_bytes(algebra, by_projections=False):
+    """Bytes of a closure's state.  By rounds in A^4: n^4-entry bitmaps,
+    rows, generators and pair tables.  By projections: the same state of
+    rounds in A^2, over n^2 pairs, on narrow copies of the tables, the
+    three relations they give and the returned rows.  Every binary
+    operation is counted as associative, so the bound is settled before
+    associativity is."""
     n2 = algebra.size**2
-    item = narrow_dtype(n2).itemsize
     arities = [arr.ndim for arr in algebra.by_name.values() if arr.ndim]
-    per_matrix = _MATRIX_BYTES + _GENERATOR_BYTES * arities.count(2)
-    return n2 * n2 * per_matrix + sum(item * n2**k for k in arities)
+    per_element = _ELEMENT_BYTES + _GENERATOR_BYTES * arities.count(2)
+    if by_projections:
+        item = narrow_dtype(algebra.size).itemsize
+        return (n2 * n2 * _ROW_BYTES + n2 * (per_element + 3)
+                + sum(item * algebra.size**k for k in arities))
+    item = narrow_dtype(n2).itemsize
+    return n2 * n2 * (per_element + _ROW_BYTES) + sum(item * n2**k for k in arities)
 
 
 def _boxes(spans, cell_bytes, row_bytes):
@@ -482,81 +516,57 @@ def _gather(table, codes, box):
     return table.reshape(-1, n2)[lead].take(cols, axis=1)
 
 
-def _matrix_closure(algebra, alpha, beta):
-    """All 2x2 matrices [[t(a,u), t(a,v)], [t(b,u), t(b,v)]] with t a term
-    operation, the two rows alpha-related and the two columns beta-related
-    componentwise.
+def _close(tables, associative, base, seen):
+    """Close the keys marked in the bitmap seen, in place, under every
+    table, and return seen.
 
-    Generated as the subalgebra of the 4th power spanned by the row seeds
-    (a,a,b,b) for a alpha b and the column seeds (u,v,u,v) for u beta v,
-    closed under every basic operation entrywise; the diagonal seeds
-    (c,c,c,c) supply every constant.  A matrix is the key hi*n^2 + lo with
-    hi = m00*n + m01 and lo = m10*n + m11, and a k-ary operation maps k
-    matrices to pair_table[his]*n^2 + pair_table[los].
+    An element is a pair of digits (hi, lo) in 0..base-1, the key
+    hi*base + lo; tables[j] has shape (base,)*k and applies a k-ary
+    operation to digits, so k elements map to
+    table[their his]*base + table[their los].  The matrix closure runs
+    in A^4 on pair codes (base n^2, the pair tables) and the projection
+    route in A^2 on points (base n, the operation tables).
 
-    Rounds are semi-naive.  With old the matrices found before the last
-    round, new those found in it and current their union, a k-ary
-    operation takes new in argument slot i, old in the slots before it and
-    current in the slots after it, so each argument tuple holding a new
-    matrix is evaluated exactly once.
+    Rounds are semi-naive.  With old the elements found before the last
+    round, new those found in it and current their union, a k-ary table
+    takes new in argument slot i, old in the slots before it and current
+    in the slots after it, so each argument tuple holding a new element
+    is evaluated exactly once.
 
-    An associative binary operation f is applied only to pairs (matrix,
-    generator), m * |G_f| products instead of m^2, as V. Froidure and
-    J.-E. Pin enumerate a semigroup by its right Cayley graph
-    ("Algorithms for computing finite semigroups", 1997).  G_f starts as
-    the seeds, and each round adds every fresh matrix that f did not
-    produce in that round, read from a bitmap of f's own images.  By
-    induction every matrix is then an f-product g1*...*gk of matrices of
-    G_f: it is in G_f, or f produced it as a*g from a found matrix a and g
-    in G_f.  So S*G_f within S gives S*S within S, since
+    A table whose associative flag is set is applied only to pairs
+    (element, generator), m * |G_f| products instead of m^2, as
+    V. Froidure and J.-E. Pin enumerate a semigroup by its right Cayley
+    graph ("Algorithms for computing finite semigroups", 1997).  G_f
+    starts as the seeds, and each round adds every fresh element that f
+    did not produce in that round, read from a bitmap of f's own images.
+    By induction every element is then an f-product g1*...*gk of elements
+    of G_f: it is in G_f, or f produced it as a*g from a found element a
+    and g in G_f.  So S*G_f within S gives S*S within S, since
     a*(g1*...*gk) = ((a*g1)*...)*gk (f acts entrywise, so it is
-    associative on the 4th power too).  Each round evaluates f on new x
-    all of G_f and on old x the generators added in the last round, so
-    each pair is evaluated exactly once.
+    associative on the power too).  Each round evaluates f on new x all
+    of G_f and on old x the generators added in the last round, so each
+    pair is evaluated exactly once.
 
-    Images are scattered into an n^4 mark bitmap, minus the seen bitmap,
-    and np.flatnonzero yields the next round's matrices.  Argument tuples
-    are evaluated in boxes whose keys and gathered table rows fit one
-    chunk (limits.fits); the bitmaps, rows, generators and pair tables
-    must fit limits.CLOSURE_BYTES or SizeLimitError is raised before
-    anything is allocated.
-
-    Returns an (m, 4) int64 array of rows (m00, m01, m10, m11) in ascending
-    key order, i.e. lexicographically ascending rows.
+    Images are scattered into a mark bitmap, minus seen, and
+    np.flatnonzero yields the next round's elements; once every key is
+    seen nothing can be new.  Argument tuples are evaluated in boxes
+    whose keys and gathered table rows fit one chunk (limits.fits).
     """
-    need = _closure_bytes(algebra)
-    if need > limits.CLOSURE_BYTES:
-        raise SizeLimitError(
-            "2x2-matrix closure on %d elements needs %d bytes, over the bound of %d"
-            % (algebra.size, need, limits.CLOSURE_BYTES)
-        )
-    n = algebra.size
-    n2 = n * n
-    arep = np.asarray(alpha.rep)
-    brep = np.asarray(beta.rep)
-    x, y = np.divmod(np.arange(n2), n)
-    seen = np.zeros(n2 * n2, dtype=bool)
-    rows = np.flatnonzero(arep[x] == arep[y])
-    seen[x[rows] * (n + 1) * n2 + y[rows] * (n + 1)] = True
-    cols = np.flatnonzero(brep[x] == brep[y])
-    seen[cols * n2 + cols] = True
-
-    tables = algebra._pair_tables
-    key_dtype = narrow_dtype(n2 * n2)
+    key_dtype = narrow_dtype(base * base)
     mark = np.zeros_like(seen)
-    hi, lo = np.divmod(np.flatnonzero(seen), n2)
+    hi, lo = np.divmod(np.flatnonzero(seen), base)
     # per associative table: its image bitmap, its generators' hi and lo
     # codes, and how many of them the last round added
     gens = {j: [np.zeros_like(seen), hi, lo, hi.size]
-            for j, assoc in enumerate(algebra._associative) if assoc}
+            for j, assoc in enumerate(associative) if assoc}
     n_old = 0
-    while n_old < hi.size:
+    while n_old < hi.size < seen.size:
         m = hi.size
         for j, table in enumerate(tables):
             k = table.ndim
-            # a gathered row of n^2 table entries, and for k >= 3 the
+            # a gathered row of base table entries, and for k >= 3 the
             # flat row index and its product (8 each)
-            row_bytes = n2 * table.itemsize + 16
+            row_bytes = base * table.itemsize + 16
             if j in gens:
                 images, ghi, glo, added = gens[j]
                 images.fill(False)
@@ -571,7 +581,7 @@ def _matrix_closure(algebra, alpha, beta):
             for spans in products:
                 for box in _boxes(spans, _CELL_BYTES, row_bytes):
                     key = _gather(table, his, box).astype(key_dtype)
-                    key *= n2
+                    key *= base
                     key += _gather(table, los, box)
                     images[key] = True
             if j in gens:
@@ -580,10 +590,10 @@ def _matrix_closure(algebra, alpha, beta):
         fresh = np.flatnonzero(mark)
         seen[fresh] = True
         mark[fresh] = False
-        fresh_hi, fresh_lo = np.divmod(fresh, n2)
+        fresh_hi, fresh_lo = np.divmod(fresh, base)
         for gen in gens.values():
             images, ghi, glo, _ = gen
-            other = ~images[fresh]  # fresh matrices this operation did not produce
+            other = ~images[fresh]  # fresh elements this table did not produce
             added = np.count_nonzero(other)
             if added:
                 ghi = np.concatenate([ghi, fresh_hi[other]])
@@ -592,38 +602,183 @@ def _matrix_closure(algebra, alpha, beta):
         hi = np.concatenate([hi, fresh_hi])
         lo = np.concatenate([lo, fresh_lo])
         n_old = m
-    hi, lo = np.divmod(np.flatnonzero(seen), n2)
+    return seen
+
+
+def _matrix_closure(algebra, alpha, beta):
+    """All 2x2 matrices [[t(a,u), t(a,v)], [t(b,u), t(b,v)]] with t a term
+    operation, the two rows alpha-related and the two columns beta-related
+    componentwise: the subalgebra M of the 4th power spanned by the row
+    seeds (a,a,b,b) for a alpha b and the column seeds (u,v,u,v) for
+    u beta v; the diagonal seeds (c,c,c,c) supply every constant.
+
+    When some basic operation is a majority operation, M is read off its
+    projections onto pairs of coordinates (_closure_by_projections);
+    otherwise it is generated by rounds (_closure_by_rounds).  Both
+    return the same (m, 4) int64 array of rows (m00, m01, m10, m11) in
+    lexicographically ascending order, and both must fit
+    limits.CLOSURE_BYTES or SizeLimitError is raised before anything is
+    allocated.
+    """
+    by_projections = any(algebra._majority)
+    need = _closure_bytes(algebra, by_projections)
+    if need > limits.CLOSURE_BYTES:
+        raise SizeLimitError(
+            "2x2-matrix closure on %d elements needs %d bytes, over the bound of %d"
+            % (algebra.size, need, limits.CLOSURE_BYTES)
+        )
+    if by_projections:
+        return _closure_by_projections(algebra, alpha, beta)
+    return _closure_by_rounds(algebra, alpha, beta)
+
+
+def _closure_by_rounds(algebra, alpha, beta):
+    """The matrix closure generated by _close in A^4, for any algebra; its
+    caller settles the byte bound.  A matrix is the key hi*n^2 + lo with
+    hi = m00*n + m01 and lo = m10*n + m11, so a k-ary operation maps k
+    matrices to pair_table[his]*n^2 + pair_table[los]."""
+    n = algebra.size
+    n2 = n * n
+    arep = np.asarray(alpha.rep)
+    brep = np.asarray(beta.rep)
+    x, y = np.divmod(np.arange(n2), n)
+    seen = np.zeros(n2 * n2, dtype=bool)
+    rows = np.flatnonzero(arep[x] == arep[y])
+    seen[x[rows] * (n + 1) * n2 + y[rows] * (n + 1)] = True
+    cols = np.flatnonzero(brep[x] == brep[y])
+    seen[cols * n2 + cols] = True
+    hi, lo = np.divmod(np.flatnonzero(_close(algebra._pair_tables, algebra._associative,
+                                             n2, seen)), n2)
     out = np.empty((hi.size, 4), dtype=np.int64)
     out[:, 0], out[:, 1] = np.divmod(hi, n)
     out[:, 2], out[:, 3] = np.divmod(lo, n)
     return out
 
 
-def centrality(algebra, alpha, beta, delta):
-    """Decide the term condition C(alpha, beta; delta)."""
-    quads = _matrix_closure(algebra, alpha, beta)
+# Each pair of coordinates of a matrix (m00, m01, m10, m11), and the seeds
+# whose projection onto it spans that projection of the closure: the
+# columns (u, v) for u beta v, the rows (a, b) for a alpha b, and on the
+# diagonals (m00, m11) and (m01, m10) both.
+_PROJECTIONS = ((0, 1, "beta"), (2, 3, "beta"), (0, 2, "alpha"), (1, 3, "alpha"),
+                (0, 3, "theta"), (1, 2, "theta"))
+
+
+def _closure_by_projections(algebra, alpha, beta):
+    """The matrix closure M when some basic operation m is a majority
+    operation: m(x,x,y) = m(x,y,x) = m(y,x,x) = x.
+
+    Then every subalgebra R of A^3 or A^4 is the set of tuples whose
+    projections onto every pair of coordinates lie in those of R
+    (K. Baker, A. Pixley, "Polynomial interpolation and the Chinese
+    remainder theorem for algebraic systems", Math. Z. 143 (1975)).
+    Proof: let t have every pair in the projections of R.  In A^3, for
+    i = 1, 2, 3 some r_i in R agrees with t on the two coordinates other
+    than i; at each coordinate two of r_1, r_2, r_3 agree with t, so
+    m(r_1, r_2, r_3) = t lies in R.  In A^4, the A^3 case, applied to the
+    projections of R onto three coordinates, gives r_i in R agreeing with
+    t off coordinate i for i = 1, 2, 3; m(r_1, r_2, r_3) agrees with t at
+    coordinates 1-3 as before, and at coordinate 4, where all three do.
+
+    A projection is a homomorphism, so the projection of M onto a pair of
+    coordinates is the subalgebra of A^2 spanned by the projected seeds:
+    Sg(beta) on the rows (m00, m01) and (m10, m11), Sg(alpha) on the
+    columns, and Theta = Sg(alpha u beta) on both diagonals (the column
+    seed (u,v,u,v) gives (v, u), and beta is symmetric).  For
+    congruences the first two are beta and alpha themselves.  The three
+    are closed by _close in A^2, on the n^2 pair codes and the n^k
+    operation tables, so no pair table is built; M is then the filter
+    over first coordinates in the row ranges of limits.chunks, and its
+    rows come out in ascending order.  Its caller settles the byte bound.
+    """
+    n = algebra.size
+    dtype = narrow_dtype(n)
+    tables = tuple(arr.astype(dtype) for arr in algebra.by_name.values() if arr.ndim)
+    arep = np.asarray(alpha.rep)
+    brep = np.asarray(beta.rep)
+    in_alpha = arep[:, None] == arep
+    in_beta = brep[:, None] == brep
+    relations = {"alpha": in_alpha, "beta": in_beta, "theta": in_alpha | in_beta}
+    for rel in relations.values():
+        _close(tables, algebra._associative, n, rel.ravel())  # in place: rel is contiguous
+    found = []
+    # a block of n^3 bools per first coordinate
+    for lo, hi in limits.chunks(n, n**3):
+        block = np.ones((hi - lo, n, n, n), dtype=bool)
+        for i, j, name in _PROJECTIONS:
+            shape = [1, 1, 1, 1]
+            shape[i] = shape[j] = n
+            rel = relations[name]
+            if i == 0:
+                rel, shape[0] = rel[lo:hi], hi - lo
+            block &= rel.reshape(shape)
+        x, y, z, w = np.nonzero(block)
+        found.append(np.stack([x + lo, y, z, w], axis=1).astype(np.int64, copy=False))
+    return np.concatenate(found)
+
+
+def _check_base(algebra, *parts):
+    for part in parts:
+        if part.base_size != algebra.size:
+            raise SizeMismatchError(
+                "a partition has base size %d, the algebra %d" % (part.base_size, algebra.size)
+            )
+
+
+def _violations(quads, delta):
+    """Which matrices of a closure break C(alpha, beta; delta): the top
+    row delta-related and the bottom row not."""
     drep = np.asarray(delta.rep)
-    top = drep[quads[:, 0]] == drep[quads[:, 1]]
-    bottom = drep[quads[:, 2]] == drep[quads[:, 3]]
-    return not bool((top & ~bottom).any())
+    return (drep[quads[:, 0]] == drep[quads[:, 1]]) & (drep[quads[:, 2]] != drep[quads[:, 3]])
+
+
+def centrality(algebra, alpha, beta, delta):
+    """Decide the term condition C(alpha, beta; delta).
+
+    The rows of every matrix lie in the subalgebra of A^2 that beta spans,
+    its columns in the one alpha spans, and a congruence delta holds
+    either subalgebra when it holds alpha or beta.  So C holds when delta
+    is a congruence and beta <= delta, since the bottom row t(b,u), t(b,v)
+    is then delta-related, and when delta is a congruence and
+    alpha <= delta, since a delta-related top row then gives
+    t(b,u) delta t(a,u) delta t(a,v) delta t(b,v).  Otherwise the matrix
+    closure is scanned.  Partitions of another base size raise
+    SizeMismatchError.
+    """
+    _check_base(algebra, alpha, beta, delta)
+    if (p_leq(alpha, delta) or p_leq(beta, delta)) and is_congruence(algebra, delta):
+        return True
+    return not _violations(_matrix_closure(algebra, alpha, beta), delta).any()
 
 
 def commutator(algebra, alpha, beta):
     """[alpha, beta]: the least congruence delta with C(alpha, beta; delta).
 
-    Ascending fixpoint: seed delta with the bottom rows of matrices whose
-    top rows are equal, close to a congruence, re-scan, repeat.  Each
-    round strictly grows delta, so failing to stabilise within size^2
-    rounds signals a bug.
+    For congruences alpha and beta, C(alpha, beta; alpha) and
+    C(alpha, beta; beta) hold (see centrality), and the term condition is
+    kept by meets of its deltas, so [alpha, beta] <= alpha ^ beta: when
+    that meet is the bottom it is the answer.  Otherwise an ascending
+    fixpoint over the matrix closure (_commutator_fixpoint).  Partitions
+    of another base size raise SizeMismatchError.
     """
-    quads = _matrix_closure(algebra, alpha, beta)
+    _check_base(algebra, alpha, beta)
+    meet = p_meet(alpha, beta)
+    if (meet == Partition.singletons(algebra.size) and is_congruence(algebra, alpha)
+            and is_congruence(algebra, beta)):
+        return meet
+    return _commutator_fixpoint(algebra, _matrix_closure(algebra, alpha, beta))
+
+
+def _commutator_fixpoint(algebra, quads):
+    """The least congruence delta that no matrix of quads violates.
+
+    Seed delta with the bottom rows of matrices whose top rows are equal,
+    close to a congruence, re-scan, repeat.  Each round strictly grows
+    delta, so failing to stabilise within size^2 rounds signals a bug.
+    """
     n = algebra.size
     delta = congruence_from_pairs(algebra, quads[quads[:, 0] == quads[:, 1], 2:4])
     for _ in range(n * n + 1):
-        drep = np.asarray(delta.rep)
-        top = drep[quads[:, 0]] == drep[quads[:, 1]]
-        bottom = drep[quads[:, 2]] == drep[quads[:, 3]]
-        viol = quads[top & ~bottom]
+        viol = quads[_violations(quads, delta)]
         if viol.shape[0] == 0:
             return delta
         delta = congruence_from_pairs(algebra, viol[:, 2:4], start=delta)
@@ -631,12 +786,15 @@ def commutator(algebra, alpha, beta):
 
 
 def commutator_by_descent(algebra, alpha, beta, con=None):
-    """Test oracle: meet of every congruence delta with C(alpha, beta; delta)."""
+    """Test oracle: the meet of every congruence delta with C(alpha, beta;
+    delta), each decided on one matrix closure, without the order bounds."""
+    _check_base(algebra, alpha, beta)
     if con is None:
         con = con_lattice(algebra)
+    quads = _matrix_closure(algebra, alpha, beta)
     out = Partition.one_block(algebra.size)
     for delta in con.congruences:
-        if centrality(algebra, alpha, beta, delta):
+        if not _violations(quads, delta).any():
             out = p_meet(out, delta)
     return out
 
@@ -671,6 +829,7 @@ def is_solvable_interval(algebra, beta, alpha):
 
 def abelian_interval(algebra, beta, alpha):
     """Decide C(alpha, alpha; beta) for beta <= alpha."""
+    _check_base(algebra, beta, alpha)
     if not p_leq(beta, alpha):
         raise ValueError("beta must lie below alpha")
     return centrality(algebra, alpha, alpha, beta)
@@ -734,12 +893,26 @@ def alpha_power_algebra(algebra, alpha, n):
     tup = tup[np.lexsort(tup.T[::-1])]
     dtype = narrow_dtype(algebra.size)
     rows = tup.astype(dtype)
-    key = np.dtype((np.void, n * dtype.itemsize))
-    order = np.argsort(rows.view(key)[:, 0])
-    keys = rows.view(key)[order, 0]
+    # A tuple's key is mixed-radix: its first point, then the place of each
+    # later point in its block (all share the first point's block), in
+    # base the largest block size s.  It grows with the lexicographic
+    # order, and stays below size * s^(n-1) <= size * m.
+    s = max(map(len, blocks))
+    place = np.zeros(algebra.size, dtype=np.int64)
+    for block in blocks:
+        place[block] = np.arange(len(block))
+
+    def key(points):
+        out = points[..., 0].astype(np.int64)
+        for i in range(1, n):
+            out *= s
+            out += place[points[..., i]]
+        return out
+
+    keys = key(rows)
 
     def find(images):
-        return order[np.searchsorted(keys, images.view(key)[..., 0])]
+        return np.searchsorted(keys, key(images))
 
     ops = []
     for op in algebra.operations:
@@ -751,8 +924,8 @@ def alpha_power_algebra(algebra, alpha, n):
         # argument j runs along axis j of the grid, its coordinates last
         grid = [rows.reshape((1,) * j + (m,) + (1,) * (k - 1 - j) + (n,)) for j in range(k)]
         out = np.empty((m,) * k, dtype=np.int64)
-        # per argument tuple: its image, then a key position and a row (8 each)
-        for lo, hi in limits.chunks(m, m ** (k - 1) * (n * dtype.itemsize + 16)):
+        # per argument tuple: its image, then its key, a place and a row (8 each)
+        for lo, hi in limits.chunks(m, m ** (k - 1) * (n * dtype.itemsize + 24)):
             out[lo:hi] = find(arr[(grid[0][lo:hi], *grid[1:])])
         ops.append(Operation(op.name, k, out))
     # the fibres of the first coordinate's alpha class, then of each coordinate

@@ -128,11 +128,24 @@ class FiniteLattice:
         self.meet = _bound_table(np.packbits(leq.T, axis=1), "greatest lower bound")
         self.bottom = int(leq.all(axis=1).argmax())
         self.top = int(leq.all(axis=0).argmax())
-        self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("label count does not match size")
+        self._labels = labels if labels is None or callable(labels) else self._counted(labels)
         for arr in (self.leq, self.join, self.meet):
             arr.setflags(write=False)
+
+    def _counted(self, labels):
+        labels = list(labels)
+        if len(labels) != self.size:
+            raise ValueError("label count does not match size")
+        return labels
+
+    @property
+    def labels(self):
+        """The element labels, or None.  labels= may be given as a list or
+        as a function of no arguments that returns one; the function is
+        called on the first read."""
+        if callable(self._labels):
+            self._labels = self._counted(self._labels())
+        return self._labels
 
     # -- basic queries ----------------------------------------------------
 
@@ -368,7 +381,7 @@ def interval(lat, lo, hi):
     elems = [x for x in range(lat.size) if lat.le(lo, x) and lat.le(x, hi)]
     idx = np.asarray(elems)
     sub_leq = lat.leq[np.ix_(idx, idx)]
-    labels = [lat.label(x) for x in elems] if lat.labels else None
+    labels = None if lat._labels is None else (lambda: [lat.label(x) for x in elems])
     return FiniteLattice(sub_leq, labels=labels), elems
 
 
@@ -379,11 +392,9 @@ def direct_product(lat1, lat2, labels=True):
     leq = np.kron(lat1.leq, lat2.leq)
     lab = None
     if labels:
-        lab = [
-            "(%s,%s)" % (lat1.label(i), lat2.label(j))
-            for i in range(n1)
-            for j in range(n2)
-        ]
+        def lab():
+            return ["(%s,%s)" % (lat1.label(i), lat2.label(j))
+                    for i in range(n1) for j in range(n2)]
     return FiniteLattice(leq, labels=lab)
 
 

@@ -345,7 +345,7 @@ class EqRelLattice:
         # derived tables are compared with the operations of Eq(A).
         try:
             lattice = FiniteLattice(
-                _refinement_order(reps), labels=[p.label() for p in parts]
+                _refinement_order(reps), labels=lambda: [p.label() for p in parts]
             )
         except NotALatticeError:
             lattice = None

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from congforge import algebras, fixtures, limits
 from congforge.algebras import (
     ArityError,
+    _commutator_fixpoint,
     _compatible,
+    _matrix_closure,
+    _violations,
     FiniteAlgebra,
     NonConvergenceError,
     Operation,
@@ -42,6 +45,7 @@ from congforge.partitions import (
     p_leq,
     p_meet,
     permutes,
+    SizeMismatchError,
 )
 from congforge.subspaces import subspace_lattice
 
@@ -251,6 +255,81 @@ def test_commutator_bounds_and_monotonicity(algebra_corpus):
             for c in con.congruences:
                 if p_leq(a, c):
                     assert p_leq(values[(a, b)], values[(c, b)]), name
+
+
+def check_order_bounds(alg, extra=()):
+    """centrality and commutator, order bounds and all, give the closure's
+    answers: alpha and beta range over the congruences and the extra
+    partitions, delta over every partition up to 5 points, else every
+    congruence.  Returns how many answers the bounds gave (delta a
+    congruence above alpha or beta, or alpha ^ beta the bottom for
+    congruences)."""
+    con = con_lattice(alg)
+    deltas = all_partitions(alg.size) if alg.size <= 5 else con.congruences
+    decided = 0
+    for a, b in itertools.product(list(con.congruences) + list(extra), repeat=2):
+        quads = _matrix_closure(alg, a, b)
+        for d in deltas:
+            assert centrality(alg, a, b, d) == (not _violations(quads, d).any())
+            decided += (p_leq(a, d) or p_leq(b, d)) and d in con.index
+        assert commutator(alg, a, b) == _commutator_fixpoint(alg, quads)
+        decided += p_meet(a, b) == bot(alg) and a in con.index and b in con.index
+    return decided
+
+
+def test_order_bounds_agree_with_the_closure_on_fixtures(algebra_corpus):
+    for name, alg, _ in algebra_corpus:
+        assert check_order_bounds(alg) > 0, name
+    # a congruence and a partition that is not one, on the median of the
+    # 4-chain: alpha ^ beta and beta <= beta do not settle anything here
+    median = FiniteAlgebra(4, [make_operation("m", 3, [
+        sorted(t)[1] for t in itertools.product(range(4), repeat=3)], 4)])
+    alpha = Partition.from_blocks(4, [[0, 1], [2, 3]])
+    beta = Partition.from_blocks(4, [[0, 2], [1, 3]])
+    assert not centrality(median, alpha, beta, beta)
+    assert commutator(median, beta, beta) == top(median)
+    check_order_bounds(median, [alpha, beta])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_order_bounds_agree_with_the_closure_on_random_algebras(data):
+    alg = data.draw(small_algebras())
+    labels = data.draw(st.lists(st.integers(0, alg.size - 1), min_size=alg.size,
+                                max_size=alg.size))
+    first = {}
+    extra = Partition(tuple(first.setdefault(x, i) for i, x in enumerate(labels)))
+    # on 4 points a ternary table can take a second per closure of the extra pairs
+    check_order_bounds(alg, [extra] if alg.size <= 3 else [])
+
+
+def test_wrong_base_size_is_refused():
+    z4 = fixtures.cyclic_group(4)
+    for n in (3, 5):
+        one, single = Partition.one_block(n), Partition.singletons(n)
+        calls = [lambda: commutator(z4, one, single),
+                 lambda: commutator(z4, top(z4), single),
+                 lambda: centrality(z4, one, single, single),
+                 lambda: centrality(z4, top(z4), top(z4), single),
+                 lambda: commutator_by_descent(z4, one, single),
+                 lambda: abelian_interval(z4, single, one),
+                 lambda: abelian_interval(z4, bot(z4), one)]
+        for call in calls:
+            with pytest.raises(SizeMismatchError):
+                call()
+
+
+def test_descent_builds_one_closure(monkeypatch, algebra_corpus):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _matrix_closure(*args)
+
+    monkeypatch.setattr(algebras, "_matrix_closure", counted)
+    s3 = fixtures.sym3()
+    assert commutator_by_descent(s3, top(s3), top(s3)) == fixtures.sym3_a3_partition()
+    assert len(calls) == 1
 
 
 def test_solvable_series():

@@ -3,15 +3,18 @@
 import itertools
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congforge import fixtures, limits
+from congforge import algebras, fixtures, limits
 from congforge.algebras import (
     FiniteAlgebra,
     _boxes,
+    _closure_by_rounds,
     _matrix_closure,
     commutator,
     con_lattice,
@@ -268,6 +271,15 @@ def test_closure_over_the_byte_bound_is_refused():
     assert "_pair_tables" not in vars(alg)  # refused before building anything
 
 
+def test_a_bottom_meet_is_decided_before_the_byte_bound():
+    # [alpha, beta] <= alpha ^ beta, so [1, 0] = 0 needs no closure
+    alg = big_unary_algebra()
+    top, bottom = Partition.one_block(alg.size), Partition.singletons(alg.size)
+    assert commutator(alg, top, bottom) == bottom
+    assert commutator(alg, bottom, top) == bottom
+    assert "_pair_tables" not in vars(alg)
+
+
 def _chain_algebra(n, binary):
     """Successor mod n, and with binary the maximum of a chain."""
     ops = [make_operation("s", 1, [(x + 1) % n for x in range(n)], n)]
@@ -313,3 +325,168 @@ def test_boxes_tile_the_product_within_the_byte_budget(spans, budget, row_bytes)
         # a box fits the budget, or is one gathered row of the fewest cells
         assert (lead * (last * 16 + row_bytes) <= budget
                 or (lead == 1 and last <= max(1, budget // 16)))
+
+
+def _median(lat):
+    """(x ^ y) v (y ^ z) v (z ^ x) in a lattice, a majority operation, as
+    a flat table."""
+    j, m = lat.join, lat.meet
+    return [int(j[j[m[x, y], m[y, z]], m[z, x]])
+            for x, y, z in itertools.product(range(lat.size), repeat=3)]
+
+
+def _median_algebra(lat):
+    return FiniteAlgebra(lat.size, [make_operation("m", 3, _median(lat), lat.size)])
+
+
+@st.composite
+def _algebras_with_majority_operations(draw):
+    """A majority operation, the median of a chain of 1-4 points in a drawn
+    order or the lattice median of a 4-element fixture lattice, mixed with
+    up to two random operations of arity at most 2, in a drawn order, and
+    two drawn partitions (not congruences in general)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        order = draw(st.permutations(range(n)))
+        place = {e: i for i, e in enumerate(order)}
+        table = [sorted((x, y, z), key=place.get)[1]
+                 for x, y, z in itertools.product(range(n), repeat=3)]
+    else:
+        lat = draw(st.sampled_from([fixtures.chain(4), fixtures.boolean_square()]))
+        n, table = lat.size, _median(lat)
+    ops = [make_operation("m", 3, table, n)]
+    arities = st.lists(st.sampled_from([0, 1, 2]), max_size=2)
+    for name, k in zip(["f0", "f1"], draw(arities)):
+        ops.append(make_operation(name, k, draw(st.lists(st.integers(0, n - 1),
+                                                         min_size=n**k, max_size=n**k)), n))
+    alg = FiniteAlgebra(n, draw(st.permutations(ops)))
+    return alg, _partition(draw, n), _partition(draw, n)
+
+
+def check_projection_route(alg, alpha, beta, chunk_bytes=None):
+    """The projection route, at chunk_bytes if given, against the rounds,
+    and against the definition where the closure is small enough for its
+    Python tuples."""
+    assert any(alg._majority)
+    want = _closure_by_rounds(alg, alpha, beta)
+    with mock.patch.object(limits, "CHUNK_BYTES", chunk_bytes or limits.CHUNK_BYTES):
+        got = _matrix_closure(alg, alpha, beta)
+    assert np.array_equal(got, want) and got.dtype == want.dtype == np.int64
+    if len(want) ** 3 <= 1 << 16:
+        assert as_rows(got) == sorted(closure_by_definition(alg, alpha, beta))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_algebras_with_majority_operations())
+def test_closure_by_projections_matches_the_rounds_and_the_definition(case):
+    check_projection_route(*case)
+
+
+@settings(max_examples=40, deadline=None)  # 1-byte chunks evaluate one cell per box
+@given(_algebras_with_majority_operations())
+def test_closure_by_projections_at_one_byte_chunks(case):
+    check_projection_route(*case, chunk_bytes=1)
+
+
+def test_closure_by_projections_on_fixture_congruences():
+    for alg in (fixtures.majority3(), _median_algebra(fixtures.boolean_square())):
+        con = con_lattice(alg)
+        for a, b in itertools.product(con.congruences, repeat=2):
+            check_projection_route(alg, a, b)
+
+
+def majority_by_loops(alg):
+    """One bool per operation of positive arity: ternary and
+    m(x,x,y) = m(x,y,x) = m(y,x,x) = x."""
+    n = alg.size
+    return tuple(
+        arr.ndim == 3 and all(arr[x, x, y] == arr[x, y, x] == arr[y, x, x] == x
+                              for x, y in itertools.product(range(n), repeat=2))
+        for arr in alg.by_name.values() if arr.ndim)
+
+
+@st.composite
+def _near_majority_algebras(draw):
+    """A chain median with up to two entries redrawn, beside a random
+    operation: majority or not, by a hair."""
+    n = draw(st.integers(1, 4))
+    table = _median(fixtures.chain(n))
+    for _ in range(draw(st.integers(0, 2))):
+        table[draw(st.integers(0, n**3 - 1))] = draw(st.integers(0, n - 1))
+    ops = [make_operation("m", 3, table, n)] + _random_operations(draw, n, ["f"])
+    return FiniteAlgebra(n, draw(st.permutations(ops)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_near_majority_algebras())
+def test_majority_matches_a_loop(alg):
+    assert alg._majority == majority_by_loops(alg)
+
+
+def _two_of_three(n):
+    """The chain median with m(y,x,x) = y: two of the three majority laws."""
+    return FiniteAlgebra(n, [make_operation("m", 3, [
+        x if len({x, y, z}) < 3 else sorted((x, y, z))[1]
+        for x, y, z in itertools.product(range(n), repeat=3)], n)])
+
+
+def test_majority_refuses_near_majority_tables():
+    assert fixtures.majority3()._majority == (True,)
+    assert _two_of_three(3)._majority == (False,)
+    median = _median(fixtures.chain(3))
+    for pos in range(27):
+        x, y, z = np.unravel_index(pos, (3, 3, 3))
+        if len({x, y, z}) < 3:  # an entry the laws fix
+            table = list(median)
+            table[pos] = (table[pos] + 1) % 3
+            assert FiniteAlgebra(3, [make_operation("m", 3, table, 3)])._majority == (False,)
+
+
+def test_mutant_accepting_a_near_majority_table_fails():
+    # read as a majority operation, a table with two of the three laws
+    # gives all 81 matrices for [1, 1], where its closure holds 63
+    alg = _two_of_three(3)
+    top = Partition.one_block(3)
+    want = _closure_by_rounds(alg, top, top)
+    assert np.array_equal(_matrix_closure(alg, top, top), want) and len(want) == 63
+    alg.__dict__["_majority"] = (True,)
+    assert len(_matrix_closure(alg, top, top)) == 81
+    with pytest.raises(AssertionError):
+        check_projection_route(alg, top, top)
+
+
+def test_mutant_dropping_theta_fails(monkeypatch):
+    # on the median of the 4-chain with alpha = 01|23 and beta = 02|13 the
+    # four other projections admit 4 matrices outside the closure
+    alg = _median_algebra(fixtures.chain(4))
+    alpha = Partition.from_blocks(4, [[0, 1], [2, 3]])
+    beta = Partition.from_blocks(4, [[0, 2], [1, 3]])
+    check_projection_route(alg, alpha, beta)
+    monkeypatch.setattr(algebras, "_PROJECTIONS",
+                        tuple(p for p in algebras._PROJECTIONS if p[2] != "theta"))
+    assert len(_matrix_closure(alg, alpha, beta)) == len(_closure_by_rounds(alg, alpha, beta)) + 4
+    with pytest.raises(AssertionError):
+        check_projection_route(alg, alpha, beta)
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_median_chain_has_total_commutator(n):
+    # a majority operation makes the variety congruence distributive,
+    # where [alpha, beta] = alpha ^ beta
+    alg = _median_algebra(fixtures.chain(n))
+    top = Partition.one_block(n)
+    assert commutator(alg, top, top) == top
+    assert "_pair_tables" not in vars(alg)  # the projection route builds none
+
+
+def test_projection_route_counts_its_own_bytes():
+    # at 25 points the ternary pair table alone (2 * 25^6 bytes) puts the
+    # rounds over the bound; the projection route holds 25^4 rows at most
+    alg = _median_algebra(fixtures.chain(25))
+    assert algebras._closure_bytes(alg) > limits.CLOSURE_BYTES
+    fives = Partition(tuple(x - x % 5 for x in range(25)))  # intervals: a congruence
+    assert commutator(alg, fives, fives) == fives
+    assert "_pair_tables" not in vars(alg)
+    top = Partition.one_block(46)
+    with pytest.raises(SizeLimitError, match="bytes"):
+        _matrix_closure(_median_algebra(fixtures.chain(46)), top, top)  # 46^4 rows of 64 bytes

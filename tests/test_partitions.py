@@ -518,3 +518,26 @@ def test_random_permuting_families_hold(instance_seed):
     alphas = [fam[int(i)] for i in picks[:n]]
     alphaps = [fam[int(i)] for i in picks[n:]]
     assert verify_dn_permuting(alphas, alphaps)
+
+
+def test_partition_labels_are_built_on_first_read():
+    from congforge.jsonio import lattice_to_dict
+    from congforge.lattice import direct_product, interval
+
+    eq = full_partition_lattice(4)
+    lat = eq.lattice
+    want = [p.label() for p in eq.partitions]
+    mid = eq.index[Partition.from_blocks(4, [[0, 1], [2], [3]])]
+    sub, elems = interval(lat, lat.bottom, mid)
+    prod = direct_product(lat, fixtures.chain(2))
+    for built in (lat, sub, prod):
+        assert callable(built._labels)  # nothing built yet
+    assert lat.label(5) == want[5] and lat.labels == want
+    assert sub.labels == [want[e] for e in elems]
+    assert prod.labels == ["(%s,%s)" % (w, j) for w in want for j in ("0", "1")]
+    assert lattice_to_dict(lat)["labels"] == want
+    assert interval(FiniteLattice(lat.leq), lat.bottom, mid)[0].labels is None
+    with pytest.raises(ValueError, match="label count"):
+        FiniteLattice(lat.leq, labels=lambda: want[1:]).labels
+    with pytest.raises(ValueError, match="label count"):
+        FiniteLattice(lat.leq, labels=want[1:])
