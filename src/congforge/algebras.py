@@ -24,32 +24,41 @@ d-related, and when a <= d, since a d-related top row then gives
 t(b,u) d t(a,u) d t(a,v) d t(b,v).  Meets keep the term condition, so
 [a, b] <= a ^ b, and it is the bottom when a ^ b is.  A bound is used
 only once the partitions it needs are checked to be congruences, so
-other partitions get the closure's answer.  Otherwise centrality scans
-M and the commutator is the ascending fixpoint of the congruence it
-induces.
+other partitions get the closure's answer, which reads a partition that
+is not a congruence as a relation, through the subalgebras of A^2 it
+spans.  Otherwise M is read as a bitmap: the matrices violating
+C(a, b; d) are M & (top row in d) & (bottom row not in d), one n^4 bool
+pass with d's relation broadcast onto each row, centrality asks whether
+any is left, and the commutator is the ascending fixpoint that joins
+their bottom rows into d.
 
-The closure works on integer keys.  A matrix (m00, m01, m10, m11) is the
-key hi*n^2 + lo with hi = m00*n + m01 and lo = m10*n + m11, so one key
-is a pair of pair codes, held in the narrowest unsigned dtype that holds
-n^4 - 1.  For each k-ary operation f the algebra caches a pair table of
-shape (n^2,)*k, T[(x0,y0),...] = f(x0,...)*n + f(y0,...), which applies
-f to both top entries (or both bottom entries) at once: the image of k
-matrices is T[their his]*n^2 + T[their los].  A box of argument tuples
-is gathered rows first: the leading k-1 arguments pick whole rows of
-the table and one take picks the last argument's columns from them.
-Rounds are semi-naive, so every argument tuple with a new matrix in it
-is evaluated once; an associative binary operation is applied only to
+M is held as a bool array of shape (n, n, n, n), true at
+[m00, m01, m10, m11] exactly for the members; both routes build it in
+place and return it.  The rounds work on integer keys: a matrix is the
+key hi*n^2 + lo with hi = m00*n + m01 and lo = m10*n + m11, its flat
+index in M, so one key is a pair of pair codes, held in the narrowest
+unsigned dtype that holds n^4 - 1.  For each k-ary operation f the
+algebra caches a pair table of shape (n^2,)*k,
+T[(x0,y0),...] = f(x0,...)*n + f(y0,...), which applies f to both top
+entries (or both bottom entries) at once: the image of k matrices is
+T[their his]*n^2 + T[their los].  A box of argument tuples is gathered
+rows first: the leading k-1 arguments pick whole rows of the table and
+one take picks the last argument's columns from them.  Rounds are
+semi-naive, so every argument tuple with a new matrix in it is
+evaluated once; an associative binary operation is applied only to
 pairs of a matrix and one of its generators.  Duplicates are removed by
-an n^4 bitmap, not by sorting.  The same rounds (_close) run in A^2,
-on pairs of points and the operation tables themselves, for algebras
-with a majority basic operation: by the Baker-Pixley theorem M is then
-the set of 4-tuples whose six pairs of coordinates lie in the
+the bitmap M itself, not by sorting.  The same rounds (_close) run in
+A^2, on pairs of points and the operation tables themselves, for
+algebras with a majority basic operation: by the Baker-Pixley theorem M
+is then the set of 4-tuples whose six pairs of coordinates lie in the
 subalgebras of A^2 spanned by the projected seeds, b, a and Sg(a u b)
-on the diagonals, so M is one filter over n^4 cells and no n^(2k) pair
-table is built.  The tables, which of them are associative or majority
-operations and the translation table are derived lazily on first use
-and cached on the algebra; no closure or congruence is cached across
-calls.
+on the diagonals, so M is the AND of six broadcast n x n relations (a
+congruence among them is used as it is, not closed) and no n^(2k) pair
+table is built.  The byte bound counts M, a violation pass's bool
+temporary and each route's own state.  The tables, which of them are
+associative or majority operations and the translation table are
+derived lazily on first use and cached on the algebra; no closure or
+congruence is cached across calls.
 
 The power construction holds its universe, the alpha-constant n-tuples
 in lexicographic order, as one (m, n) array.  A k-ary table is one
@@ -442,12 +451,12 @@ def con_lattice(algebra, cap=limits.DEFAULT_ALGEBRA_CAP):
 
 # -- centrality and the commutator --------------------------------------------
 
-# Worst-case bytes per element of a closure's rounds: the seen and mark
-# bitmaps (1 + 1) and the codes hi and lo (8 + 8).
-_ELEMENT_BYTES = 18
-# Worst-case bytes per returned matrix: its row (4 * 8) and the transients
-# of decoding it (4 * 8).
-_ROW_BYTES = 64
+# Bytes per cell of the closure M, an n^4 bitmap whichever route builds it:
+# M itself and the bool temporary of a violation pass (1 + 1).
+_BITMAP_BYTES = 2
+# Worst-case bytes per element of a closure's rounds beside its bitmap seen:
+# the mark bitmap (1) and the codes hi and lo (8 + 8).
+_ELEMENT_BYTES = 17
 # Worst-case bytes per element for each binary operation, which may be
 # associative: its own image bitmap (1) and the hi and lo codes of its
 # generators (8 + 8).
@@ -458,21 +467,24 @@ _CELL_BYTES = 16
 
 
 def _closure_bytes(algebra, by_projections=False):
-    """Bytes of a closure's state.  By rounds in A^4: n^4-entry bitmaps,
-    rows, generators and pair tables.  By projections: the same state of
-    rounds in A^2, over n^2 pairs, on narrow copies of the tables, the
-    three relations they give and the returned rows.  Every binary
-    operation is counted as associative, so the bound is settled before
-    associativity is."""
-    n2 = algebra.size**2
+    """Bytes of a closure's state: the n^4 bitmap M and a violation pass's
+    temporary, plus each route's own state.  By rounds in A^4: the other
+    n^4-entry bitmaps, codes, generators and pair tables.  By projections:
+    the same state of rounds in A^2, over n^2 pairs, on narrow copies of
+    the tables, the three relations they give, and the translation table
+    that is_congruence caches (n rows of k n^(k-1) intp columns per k-ary
+    table).  Every binary operation is counted as associative, so the
+    bound is settled before associativity is."""
+    n = algebra.size
+    n2 = n * n
     arities = [arr.ndim for arr in algebra.by_name.values() if arr.ndim]
     per_element = _ELEMENT_BYTES + _GENERATOR_BYTES * arities.count(2)
     if by_projections:
-        item = narrow_dtype(algebra.size).itemsize
-        return (n2 * n2 * _ROW_BYTES + n2 * (per_element + 3)
-                + sum(item * algebra.size**k for k in arities))
+        item = narrow_dtype(n).itemsize
+        return (n2 * n2 * _BITMAP_BYTES + n2 * (per_element + 3)
+                + sum(item * n**k + 8 * k * n**k for k in arities))
     item = narrow_dtype(n2).itemsize
-    return n2 * n2 * (per_element + _ROW_BYTES) + sum(item * n2**k for k in arities)
+    return n2 * n2 * (_BITMAP_BYTES + per_element) + sum(item * n2**k for k in arities)
 
 
 def _boxes(spans, cell_bytes, row_bytes):
@@ -615,8 +627,8 @@ def _matrix_closure(algebra, alpha, beta):
     When some basic operation is a majority operation, M is read off its
     projections onto pairs of coordinates (_closure_by_projections);
     otherwise it is generated by rounds (_closure_by_rounds).  Both
-    return the same (m, 4) int64 array of rows (m00, m01, m10, m11) in
-    lexicographically ascending order, and both must fit
+    return M as a bool array of shape (n, n, n, n), true at
+    [m00, m01, m10, m11] exactly for the members, and both must fit
     limits.CLOSURE_BYTES or SizeLimitError is raised before anything is
     allocated.
     """
@@ -635,8 +647,9 @@ def _matrix_closure(algebra, alpha, beta):
 def _closure_by_rounds(algebra, alpha, beta):
     """The matrix closure generated by _close in A^4, for any algebra; its
     caller settles the byte bound.  A matrix is the key hi*n^2 + lo with
-    hi = m00*n + m01 and lo = m10*n + m11, so a k-ary operation maps k
-    matrices to pair_table[his]*n^2 + pair_table[los]."""
+    hi = m00*n + m01 and lo = m10*n + m11, its flat index in M, so a
+    k-ary operation maps k matrices to pair_table[his]*n^2 +
+    pair_table[los]."""
     n = algebra.size
     n2 = n * n
     arep = np.asarray(alpha.rep)
@@ -647,12 +660,7 @@ def _closure_by_rounds(algebra, alpha, beta):
     seen[x[rows] * (n + 1) * n2 + y[rows] * (n + 1)] = True
     cols = np.flatnonzero(brep[x] == brep[y])
     seen[cols * n2 + cols] = True
-    hi, lo = np.divmod(np.flatnonzero(_close(algebra._pair_tables, algebra._associative,
-                                             n2, seen)), n2)
-    out = np.empty((hi.size, 4), dtype=np.int64)
-    out[:, 0], out[:, 1] = np.divmod(hi, n)
-    out[:, 2], out[:, 3] = np.divmod(lo, n)
-    return out
+    return _close(algebra._pair_tables, algebra._associative, n2, seen).reshape((n,) * 4)
 
 
 # Each pair of coordinates of a matrix (m00, m01, m10, m11), and the seeds
@@ -683,37 +691,33 @@ def _closure_by_projections(algebra, alpha, beta):
     coordinates is the subalgebra of A^2 spanned by the projected seeds:
     Sg(beta) on the rows (m00, m01) and (m10, m11), Sg(alpha) on the
     columns, and Theta = Sg(alpha u beta) on both diagonals (the column
-    seed (u,v,u,v) gives (v, u), and beta is symmetric).  For
-    congruences the first two are beta and alpha themselves.  The three
-    are closed by _close in A^2, on the n^2 pair codes and the n^k
-    operation tables, so no pair table is built; M is then the filter
-    over first coordinates in the row ranges of limits.chunks, and its
-    rows come out in ascending order.  Its caller settles the byte bound.
+    seed (u,v,u,v) gives (v, u), and beta is symmetric).  A congruence
+    is its own Sg, so alpha and beta are closed by _close in A^2, on the
+    n^2 pair codes and the n^k operation tables, only when is_congruence
+    refuses them.  Theta is closed from Sg(alpha) u Sg(beta), unless
+    alpha and beta are comparable: Sg is monotone, so that union is then
+    the larger one's Sg.  No pair table is built.  M is the AND of the six
+    relations, each broadcast onto its pair of coordinates.  Its caller
+    settles the byte bound.
     """
     n = algebra.size
     dtype = narrow_dtype(n)
     tables = tuple(arr.astype(dtype) for arr in algebra.by_name.values() if arr.ndim)
-    arep = np.asarray(alpha.rep)
-    brep = np.asarray(beta.rep)
-    in_alpha = arep[:, None] == arep
-    in_beta = brep[:, None] == brep
-    relations = {"alpha": in_alpha, "beta": in_beta, "theta": in_alpha | in_beta}
-    for rel in relations.values():
-        _close(tables, algebra._associative, n, rel.ravel())  # in place: rel is contiguous
-    found = []
-    # a block of n^3 bools per first coordinate
-    for lo, hi in limits.chunks(n, n**3):
-        block = np.ones((hi - lo, n, n, n), dtype=bool)
-        for i, j, name in _PROJECTIONS:
-            shape = [1, 1, 1, 1]
-            shape[i] = shape[j] = n
-            rel = relations[name]
-            if i == 0:
-                rel, shape[0] = rel[lo:hi], hi - lo
-            block &= rel.reshape(shape)
-        x, y, z, w = np.nonzero(block)
-        found.append(np.stack([x + lo, y, z, w], axis=1).astype(np.int64, copy=False))
-    return np.concatenate(found)
+    relations = {}
+    for name, part in (("alpha", alpha), ("beta", beta)):
+        rep = np.asarray(part.rep)
+        relations[name] = rep[:, None] == rep
+        if not is_congruence(algebra, part):  # ravel is a view, so _close works in place
+            _close(tables, algebra._associative, n, relations[name].ravel())
+    relations["theta"] = relations["alpha"] | relations["beta"]
+    if not (p_leq(alpha, beta) or p_leq(beta, alpha)):
+        _close(tables, algebra._associative, n, relations["theta"].ravel())
+    M = np.ones((n,) * 4, dtype=bool)
+    for i, j, name in _PROJECTIONS:
+        shape = [1, 1, 1, 1]
+        shape[i] = shape[j] = n
+        M &= relations[name].reshape(shape)
+    return M
 
 
 def _check_base(algebra, *parts):
@@ -724,11 +728,14 @@ def _check_base(algebra, *parts):
             )
 
 
-def _violations(quads, delta):
-    """Which matrices of a closure break C(alpha, beta; delta): the top
-    row delta-related and the bottom row not."""
+def _violations(M, delta):
+    """Which matrices of a closure M break C(alpha, beta; delta): the top
+    row delta-related and the bottom row not, as a bitmap like M."""
     drep = np.asarray(delta.rep)
-    return (drep[quads[:, 0]] == drep[quads[:, 1]]) & (drep[quads[:, 2]] != drep[quads[:, 3]])
+    rel = drep[:, None] == drep
+    out = M & rel[:, :, None, None]
+    out &= ~rel
+    return out
 
 
 def centrality(algebra, alpha, beta, delta):
@@ -743,6 +750,11 @@ def centrality(algebra, alpha, beta, delta):
     t(b,u) delta t(a,u) delta t(a,v) delta t(b,v).  Otherwise the matrix
     closure is scanned.  Partitions of another base size raise
     SizeMismatchError.
+
+    Partitions that are not congruences are read as relations: the
+    matrices are those of the subalgebras of A^2 that alpha and beta
+    span, and the condition asks that no matrix have a delta-related top
+    row and a bottom row outside delta.
     """
     _check_base(algebra, alpha, beta, delta)
     if (p_leq(alpha, delta) or p_leq(beta, delta)) and is_congruence(algebra, delta):
@@ -759,6 +771,11 @@ def commutator(algebra, alpha, beta):
     that meet is the bottom it is the answer.  Otherwise an ascending
     fixpoint over the matrix closure (_commutator_fixpoint).  Partitions
     of another base size raise SizeMismatchError.
+
+    Partitions that are not congruences are read as relations, through
+    the subalgebras of A^2 they span (see centrality); the result is
+    still a congruence, but need not lie below alpha ^ beta: on the median
+    algebra of the 4-element chain, b = 02|13 gives [b, b] = 1.
     """
     _check_base(algebra, alpha, beta)
     meet = p_meet(alpha, beta)
@@ -768,20 +785,22 @@ def commutator(algebra, alpha, beta):
     return _commutator_fixpoint(algebra, _matrix_closure(algebra, alpha, beta))
 
 
-def _commutator_fixpoint(algebra, quads):
-    """The least congruence delta that no matrix of quads violates.
+def _commutator_fixpoint(algebra, M):
+    """The least congruence delta that no matrix of the closure M violates.
 
-    Seed delta with the bottom rows of matrices whose top rows are equal,
-    close to a congruence, re-scan, repeat.  Each round strictly grows
-    delta, so failing to stabilise within size^2 rounds signals a bug.
+    Seed delta with the bottom rows of matrices whose top rows are equal
+    (read off M.diagonal over the first two axes, a view with the
+    diagonal axis last), close to a congruence, re-scan, repeat.  Each
+    round strictly grows delta, so failing to stabilise within size^2
+    rounds signals a bug.
     """
     n = algebra.size
-    delta = congruence_from_pairs(algebra, quads[quads[:, 0] == quads[:, 1], 2:4])
+    delta = congruence_from_pairs(algebra, np.argwhere(M.diagonal(0, 0, 1).any(axis=-1)))
     for _ in range(n * n + 1):
-        viol = quads[_violations(quads, delta)]
-        if viol.shape[0] == 0:
+        pairs = np.argwhere(_violations(M, delta).any(axis=(0, 1)))
+        if not pairs.size:
             return delta
-        delta = congruence_from_pairs(algebra, viol[:, 2:4], start=delta)
+        delta = congruence_from_pairs(algebra, pairs, start=delta)
     raise NonConvergenceError("commutator iteration failed to stabilise")
 
 
@@ -791,10 +810,10 @@ def commutator_by_descent(algebra, alpha, beta, con=None):
     _check_base(algebra, alpha, beta)
     if con is None:
         con = con_lattice(algebra)
-    quads = _matrix_closure(algebra, alpha, beta)
+    M = _matrix_closure(algebra, alpha, beta)
     out = Partition.one_block(algebra.size)
     for delta in con.congruences:
-        if not _violations(quads, delta).any():
+        if not _violations(M, delta).any():
             out = p_meet(out, delta)
     return out
 

@@ -43,7 +43,8 @@ HOLDS_ROUND = 1 << 18
 PAIR_ROUND = 1 << 22
 
 # Byte bound on the state of one 2x2-matrix closure (algebras._matrix_closure):
-# its bitmaps, its rows in the worst case and its pair tables.
+# its n^4 bitmap, the bool temporary of a violation pass over it, and its
+# route's rounds (bitmaps and codes in the worst case) and tables.
 CLOSURE_BYTES = 1 << 28
 
 

@@ -291,6 +291,17 @@ def test_order_bounds_agree_with_the_closure_on_fixtures(algebra_corpus):
     check_order_bounds(median, [alpha, beta])
 
 
+def test_non_congruences_are_read_as_relations():
+    # the documented example: on the median algebra of the 4-chain,
+    # b = 02|13 spans all of A^2, so [b, b] is the top, above b ^ b = b
+    median = FiniteAlgebra(4, [make_operation("m", 3, [
+        sorted(t)[1] for t in itertools.product(range(4), repeat=3)], 4)])
+    b = Partition.from_blocks(4, [[0, 2], [1, 3]])
+    assert not is_congruence(median, b)
+    assert commutator(median, b, b) == Partition.one_block(4)
+    assert not centrality(median, b, b, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_order_bounds_agree_with_the_closure_on_random_algebras(data):

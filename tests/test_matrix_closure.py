@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from congforge import algebras, fixtures, limits
 from congforge.algebras import (
     FiniteAlgebra,
+    Operation,
     _boxes,
+    _close,
     _closure_by_rounds,
     _matrix_closure,
     commutator,
@@ -47,8 +49,8 @@ def closure_by_definition(algebra, alpha, beta):
         rows |= fresh
 
 
-def as_rows(quads):
-    return [tuple(r) for r in quads.tolist()]
+def as_rows(M):
+    return [tuple(r) for r in np.argwhere(M).tolist()]
 
 
 def test_closure_matches_definition_on_fixture_congruences(algebra_corpus):
@@ -245,8 +247,8 @@ def test_cached_tables_give_the_same_closure():
     again = _matrix_closure(s3, top, top)
     assert s3._pair_tables is tables
     assert np.array_equal(first, again)
-    assert first.dtype == np.int64 and first.shape[1] == 4
-    keys = first @ np.array([6**3, 6**2, 6, 1])
+    assert first.dtype == bool and first.shape == (6,) * 4
+    keys = np.argwhere(first) @ np.array([6**3, 6**2, 6, 1])
     assert np.all(np.diff(keys) > 0)  # ascending key order
 
 
@@ -371,8 +373,8 @@ def check_projection_route(alg, alpha, beta, chunk_bytes=None):
     want = _closure_by_rounds(alg, alpha, beta)
     with mock.patch.object(limits, "CHUNK_BYTES", chunk_bytes or limits.CHUNK_BYTES):
         got = _matrix_closure(alg, alpha, beta)
-    assert np.array_equal(got, want) and got.dtype == want.dtype == np.int64
-    if len(want) ** 3 <= 1 << 16:
+    assert np.array_equal(got, want) and got.dtype == want.dtype == bool
+    if np.count_nonzero(want) ** 3 <= 1 << 16:
         assert as_rows(got) == sorted(closure_by_definition(alg, alpha, beta))
 
 
@@ -448,9 +450,9 @@ def test_mutant_accepting_a_near_majority_table_fails():
     alg = _two_of_three(3)
     top = Partition.one_block(3)
     want = _closure_by_rounds(alg, top, top)
-    assert np.array_equal(_matrix_closure(alg, top, top), want) and len(want) == 63
+    assert np.array_equal(_matrix_closure(alg, top, top), want) and np.count_nonzero(want) == 63
     alg.__dict__["_majority"] = (True,)
-    assert len(_matrix_closure(alg, top, top)) == 81
+    assert np.count_nonzero(_matrix_closure(alg, top, top)) == 81
     with pytest.raises(AssertionError):
         check_projection_route(alg, top, top)
 
@@ -464,9 +466,36 @@ def test_mutant_dropping_theta_fails(monkeypatch):
     check_projection_route(alg, alpha, beta)
     monkeypatch.setattr(algebras, "_PROJECTIONS",
                         tuple(p for p in algebras._PROJECTIONS if p[2] != "theta"))
-    assert len(_matrix_closure(alg, alpha, beta)) == len(_closure_by_rounds(alg, alpha, beta)) + 4
+    assert (np.count_nonzero(_matrix_closure(alg, alpha, beta))
+            == np.count_nonzero(_closure_by_rounds(alg, alpha, beta)) + 4)
     with pytest.raises(AssertionError):
         check_projection_route(alg, alpha, beta)
+
+
+def test_projection_route_closes_only_what_is_not_closed(monkeypatch):
+    # a congruence is its own Sg, and Theta is the larger of comparable
+    # alpha and beta; on the median of the 4-chain the congruences are the
+    # partitions into intervals
+    alg = _median_algebra(fixtures.chain(4))
+    one, zero = Partition.one_block(4), Partition.singletons(4)
+    low, mid = Partition.from_blocks(4, [[0, 1], [2], [3]]), Partition.from_blocks(4, [[0], [1, 2], [3]])
+    halves = Partition.from_blocks(4, [[0, 1], [2, 3]])
+    cross = Partition.from_blocks(4, [[0, 2], [1, 3]])  # not a congruence
+    cases = [(one, one, 0), (halves, halves, 0), (zero, halves, 0), (halves, one, 0),
+             (low, mid, 1), (cross, one, 1), (one, cross, 1), (cross, halves, 2),
+             (cross, cross, 2)]
+    for alpha, beta, closes in cases:
+        want = _closure_by_rounds(alg, alpha, beta)
+        calls = []
+
+        def counted(*args, calls=calls):
+            calls.append(args)
+            return _close(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(algebras, "_close", counted)
+            got = _matrix_closure(alg, alpha, beta)
+        assert np.array_equal(got, want) and len(calls) == closes, (alpha, beta)
 
 
 @pytest.mark.parametrize("n", [6, 16])
@@ -479,14 +508,36 @@ def test_median_chain_has_total_commutator(n):
     assert "_pair_tables" not in vars(alg)  # the projection route builds none
 
 
+def _chain_median(n):
+    """The median algebra of the chain 0 < 1 < ... < n-1, built by numpy."""
+    x, y, z = np.ogrid[:n, :n, :n]
+    median = np.maximum(np.minimum(x, y), np.minimum(np.maximum(x, y), z))
+    return FiniteAlgebra(n, [Operation("m", 3, median)])
+
+
 def test_projection_route_counts_its_own_bytes():
     # at 25 points the ternary pair table alone (2 * 25^6 bytes) puts the
-    # rounds over the bound; the projection route holds 25^4 rows at most
+    # rounds over the bound; the projection route holds its n^4 bitmap
     alg = _median_algebra(fixtures.chain(25))
     assert algebras._closure_bytes(alg) > limits.CLOSURE_BYTES
     fives = Partition(tuple(x - x % 5 for x in range(25)))  # intervals: a congruence
     assert commutator(alg, fives, fives) == fives
     assert "_pair_tables" not in vars(alg)
-    top = Partition.one_block(46)
+    assert np.array_equal(_chain_median(25).by_name["m"], alg.by_name["m"])
+
+    def over(n):  # the bytes of the route the closure would take
+        chain = _chain_median(n)
+        return algebras._closure_bytes(chain, any(chain._majority)) > limits.CLOSURE_BYTES
+
+    # the smallest median chain over the bound, by bisection: bytes grow with n
+    admitted, refused = 25, 128
+    assert not over(admitted) and over(refused)
+    while refused - admitted > 1:
+        mid = (admitted + refused) // 2
+        admitted, refused = (admitted, mid) if over(mid) else (mid, refused)
+    assert not over(refused - 1) and refused > 60
+    chain = _chain_median(refused)
     with pytest.raises(SizeLimitError, match="bytes"):
-        _matrix_closure(_median_algebra(fixtures.chain(46)), top, top)  # 46^4 rows of 64 bytes
+        _matrix_closure(chain, Partition.one_block(refused), Partition.one_block(refused))
+    # refused before any table is built, and before the congruence checks
+    assert not {"_pair_tables", "_moves"} & set(vars(chain))
