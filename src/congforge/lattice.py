@@ -353,19 +353,15 @@ def sublattice_closure(lat, seed):
         raise ValueError("seed must be nonempty")
     if seed[0] < 0 or seed[-1] >= lat.size:
         raise ValueError("seed element out of range")
-    closed = set(seed)
-    frontier = list(seed)
-    while frontier:
-        fresh = []
-        current = sorted(closed)
-        for a in frontier:
-            for b in current:
-                for v in (int(lat.join[a, b]), int(lat.meet[a, b])):
-                    if v not in closed:
-                        closed.add(v)
-                        fresh.append(v)
-        frontier = fresh
-    return frozenset(closed)
+    closed = np.zeros(lat.size, dtype=bool)
+    closed[seed] = True
+    while True:
+        idx = np.flatnonzero(closed)
+        for lo, hi in chunks(len(idx), 8 * len(idx)):  # one table's gathered rows
+            for table in (lat.join, lat.meet):
+                closed[table[np.ix_(idx[lo:hi], idx)]] = True
+        if np.count_nonzero(closed) == len(idx):
+            return frozenset(idx.tolist())
 
 
 def interval(lat, lo, hi):
@@ -378,8 +374,8 @@ def interval(lat, lo, hi):
         raise NotComparableError(lo, hi)
     if (lo, hi) == (lat.bottom, lat.top):
         return lat, list(range(lat.size))
-    elems = [x for x in range(lat.size) if lat.le(lo, x) and lat.le(x, hi)]
-    idx = np.asarray(elems)
+    idx = np.flatnonzero(lat.leq[lo] & lat.leq[:, hi])
+    elems = idx.tolist()
     sub_leq = lat.leq[np.ix_(idx, idx)]
     labels = None if lat._labels is None else (lambda: [lat.label(x) for x in elems])
     return FiniteLattice(sub_leq, labels=labels), elems
@@ -442,96 +438,69 @@ def find_sublattice(lat, pattern, cover_preserving=False, budget=None):
     p, n = pattern.size, lat.size
     if p > n:
         return None
-    p_down = pattern.leq.sum(axis=0)
-    p_up = pattern.leq.sum(axis=1)
-    l_down = lat.leq.sum(axis=0)
-    l_up = lat.leq.sum(axis=1)
-    l_covers = None
-    p_cover_pairs = []
-    if cover_preserving:
-        l_covers = np.zeros((n, n), dtype=bool)
-        for a, b in lat.covers():
-            l_covers[a, b] = True
-        p_cover_pairs = pattern.covers()
-
+    p_down, p_up = pattern.leq.sum(axis=0), pattern.leq.sum(axis=1)
+    l_down, l_up = lat.leq.sum(axis=0), lat.leq.sum(axis=1)
+    candidates = [np.flatnonzero((l_down >= p_down[x]) & (l_up >= p_up[x])).tolist()
+                  for x in range(p)]
     # placement order: bottom, top, then most-constrained first (largest
     # degree vector), ties broken by index for determinism
-    rest = [
-        x
-        for x in range(p)
-        if x not in (pattern.bottom, pattern.top)
-    ]
-    rest.sort(key=lambda x: (-(int(p_down[x]) + int(p_up[x])), x))
-    order = [pattern.bottom]
-    if pattern.top != pattern.bottom:
-        order.append(pattern.top)
-    order += rest
+    order = sorted(range(p), key=lambda x: (x != pattern.bottom, x != pattern.top,
+                                            -int(p_down[x] + p_up[x]), x))
+    pos = {x: k for k, x in enumerate(order)}
 
-    base_candidates = [
-        [y for y in range(n) if l_down[y] >= p_down[x] and l_up[y] >= p_up[x]]
-        for x in range(p)
-    ]
+    # forcing[k]: the pairs of elements placed before order[k] whose join
+    # or meet is order[k], each with the table of lat that gives the
+    # forced image; covering[k]: the covers of pattern whose later-placed
+    # end is order[k]
+    p_leq = pattern.leq.tolist()
+    tables = ((pattern.join.tolist(), lat.join), (pattern.meet.tolist(), lat.meet))
+    forcing = [[] for _ in order]
+    for ptable, table in tables:
+        for q, r in itertools.combinations(range(p), 2):
+            z = ptable[q][r]
+            if pos[z] > max(pos[q], pos[r]):
+                forcing[pos[z]].append((table, q, r))
+    covering, l_covers = [[] for _ in order], set()
+    if cover_preserving:
+        l_covers = set(lat.covers())
+        for a, b in pattern.covers():
+            covering[max(pos[a], pos[b])].append((a, b))
 
-    mapping = {}
-    used = set()
-    nodes = 0
+    mapping, used, nodes = {}, set(), 0
 
-    def consistent(x, y):
-        for q, im in mapping.items():
-            if pattern.leq[x, q] != lat.leq[y, im] or pattern.leq[q, x] != lat.leq[im, y]:
+    def consistent(k, x, y):
+        # x is in mapping already, so a join or meet that is x, q or a
+        # placed element is checked by the same lookup; bool() because a
+        # Python bool compared with a numpy bool takes numpy's slow path
+        for q in order[:k]:
+            im = mapping[q]
+            if p_leq[x][q] != bool(lat.leq[y, im]) or p_leq[q][x] != bool(lat.leq[im, y]):
                 return False
-            jp, mp = int(pattern.join[x, q]), int(pattern.meet[x, q])
-            jl, ml = int(lat.join[y, im]), int(lat.meet[y, im])
-            if jp in mapping and mapping[jp] != jl:
-                return False
-            if jp == x and jl != y:
-                return False
-            if jp == q and jl != im:
-                return False
-            if mp in mapping and mapping[mp] != ml:
-                return False
-            if mp == x and ml != y:
-                return False
-            if mp == q and ml != im:
-                return False
-        if cover_preserving:
-            for a, b in p_cover_pairs:
-                if a == x and b in mapping and not l_covers[y, mapping[b]]:
+            for ptable, table in tables:
+                z = mapping.get(ptable[x][q])
+                if z is not None and z != table[y, im]:
                     return False
-                if b == x and a in mapping and not l_covers[mapping[a], y]:
-                    return False
-        return True
+        return all((mapping[a], mapping[b]) in l_covers for a, b in covering[k])
 
     def extend(k):
         nonlocal nodes
-        if k == len(order):
+        if k == p:
             return True
         x = order[k]
-        forced = None
-        for (q, r) in itertools.combinations(mapping, 2):
-            if int(pattern.join[q, r]) == x:
-                v = int(lat.join[mapping[q], mapping[r]])
-                if forced is not None and forced != v:
-                    return False
-                forced = v
-            if int(pattern.meet[q, r]) == x:
-                v = int(lat.meet[mapping[q], mapping[r]])
-                if forced is not None and forced != v:
-                    return False
-                forced = v
-        candidates = [forced] if forced is not None else base_candidates[x]
-        for y in candidates:
+        forced = {int(table[mapping[q], mapping[r]]) for table, q, r in forcing[k]}
+        if len(forced) > 1:
+            return False
+        for y in forced or candidates[x]:
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceededError("sublattice search exceeded %d nodes" % budget)
-            if y in used or not consistent(x, y):
-                continue
             mapping[x] = y
-            used.add(y)
-            if extend(k + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
+            if y not in used and consistent(k, x, y):
+                used.add(y)
+                if extend(k + 1):
+                    return True
+                used.discard(y)
+        mapping.pop(x, None)
         return False
 
     if extend(0):

@@ -363,24 +363,13 @@ class EqRelLattice:
 
 
 def all_partitions(n):
-    """All partitions of {0..n-1}, enumerated by restricted growth strings."""
-    if n == 0:
-        return [Partition(())]
-    out = []
-
-    def grow(rgs, mx):
-        i = len(rgs)
-        if i == n:
-            blocks = {}
-            for pos, cls in enumerate(rgs):
-                blocks.setdefault(cls, pos)
-            out.append(Partition(tuple(blocks[c] for c in rgs)))
-            return
-        for c in range(mx + 2):
-            grow(rgs + [c], max(mx, c))
-
-    grow([0], 0)
-    return out
+    """All partitions of {0..n-1}, in the lexicographic order of their
+    restricted growth strings: each point joins an existing block, in the
+    order of the blocks' least elements, or starts a block of its own."""
+    reps = [()]
+    for i in range(n):
+        reps = [rep + (j,) for rep in reps for j in sorted(set(rep)) + [i]]
+    return [Partition(rep) for rep in reps]
 
 
 def full_partition_lattice(n):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -412,6 +413,26 @@ def test_closure_monotone_idempotent(data):
     assert sublattice_closure(lat, small) == small
 
 
+def _closure_by_definition(lat, seed):
+    closed = set(seed)
+    while True:
+        more = {int(t[a, b]) for t in (lat.join, lat.meet) for a in closed for b in closed}
+        if more <= closed:
+            return closed
+        closed |= more
+
+
+def test_closure_matches_definition_in_any_chunks(monkeypatch, sub32):
+    rng = np.random.default_rng(0)
+    lats = [fixtures.m3_times_chain2(), sub32.lattice, subspace_lattice(4, 2).lattice]
+    seeds = [(lat, rng.choice(lat.size, size=rng.integers(1, 5), replace=False).tolist())
+             for lat in lats for _ in range(20)]
+    want = [_closure_by_definition(lat, seed) for lat, seed in seeds]
+    for budget in (limits.CHUNK_BYTES, 1):
+        monkeypatch.setattr(limits, "CHUNK_BYTES", budget)
+        assert [sublattice_closure(lat, seed) for lat, seed in seeds] == want
+
+
 def test_find_sublattice_identity(m3):
     hom = find_sublattice(m3, m3)
     assert hom is not None and hom.map == (0, 1, 2, 3, 4)
@@ -438,6 +459,65 @@ def test_dedekind_criterion(lattice_corpus, n5):
 def test_find_sublattice_budget(m3, sub32):
     with pytest.raises(BudgetExceededError):
         find_sublattice(sub32.lattice, m3, budget=3)
+
+
+def _embeddings_by_brute_force(lat, pattern, cover_preserving):
+    """Every injective map of pattern into lat that preserves join and
+    meet (and covers, if asked), as rows of an array: all injections are
+    listed and the tables compared, with no pruning and no order."""
+    maps = np.array(list(itertools.permutations(range(lat.size), pattern.size)), dtype=np.intp)
+    maps = maps.reshape(-1, pattern.size)
+    rows, cols = maps[:, :, None], maps[:, None, :]
+    keep = ((lat.join[rows, cols] == maps[:, pattern.join])
+            & (lat.meet[rows, cols] == maps[:, pattern.meet])).all(axis=(1, 2))
+    if cover_preserving:
+        l_covers = np.zeros((lat.size, lat.size), dtype=bool)
+        for a, b in lat.covers():
+            l_covers[a, b] = True
+        for a, b in pattern.covers():
+            keep &= l_covers[maps[:, a], maps[:, b]]
+    return maps[keep]
+
+
+def test_find_sublattice_matches_brute_force():
+    small = {
+        **{"chain%d" % k: fixtures.chain(k) for k in range(1, 6)},
+        "square": fixtures.boolean_square(), "M3": fixtures.m3(), "N5": fixtures.n5(),
+        "M4": fixtures.m_k(4), "m3x2": fixtures.m3_times_chain2(),
+        "Pi3": full_partition_lattice(3).lattice,
+        "Sub22": subspace_lattice(2, 2).lattice, "Sub23": subspace_lattice(2, 3).lattice,
+    }
+    cases = 0
+    for (pname, pattern), (lname, lat) in itertools.product(small.items(), repeat=2):
+        if math.perm(lat.size, pattern.size) > 20000:
+            continue
+        for cover_preserving in (False, True):
+            want = _embeddings_by_brute_force(lat, pattern, cover_preserving)
+            hom = find_sublattice(lat, pattern, cover_preserving=cover_preserving)
+            assert (hom is None) == (len(want) == 0), (pname, lname, cover_preserving)
+            if hom is not None:
+                assert (np.asarray(hom.map) == want).all(axis=1).any(), (pname, lname)
+            cases += 1
+    assert cases == 322
+
+
+@pytest.mark.parametrize("pattern, dim, cover_preserving, nodes, found", [
+    ("M4", 3, False, 996, None),
+    ("M4", 3, True, 16, None),
+    ("M4", 4, False, 78133, (0, 16, 26, 34, 40, 66)),
+    ("M4", 4, True, 111487, None),
+    ("Pi4", 3, False, 3082, None),  # joins and meets force images here
+    ("Pi4", 3, True, 3082, None),
+])
+def test_find_sublattice_node_count(pattern, dim, cover_preserving, nodes, found):
+    # the search's exact node count for a pattern in Sub(dim, 2): it
+    # decides at a budget of nodes and runs out one node earlier
+    pattern = {"M4": fixtures.m_k(4), "Pi4": full_partition_lattice(4).lattice}[pattern]
+    target = subspace_lattice(dim, 2).lattice
+    hom = find_sublattice(target, pattern, cover_preserving=cover_preserving, budget=nodes)
+    assert (None if hom is None else hom.map) == found
+    with pytest.raises(BudgetExceededError):
+        find_sublattice(target, pattern, cover_preserving=cover_preserving, budget=nodes - 1)
 
 
 def test_interval(m3, n5):

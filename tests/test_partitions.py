@@ -105,6 +105,16 @@ def test_partition_lattice_sizes():
         assert len(all_partitions(n)) == bell[n]
 
 
+def test_all_partitions_in_restricted_growth_order():
+    assert [p.rep for p in all_partitions(0)] == [()]
+    assert [p.rep for p in all_partitions(3)] == [
+        (0, 0, 0), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+    for n in range(1, 7):
+        # each point's block, numbered by the order of the blocks' least elements
+        rgs = [[sorted(set(p.rep)).index(v) for v in p.rep] for p in all_partitions(n)]
+        assert rgs == sorted(rgs) and len(set(map(tuple, rgs))) == len(rgs)
+
+
 def test_partition_lattice_is_capped_at_its_bell_number(monkeypatch):
     bell = bell_numbers(6)
     for n in (1, 2, 5, 6):
