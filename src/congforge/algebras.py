@@ -18,7 +18,8 @@ chunk of a round, and every row of the result is then checked for
 compatibility in one vectorised pass.
 Centrality C(a, b; d) and the commutator [a, b] of congruences a and b
 are read off the closure M(a, b) of the 2x2 matrices under the basic
-operations, unless the order settles them first.  For a congruence d,
+operations, unless the order settles them first or the algebra has a
+Maltsev term (below).  For a congruence d,
 C(a, b; d) holds when b <= d, since the bottom row of a matrix is then
 d-related, and when a <= d, since a d-related top row then gives
 t(b,u) d t(a,u) d t(a,v) d t(b,v).  Meets keep the term condition, so
@@ -60,11 +61,29 @@ associative or majority operations and the translation table are
 derived lazily on first use and cached on the algebra; no closure or
 congruence is cached across calls.
 
+An algebra with a Maltsev term p(x,x,y) = y = p(y,x,x), a basic ternary
+operation or x*y^-1*z from a binary and a unary one, generates a
+congruence permutable, hence modular, variety.  There the commutator of
+congruences needs no closure (Freese and McKenzie, Ch. 4): with A(a) the
+subalgebra of A^2 on the pairs of a and Delta the congruence of A(a)
+generated by ((x,x), (y,y)) for x b y, [a, b] is the set of pairs (x, y)
+of a with (x,x) Delta (x,y), the commutator is symmetric, and C(a, b; d)
+holds iff [a, b] <= d.  The partition with fewer pairs takes the a slot;
+the basic translations of A(a) are gathered straight from the tables
+into an (m, C) table (for arity 3 and up only distinct columns, one per
+distinct pair of unary maps of A, found in limits.chunks ranges), Delta
+is one _generate row over them, and the commutator is read off with one
+partitions._join_edges.  The translation
+table and one _images pass must fit CLOSURE_BYTES, else the closure
+runs.
+
 The power construction holds its universe, the alpha-constant n-tuples
 in lexicographic order, as one (m, n) array.  A k-ary table is one
 gather over the (m,)*k grid of argument rows, coordinates last, in row
 ranges of limits.chunks; image tuples are found among the rows by an
 integer key that grows with the lexicographic order (searchsorted).
+The tables' bytes (an m^k gather and the algebra's copy of it, per k-ary
+operation) must fit CLOSURE_BYTES before anything is allocated.
 alpha_bar and the kernels eta_i are fibres, read off by
 partitions._first_reps.
 """
@@ -173,6 +192,21 @@ class FiniteAlgebra:
         return tuple(arr.ndim == 3 and bool(((arr[x, x, y] == x) & (arr[x, y, x] == x)
                                              & (arr[y, x, x] == x)).all())
                      for arr in self.by_name.values() if arr.ndim)
+
+    @cached_property
+    def _maltsev(self):
+        """Whether a term operation p with p(x,x,y) = y = p(y,x,x) is found
+        among two shapes, each tested on n^2 entries: a basic ternary
+        operation, or b(b(x,u(y)),z) for a basic binary b and a basic
+        unary u (x*y^-1*z in a group).  The identity then holds in the
+        variety A generates, which is congruence permutable."""
+        x, y = np.indices((self.size, self.size))
+        tables = self.by_name.values()
+        binary = [b for b in tables if b.ndim == 2]
+        return (any(((p[x, x, y] == y) & (p[y, x, x] == y)).all()
+                    for p in tables if p.ndim == 3)
+                or any(((b[b[x, u[x]], y] == y) & (b[b[y, u[x]], x] == y)).all()
+                       for u in tables if u.ndim == 1 for b in binary))
 
     @cached_property
     def _associative(self):
@@ -318,30 +352,30 @@ def _images(reps, moves):
     return at_point, at_rep, flat[at_point] != flat[at_rep]
 
 
-def _compatible(algebra, reps):
+def _compatible(moves, reps):
     """True iff every row of reps, a canonical partition of the universe,
-    is compatible with every basic operation.
+    is compatible with every unary translation, a column of the (n, C)
+    table moves (an algebra's _moves).
 
     A partition is compatible iff each unary translation t keeps every
     point related to its representative: rep[t(a)] == rep[t(rep[a])] for
     all a.  All rows are checked at once, in the row ranges of
     limits.chunks.
     """
-    moves = algebra._moves
     return not any(_images(reps[lo:hi], moves)[2].any()
                    for lo, hi in limits.chunks(len(reps), _GEN_BYTES * moves.size))
 
 
-def _generate(algebra, reps):
+def _generate(moves, reps):
     """The least congruence above each row of reps, a (k, n) array of
-    canonical partitions.
+    canonical partitions, for the unary translations in the columns of
+    the (n, C) table moves.
 
     A fixpoint per row range of limits.chunks: while some row fails
     the compatibility test of _compatible, the pairs (t(a), t(rep[a])) it
     does not relate are joined into it by partitions._join_edges.  Each
     round merges blocks, so at most n - 1 rounds change a row.
     """
-    moves = algebra._moves
     out = np.array(reps)
     for lo, hi in limits.chunks(len(out), _GEN_BYTES * moves.size):
         chunk = out[lo:hi]
@@ -356,9 +390,13 @@ def _generate(algebra, reps):
 
 def is_congruence(algebra, part):
     """Full-scan compatibility check of a partition with every operation."""
-    if part.base_size != algebra.size:
-        return False
-    return _compatible(algebra, np.array(part.rep, dtype=np.intp).reshape(1, -1))
+    return part.base_size == algebra.size and _congruences(algebra, part)
+
+
+def _congruences(algebra, *parts):
+    """Whether all the partitions, each on the algebra's universe, are
+    congruences: one compatibility pass over their rows."""
+    return _compatible(algebra._moves, np.array([part.rep for part in parts], dtype=np.intp))
 
 
 def congruence_from_pairs(algebra, pairs, start=None):
@@ -390,7 +428,7 @@ def congruence_from_pairs(algebra, pairs, start=None):
     else:
         reps = np.array(start.rep, dtype=np.intp)
     reps = _join_edges(reps.reshape(1, n), pairs[:, 0], pairs[:, 1])
-    return Partition(tuple(_generate(algebra, reps)[0].tolist()))
+    return Partition(tuple(_generate(algebra._moves, reps)[0].tolist()))
 
 
 def principal_congruence(algebra, a, b):
@@ -438,10 +476,10 @@ def con_lattice(algebra, cap=limits.DEFAULT_ALGEBRA_CAP):
     rows = np.tile(np.arange(n), (a.size, 1))
     rows[np.arange(a.size), b] = a  # row p relates a[p] and b[p] alone
     dtype = narrow_dtype(n)
-    principals = _fresh_rows(_generate(algebra, rows).astype(dtype), set())
+    principals = _fresh_rows(_generate(algebra._moves, rows).astype(dtype), set())
     bottom = np.arange(n, dtype=dtype).reshape(1, n)
     reps = _close_rows(np.concatenate([bottom, principals]), (_join_reps,), principals)
-    if not _compatible(algebra, reps):
+    if not _compatible(algebra._moves, reps):
         raise RuntimeError(
             "the join-closure of the principal congruences holds a partition "
             "that is not a congruence; this indicates a bug in the closure"
@@ -720,6 +758,137 @@ def _closure_by_projections(algebra, alpha, beta):
     return M
 
 
+# Bytes per (point, translation) cell of the translation table of A(alpha),
+# beside one _images pass over it (_GEN_BYTES): the table itself and the
+# copy that joins its column blocks (8 + 8).
+_TRANSLATION_BYTES = 16
+# Bytes per constant tuple of A(alpha) in one range of a slot of a table of
+# arity 3 or more: the tuple's flat index and its digit (8 + 8), the flat
+# indices of its two coordinates in A^(k-1) (8 + 8), their map ids (8 + 8)
+# and the pair key (8), and the sort of the keys (16).
+_SLOT_BYTES = 72
+
+
+def _translations(algebra, x, y, index):
+    """The basic translations of A(alpha), the subalgebra of A^2 on the
+    pairs (x[i], y[i]) of alpha, as an (m, C) table of point indices;
+    index[a * n + b] is the point of the pair (a, b).  SizeLimitError is
+    raised when the table and one _images pass over it would pass
+    limits.CLOSURE_BYTES, before the table is built.
+    Every gather is on flat arrays, which numpy does faster than on two
+    index arrays.
+
+    Each k-ary table gives, for every argument slot and every (k-1)-tuple
+    of points of A(alpha) as constants in the other slots, the column
+    (a, b) -> (t(a), u(b)), where t and u are the unary maps of A that the
+    table gives with the first and the second coordinates of the
+    constants.  A unary table gives one column.  A binary table gives 2m:
+    with F[a, c] = f(a, c) on points (one (m, m) gather), slot 0 with the
+    constant c is column c of F, and slot 1 is column c of F.T.
+
+    For k >= 3 only distinct columns are kept, and the m^k table is never
+    built.  A column is fixed by its pair (t, u), and the point (a, a)
+    alone shows both t(a) and u(a), so distinct columns are distinct
+    pairs.  So the distinct unary maps of A by every such slot are found
+    first, among its n^(k-1) constant tuples, each with an id; the m^(k-1)
+    constant tuples of A(alpha) are then walked in limits.chunks ranges,
+    each read as the pair key id(t) * T + id(u), T maps in all; the
+    distinct keys meet the byte bound as they are found, and their columns
+    are gathered at the end.
+    """
+    n, m = algebra.size, x.size
+
+    def check(columns):
+        need = columns * m * (_TRANSLATION_BYTES + _GEN_BYTES)
+        if need > limits.CLOSURE_BYTES:
+            raise SizeLimitError(
+                "%d translations of A(alpha) on %d points need %d bytes, over the bound of %d"
+                % (columns, m, need, limits.CLOSURE_BYTES)
+            )
+
+    count = sum(k * m ** (k - 1) for k in (arr.ndim for arr in algebra.by_name.values())
+                if 1 <= k <= 2)
+    check(count)
+    blocks, maps, slots = [], {}, []
+    for arr in algebra.by_name.values():
+        k, flat = arr.ndim, arr.ravel()
+        if k == 1:
+            blocks.append(index[arr[x] * n + arr[y]][:, None])
+        elif k == 2:
+            table = index[flat[(x * n)[:, None] + x] * n + flat[(y * n)[:, None] + y]]
+            blocks += [table, table.T]
+        elif k >= 3:
+            for slot in range(k):
+                # row r: the map of the slot with the other slots' constants at r
+                rows = np.ascontiguousarray(np.moveaxis(arr, slot, -1)).reshape(-1, n)
+                keys = rows.view(np.dtype((np.void, n * rows.itemsize))).ravel().tolist()
+                slots.append((k, np.array([maps.setdefault(key, len(maps)) for key in keys])))
+    if slots:
+        pairs = np.empty(0, dtype=np.int64)
+        for k, ids in slots:
+            for lo, hi in limits.chunks(m ** (k - 1), _SLOT_BYTES):
+                consts, at_x, at_y = np.arange(lo, hi), 0, 0
+                for _ in range(k - 1):  # the constants' coordinates, a digit at a time
+                    consts, c = np.divmod(consts, m)
+                    at_x, at_y = at_x * n + x[c], at_y * n + y[c]
+                pairs = np.union1d(pairs, ids[at_x] * len(maps) + ids[at_y])
+                check(count + pairs.size)
+        values = np.frombuffer(b"".join(maps), dtype=np.int64)  # map i at a: i * n + a
+        t, u = np.divmod(pairs, len(maps))
+        blocks.append(index[values[t * n + x[:, None]] * n + values[u * n + y[:, None]]])
+    return np.concatenate(blocks, axis=1) if blocks else np.empty((m, 0), dtype=np.intp)
+
+
+def _delta(algebra, alpha, beta):
+    """Delta_{alpha,beta}: the congruence of A(alpha), the subalgebra of
+    A^2 on the pairs of alpha, generated by ((a,a), (b,b)) for a beta b.
+
+    The points of A(alpha) are alpha's pairs (x[i], y[i]) in the order of
+    np.nonzero, lexicographic, which is the order of
+    alpha_power_algebra(algebra, alpha, 2).  Returns x, y and Delta's
+    canonical reps over the points; SizeLimitError is raised when the
+    translations of A(alpha) would pass limits.CLOSURE_BYTES
+    (_translations).  Each diagonal point is joined with that of its
+    beta-representative, and _generate closes that row under the
+    translations.
+    """
+    n = algebra.size
+    arep = np.asarray(alpha.rep)
+    x, y = np.nonzero(arep[:, None] == arep)
+    index = np.zeros(n * n, dtype=np.intp)
+    index[x * n + y] = np.arange(x.size)
+    moves = _translations(algebra, x, y, index)
+    # (a, a) joins (b, b) for b = beta.rep[a], the least of its block, so
+    # the least diagonal point of its class: the row is canonical as it is
+    diagonal = index[np.arange(n) * (n + 1)]
+    reps = np.arange(x.size)
+    reps[diagonal] = diagonal[np.asarray(beta.rep)]
+    return x, y, _generate(moves, reps.reshape(1, -1))[0]
+
+
+def _pairs(part):
+    """The number of related pairs of a partition, sum of block size^2."""
+    return int((np.bincount(np.asarray(part.rep)) ** 2).sum())
+
+
+def _delta_commutator(algebra, alpha, beta):
+    """[alpha, beta] of congruences of an algebra in a congruence modular
+    variety, as {(x, y) in alpha : (x,x) Delta_{alpha,beta} (x,y)}, or None
+    when _delta refuses on its byte bound (the closure then runs under its
+    own count).  The commutator is symmetric there, so the partition with
+    fewer pairs takes the alpha slot, and A(alpha) is the smaller
+    subalgebra."""
+    if _pairs(beta) < _pairs(alpha):
+        alpha, beta = beta, alpha
+    try:
+        x, y, reps = _delta(algebra, alpha, beta)
+    except SizeLimitError:
+        return None
+    same = reps[np.flatnonzero(x == y)[x]] == reps  # (a, a) is the a-th diagonal point
+    rep = _join_edges(np.arange(algebra.size).reshape(1, -1), x[same], y[same])[0]
+    return Partition(tuple(rep.tolist()))
+
+
 def _check_base(algebra, *parts):
     for part in parts:
         if part.base_size != algebra.size:
@@ -747,9 +916,16 @@ def centrality(algebra, alpha, beta, delta):
     is a congruence and beta <= delta, since the bottom row t(b,u), t(b,v)
     is then delta-related, and when delta is a congruence and
     alpha <= delta, since a delta-related top row then gives
-    t(b,u) delta t(a,u) delta t(a,v) delta t(b,v).  Otherwise the matrix
-    closure is scanned.  Partitions of another base size raise
-    SizeMismatchError.
+    t(b,u) delta t(a,u) delta t(a,v) delta t(b,v).
+
+    When the algebra has a Maltsev term (see commutator) and alpha, beta
+    and delta are congruences, C holds iff
+    [alpha, beta] <= delta, with the commutator read off Delta: in a
+    congruence modular variety C(alpha, beta; delta) is equivalent to
+    [alpha, beta] <= delta (R. Freese, R. McKenzie, Commutator Theory for
+    Congruence Modular Varieties, LMS Lecture Notes 125, 1987, Ch. 4).
+    Otherwise the matrix closure is scanned.  Partitions of another base
+    size raise SizeMismatchError.
 
     Partitions that are not congruences are read as relations: the
     matrices are those of the subalgebras of A^2 that alpha and beta
@@ -757,8 +933,13 @@ def centrality(algebra, alpha, beta, delta):
     row and a bottom row outside delta.
     """
     _check_base(algebra, alpha, beta, delta)
-    if (p_leq(alpha, delta) or p_leq(beta, delta)) and is_congruence(algebra, delta):
+    below = p_leq(alpha, delta) or p_leq(beta, delta)
+    if below and is_congruence(algebra, delta):
         return True
+    if not below and algebra._maltsev and _congruences(algebra, alpha, beta, delta):
+        low = _delta_commutator(algebra, alpha, beta)
+        if low is not None:
+            return p_leq(low, delta)
     return not _violations(_matrix_closure(algebra, alpha, beta), delta).any()
 
 
@@ -768,9 +949,29 @@ def commutator(algebra, alpha, beta):
     For congruences alpha and beta, C(alpha, beta; alpha) and
     C(alpha, beta; beta) hold (see centrality), and the term condition is
     kept by meets of its deltas, so [alpha, beta] <= alpha ^ beta: when
-    that meet is the bottom it is the answer.  Otherwise an ascending
-    fixpoint over the matrix closure (_commutator_fixpoint).  Partitions
-    of another base size raise SizeMismatchError.
+    that meet is the bottom it is the answer.
+
+    When the algebra has a Maltsev term operation p, p(x,x,y) = y =
+    p(y,x,x) (FiniteAlgebra._maltsev), the identity holds in the variety A
+    generates, which is then congruence permutable and so modular.  There,
+    for congruences alpha and beta, let A(alpha) be the subalgebra of A^2
+    on the pairs of alpha and Delta the congruence of A(alpha) generated
+    by ((a,a), (b,b)) for a beta b.  Then
+    [alpha, beta] = {(x, y) in alpha : (x,x) Delta (x,y)} and
+    [alpha, beta] = [beta, alpha] (Freese, McKenzie, Commutator Theory for
+    Congruence Modular Varieties, Ch. 4).  Sketch of the link to the
+    term condition: for a matrix [[t(a,u), t(a,v)], [t(b,u), t(b,v)]],
+    t applied to (a,b) and the Delta-related diagonal points (u,u) and
+    (v,v) makes its two columns Delta-related in A(alpha), and modularity
+    makes Delta meet the pairs above a diagonal point (x,x) in exactly
+    the commutator.  So one congruence generation on the smaller of
+    A(alpha) and A(beta) replaces the closure (_delta_commutator); where
+    the translations of A(alpha) pass limits.CLOSURE_BYTES the closure
+    runs instead.
+
+    Otherwise an ascending fixpoint over the matrix closure
+    (_commutator_fixpoint).  Partitions of another base size raise
+    SizeMismatchError.
 
     Partitions that are not congruences are read as relations, through
     the subalgebras of A^2 they span (see centrality); the result is
@@ -779,9 +980,11 @@ def commutator(algebra, alpha, beta):
     """
     _check_base(algebra, alpha, beta)
     meet = p_meet(alpha, beta)
-    if (meet == Partition.singletons(algebra.size) and is_congruence(algebra, alpha)
-            and is_congruence(algebra, beta)):
-        return meet
+    bottom = meet == Partition.singletons(algebra.size)
+    if (bottom or algebra._maltsev) and _congruences(algebra, alpha, beta):
+        low = meet if bottom else _delta_commutator(algebra, alpha, beta)
+        if low is not None:
+            return low
     return _commutator_fixpoint(algebra, _matrix_closure(algebra, alpha, beta))
 
 
@@ -907,6 +1110,14 @@ def alpha_power_algebra(algebra, alpha, n):
     blocks = alpha.blocks()
     m = limits.check_cap(sum(len(block) ** n for block in blocks), "power subalgebra",
                          limits.DEFAULT_POWER_CAP)
+    # each k-ary table is gathered into m^k int64 cells and copied once by
+    # FiniteAlgebra (8 + 8 bytes a cell); neither can be chunked
+    need = sum(16 * m ** arr.ndim for arr in algebra.by_name.values())
+    if need > limits.CLOSURE_BYTES:
+        raise SizeLimitError(
+            "the tables of the power subalgebra on %d elements need %d bytes, over the bound of %d"
+            % (m, need, limits.CLOSURE_BYTES)
+        )
     tup = np.concatenate([np.array(block)[np.indices((len(block),) * n).reshape(n, -1).T]
                           for block in blocks])
     tup = tup[np.lexsort(tup.T[::-1])]
@@ -967,15 +1178,16 @@ def construct_delta(algebra, alpha):
     """On the square subalgebra, the congruence generated by identifying
     the diagonal pairs ((a,a), (b,b)) for a alpha b.
 
-    When alpha is abelian the construction also records the element-wise
-    complement checks: delta v eta_i is the saturation congruence and
-    delta ^ eta_i is trivial.
+    delta is Delta_{alpha,alpha} of _delta, generated on the translations
+    of the square built from the algebra's tables, its points in the
+    power's order; where those pass limits.CLOSURE_BYTES, SizeLimitError
+    is raised (_translations).  When alpha is abelian the construction
+    also records the element-wise complement checks: delta v eta_i is the
+    saturation congruence and delta ^ eta_i is trivial.
     """
     power, tuples, alpha_bar, etas = alpha_power_algebra(algebra, alpha, 2)
-    first, second = np.array(tuples).T
-    diagonal = np.flatnonzero(first == second)  # the index of (a, a), by a
-    # the pairs ((a, a), (rep(a), rep(a))) generate the same congruence
-    delta = congruence_from_pairs(power, np.stack([diagonal, diagonal[list(alpha.rep)]], axis=1))
+    reps = _delta(algebra, alpha, alpha)[2]  # on the points of power, in its order
+    delta = Partition(tuple(reps.tolist()))
     checks = None
     if abelian_interval(algebra, Partition.singletons(algebra.size), alpha):
         bottom = Partition.singletons(power.size)

@@ -10,7 +10,9 @@ by default, and a check or search past its budget raises
 BudgetExceededError.  Bytes: every vectorised pass walks its rows in the
 ranges of chunks, each within CHUNK_BYTES; sampled draws come in rounds
 of HOLDS_ROUND or PAIR_ROUND; and state that cannot be chunked (the
-2x2-matrix closure) must fit CLOSURE_BYTES before it is allocated.
+2x2-matrix closure, the translation table of the commutator's Delta
+route, the tables of a power algebra) must fit CLOSURE_BYTES before it
+is allocated.
 Iterations: every iteration to a fixpoint walks a monotone chain in a
 finite lattice, so it stops within a bound fixed by the size of its
 input; running past that bound raises NonConvergenceError.  Widths:
@@ -44,7 +46,11 @@ PAIR_ROUND = 1 << 22
 
 # Byte bound on the state of one 2x2-matrix closure (algebras._matrix_closure):
 # its n^4 bitmap, the bool temporary of a violation pass over it, and its
-# route's rounds (bitmaps and codes in the worst case) and tables.
+# route's rounds (bitmaps and codes in the worst case) and tables.  The same
+# bound holds the translation table of A(alpha) with one pass over it
+# (algebras._translations; past it the commutator runs the closure and
+# construct_delta raises SizeLimitError) and the operation tables of
+# alpha_power_algebra (past it SizeLimitError).
 CLOSURE_BYTES = 1 << 28
 
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import congforge
-from congforge import fixtures, jsonio, verify
+from congforge import fixtures, jsonio, limits, verify
 from congforge.algebras import FiniteAlgebra, make_operation
 from congforge.cli import main
 from congforge.lattice import LatticeError, NotALatticeError
@@ -288,6 +288,15 @@ def test_alg_commutator_over_the_closure_bound_exits_2(tmp_path, capsys):
     assert main(["alg", str(path), "commutator", "top", "top"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "bytes" in err
+
+
+def test_alg_embed_construct_over_the_power_table_bound_exits_2(files, capsys, monkeypatch):
+    # Z2 at n = 3 over the top: 8 tuples, tables of 8^2 + 8 cells at 16
+    # bytes a cell, 1152 bytes; refused at a bound one byte lower
+    monkeypatch.setattr(limits, "CLOSURE_BYTES", 1151)
+    assert main(["alg", files["z2"], "embed-construct", "--alpha", "top", "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "need 1152 bytes, over the bound of 1151" in err
 
 
 def test_alg_con_far_over_the_element_cap_exits_2(tmp_path, capsys, monkeypatch):
