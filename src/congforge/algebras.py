@@ -157,7 +157,18 @@ class FiniteAlgebra:
         """Every unary translation by a basic operation, one per column of
         an (n, C) table: each operation with one argument slot moved
         first, flattened over the other slots.  These generate congruence
-        closure; C is 0 when every operation is nullary."""
+        closure; C is 0 when every operation is nullary.  The table and
+        one _images pass over it, n * C cells of C = sum k * n^(k-1) over
+        the k-ary tables, must fit limits.CLOSURE_BYTES, else
+        SizeLimitError is raised before the table is built."""
+        n = self.size
+        cells = n * sum(k * n ** (k - 1) for k in (arr.ndim for arr in self.by_name.values()) if k)
+        need = cells * (_TRANSLATION_BYTES + _GEN_BYTES)
+        if need > limits.CLOSURE_BYTES:
+            raise SizeLimitError(
+                "the translations of the algebra on %d points, %d cells, need %d bytes, "
+                "over the bound of %d" % (n, cells, need, limits.CLOSURE_BYTES)
+            )
         cols = [np.moveaxis(arr, pos, 0).reshape(self.size, -1)
                 for arr in self.by_name.values() for pos in range(arr.ndim)]
         moves = np.concatenate(cols, axis=1) if cols else np.empty((self.size, 0))

@@ -3,18 +3,30 @@
 Elements are the integers 0..size-1.  The order matrix is computed once,
 at construction, from a cover relation or an explicit order, and it is
 all a builder supplies: join and meet tables are always derived from it
-by one routine, an up-set lookup.  Everything downstream is table-bound,
-so all checkers are simple scans over these arrays.  The exhaustive
-scans over tuples of elements share one mask scan that walks the first
-coordinate in the row ranges of limits.chunks and reads the
-lexicographically first hit or every hit in that order; a scan for the
-first hit asks for growing ranges, so an early hit costs little.
+by one routine, a lookup of packed keys (_bound_table).  The key of an
+element is its up-set for joins and its down-set for meets.  Up to 64
+elements the whole set is one uint64 word.  Above that it is cut to the
+meet-irreducibles (join-irreducibles, for meets), found from the order
+alone, wherever that is narrower; in a finite lattice every element is
+the meet of the meet-irreducibles above it (B. A. Davey and H. A.
+Priestley, Introduction to Lattices and Order, 2nd ed., 2002, Ch. 2), so
+the cut keys still name the elements, and a check that they embed the
+order keeps the tables exact on any input (FiniteLattice).
+
+Everything downstream is table-bound, so all checkers are simple scans
+over these arrays.  The exhaustive scans over tuples of elements share
+one mask scan that walks the first coordinate in the row ranges of
+limits.chunks and reads the lexicographically first hit or every hit in
+that order; a scan for the first hit asks for growing ranges, so an
+early hit costs little.
 
 All objects here are immutable after construction and safe to share.
-Two things are derived from the order on first use and cached on the
+Some things are derived from the order on first use and cached on the
 lattice: the rank of each element (the length of a longest chain up to
-it from the bottom), which height() and the modularity test read, and
-the Hasse diagram, which only covers() reads; atoms() and coatoms() are
+it from the bottom), which height() and the modularity test read; the
+join- and meet-irreducibles, unless the table derivation found them
+already; and the Hasse diagram, read off the joins with the
+join-irreducibles, which only covers() reads.  atoms() and coatoms() are
 counted from the order directly.
 """
 
@@ -58,34 +70,87 @@ class NotComparableError(LatticeError):
         super().__init__("interval endpoints %d and %d are not comparable" % (lo, hi))
 
 
-def _is_transitive(leq, up):
-    """a <= b must imply up(b) <= up(a), checked on each byte of the packed up-sets."""
+def _keys(bits):
+    """The rows of a boolean array packed into keys, row i the set
+    {j : bits[i, j]}: one uint64 word per row when the packed bytes fit in
+    8 (zero-padded), else the bytes."""
+    packed = np.packbits(bits, axis=1)
+    n, width = packed.shape
+    if width > 8:
+        return np.ascontiguousarray(packed)
+    words = np.zeros((n, 8), dtype=np.uint8)
+    words[:, :width] = packed
+    return words.view(np.uint64)
+
+
+def _is_transitive(leq):
+    """a <= b must imply up(b) <= up(a), checked on each column of the packed up-sets."""
+    up = _keys(leq)
     n, width = up.shape
     ok, _ = _scan(n, n * width, lambda a: leq[a, :, None] & (up & ~up[a, None, :] != 0), first=True)
     return ok
 
 
-def _bound_table(packed, kind):
-    """Least-bound table of an order from its up-sets, packed row by row.
+def _irreducibles(order):
+    """The elements with exactly one upper cover in order, ascending: x
+    such that some y > x has |up(y)| = |up(x)| - 1, for then up(y) is
+    up(x) without x.  Exact for a partial order; on order = leq these are
+    the meet-irreducibles, on leq.T the join-irreducibles."""
+    n = len(order)
+    size = order.sum(axis=1)
+    found = np.empty(n, dtype=bool)
+    for lo, hi in chunks(n, 2 * n):  # the size test and its AND with the rows
+        found[lo:hi] = (order[lo:hi] & (size == size[lo:hi, None] - 1)).any(axis=1)
+    found = np.flatnonzero(found)
+    found.setflags(write=False)
+    return found
 
-    The least upper bound of a and b is the unique c with
-    up(c) = up(a) & up(b).  Up-sets are packed into byte keys, which are
-    distinct in a partial order; the AND of each pair's keys is looked up
-    among the sorted keys, and a miss means the pair has no least bound.
-    The table is symmetric, so each chunk of rows is computed from the
-    diagonal on and written to both triangles; the first miss is then
-    the lexicographically first offending pair.  Meets are the same
-    computation on the transpose.
+
+def _embeds(order, keys):
+    """Whether order[c, d] iff keys[d] is a subset of keys[c], for all c, d.
+    The keys are compared a uint64 word at a time, one column of words
+    per step."""
+    n, width = keys.shape
+    if keys.itemsize == 1:
+        words = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
+        words[:, :width] = keys
+        keys = words.view(np.uint64)
+    columns = [np.ascontiguousarray(column) for column in keys.T]
+
+    def outside(c):
+        found = columns[0] & ~columns[0][c, None]
+        for column in columns[1:]:
+            found |= column & ~column[c, None]
+        return (found != 0) == order[c]
+
+    ok, _ = _scan(n, n * len(columns), outside, first=True)
+    return ok
+
+
+def _bound_table(keys, kind):
+    """Least-bound table from one key per element (_keys).
+
+    The keys must be distinct, the order must be c <= d iff key(d) is a
+    subset of key(c), and the key of the least bound c of a and b must be
+    key(a) & key(b).  The AND of each pair's keys is looked up among the
+    sorted keys, and a miss means the pair has no such c.  One-word keys
+    are compared as integers, wider ones as raw bytes.  The table is
+    symmetric, so each chunk of rows is computed from the diagonal on and
+    written to both triangles; the first miss is then the
+    lexicographically first offending pair.
     """
-    packed = np.ascontiguousarray(packed)
-    n, width = packed.shape
-    key = np.dtype((np.void, width))
-    keys = packed.view(key)[:, 0]
+    n, width = keys.shape
+    if width == 1:
+        packed = keys = keys[:, 0]
+    else:
+        packed, keys = keys, keys.view(np.dtype((np.void, width)))[:, 0]
     order = np.argsort(keys)
     keys = keys[order]
     table = np.empty((n, n), dtype=np.int64)
-    for lo, hi in chunks(n, n * (2 * width + 24)):
-        common = (packed[lo:hi, None, :] & packed[None, lo:, :]).view(key)[..., 0]
+    for lo, hi in chunks(n, n * (2 * keys.itemsize + 24)):
+        common = packed[lo:hi, None] & packed[None, lo:]
+        if width > 1:
+            common = common.view(keys.dtype)[..., 0]
         pos = np.searchsorted(keys, common)
         missing = keys.take(pos, mode="clip") != common
         if missing.any():
@@ -97,8 +162,68 @@ def _bound_table(packed, kind):
     return table
 
 
+# Up to this many elements a whole up-set is one word, and no irreducibles
+# are computed.
+_ONE_WORD = 64
+
+
+def _least_bounds(order, kind):
+    """The least-upper-bound table of order (leq for joins, leq.T for
+    meets), and its irreducibles if they were computed, else None.
+
+    Up to _ONE_WORD elements the keys are the up-sets, one word each.
+    Above that they are the up-sets cut to the irreducibles M of order,
+    phi(c) = up(c) & M, wherever that takes fewer bytes and order embeds
+    by phi; otherwise the full-width up-sets.  Both give the same table
+    or the same first offending pair (see FiniteLattice).
+    """
+    n = len(order)
+    if n <= _ONE_WORD:
+        return _bound_table(_keys(order), kind), None
+    irreducible = _irreducibles(order)
+    cut = _keys(order[:, irreducible])
+    if cut.shape[1] * cut.itemsize < -(-n // 8) and _embeds(order, cut):
+        return _bound_table(cut, kind), irreducible
+    return _bound_table(_keys(order), kind), irreducible
+
+
 class FiniteLattice:
-    """A finite lattice on elements 0..size-1 with full operation tables."""
+    """A finite lattice on elements 0..size-1 with full operation tables.
+
+    The join table comes from an order leq that is checked to be
+    reflexive and antisymmetric, by _least_bounds(leq); the meet table is
+    the same on leq.T.  Why each table is exact, or an error names the
+    lexicographically first offending pair:
+
+    - Full-width keys, up(c) = {d : c <= d}.  If up(c) = up(a) & up(b)
+      then c is the least upper bound of a and b: c lies above both, and
+      any d above both is in up(c).  Conversely a least upper bound has
+      that up-set if the order is transitive.  So a miss means a pair
+      without one, or no transitivity; and a complete table implies
+      transitivity, since for a <= b the c found has b in up(c) and c in
+      up(b), so c = b and up(b) = up(a) & up(b) lies in up(a).  After a
+      miss, _is_transitive tells the two apart.
+    - Cut keys, phi(c) = up(c) & M for a set M, used above 64 elements
+      where they are narrower, once phi is checked to order-embed:
+      c <= d iff phi(d) is a subset of phi(c), for all pairs.  Then, with
+      M any set at all, the order is transitive (so is inclusion) and
+      phi is injective (antisymmetry).  If phi(c) = phi(a) & phi(b) then
+      c is a v b: phi(c) is inside phi(a) and phi(b), so c lies above
+      both, and any d above both has phi(d) inside phi(a) & phi(b) =
+      phi(c), so c <= d.  Conversely, if a v b exists, each m in
+      phi(a) & phi(b) lies above a and b, so above a v b, and
+      phi(a) & phi(b) = phi(a v b).  So the cut lookup hits exactly
+      where the full-width one does, with the same element, and its
+      first miss is the same pair.  A finite lattice passes the check
+      with M its meet-irreducibles: each element is the meet of those
+      above it (Davey and Priestley, Ch. 2), so phi(d) inside phi(c)
+      gives c <= meet of phi(d) = d.  An order that fails it runs the
+      full-width lookup.
+
+    M is found from the order (_irreducibles): x has exactly one upper
+    cover y iff some y > x has |up(y)| = |up(x)| - 1, for then up(y) is
+    up(x) without x and every z > x lies above y.
+    """
 
     def __init__(self, leq, labels=None):
         leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
@@ -111,21 +236,26 @@ class FiniteLattice:
         if np.count_nonzero(both) != n:
             cyclic = np.argwhere(both & ~np.eye(n, dtype=bool))
             raise NotAPartialOrderError(tuple(cyclic[0].tolist()))
-        up = np.packbits(leq, axis=1)
-        # For a <= b the lookup can only find a v b = b, which needs
-        # up(b) <= up(a): a complete join table implies transitivity, so a
+        # A complete join table implies transitivity (see above), so a
         # non-transitive order always ends in a miss and is reported here.
         try:
-            join = _bound_table(up, "least upper bound")
+            join, meet_irreducibles = _least_bounds(leq, "least upper bound")
         except NotALatticeError:
-            if not _is_transitive(leq, up):
+            if not _is_transitive(leq):
                 raise ValueError("order matrix is not transitive") from None
             raise
+        meet, join_irreducibles = _least_bounds(np.ascontiguousarray(leq.T),
+                                                "greatest lower bound")
 
         self.size = n
         self.leq = leq
         self.join = join
-        self.meet = _bound_table(np.packbits(leq.T, axis=1), "greatest lower bound")
+        self.meet = meet
+        # irreducibles a cut lookup found are the cached properties' values
+        for name, found in (("meet_irreducibles", meet_irreducibles),
+                            ("join_irreducibles", join_irreducibles)):
+            if found is not None:
+                vars(self)[name] = found
         self.bottom = int(leq.all(axis=1).argmax())
         self.top = int(leq.all(axis=0).argmax())
         self._labels = labels if labels is None or callable(labels) else self._counted(labels)
@@ -181,12 +311,41 @@ class FiniteLattice:
         return rank
 
     @cached_property
+    def meet_irreducibles(self):
+        """The elements with exactly one upper cover, ascending (a
+        read-only int64 array)."""
+        return _irreducibles(self.leq)
+
+    @cached_property
+    def join_irreducibles(self):
+        """The elements with exactly one lower cover, ascending (a
+        read-only int64 array)."""
+        return _irreducibles(self.leq.T)
+
+    @cached_property
     def _hasse(self):
-        """The cover pairs (lower, upper) in ascending order, from one n^3
-        boolean product on first use."""
-        strict = self.leq & ~np.eye(self.size, dtype=bool)
-        through = strict @ strict
-        lo, hi = np.nonzero(strict & ~through)  # row-major, so ascending
+        """The cover pairs (lower, upper) in ascending order, on first use.
+
+        The upper covers of x are the minimal elements of
+        S = {x v j : j in J, j not <= x}, J the join-irreducibles.  An
+        upper cover c of x is the join of the join-irreducibles below it,
+        one of which, j, is not below x, so x < x v j <= c gives
+        c = x v j in S.  Every element of S lies strictly above x, so
+        above some upper cover of x, which is in S; so the minimal
+        elements of S are exactly the covers.  n |J|^2 order lookups, in
+        the row ranges of limits.chunks.
+        """
+        n, irreducible = self.size, self.join_irreducibles
+        k = len(irreducible)
+        covered = np.zeros((n, n), dtype=bool)
+        for lo, hi in chunks(n, k * k * 11 + 1):  # the pairwise gather, its tests and indices
+            joins = self.join[lo:hi, irreducible]
+            fresh = ~self.leq[irreducible, lo:hi].T
+            lower, upper = joins[:, :, None], joins[:, None, :]
+            below = self.leq[lower, upper] & (lower != upper) & fresh[:, :, None]
+            x, col = np.nonzero(fresh & ~below.any(axis=1))
+            covered[x + lo, joins[x, col]] = True
+        lo, hi = np.nonzero(covered)  # row-major, so ascending
         return tuple(zip(lo.tolist(), hi.tolist()))
 
     @cached_property

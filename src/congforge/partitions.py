@@ -255,31 +255,6 @@ def _join_reps(ra, rb):
     return _join_edges(ra, np.arange(k * n), (rb + offset).ravel())
 
 
-def _irreducibles(table, order, empty):
-    """The irreducible elements, ascending: those x that differ from the
-    fold of table over the elements e != x with order[x, e], where the
-    fold of nothing is empty.  The join table with order = leq.T (e below
-    x) and empty = bottom gives the join-irreducibles; the meet table
-    with leq and the top gives the meet-irreducibles.
-
-    Each row is folded as a balanced tree: row x starts as e where e is
-    strictly below x (above, for meets) and empty elsewhere, and every
-    step combines its two halves with one table gather, in the row ranges
-    of limits.chunks.
-    """
-    m = len(table)
-    out = np.empty(m, dtype=table.dtype)
-    for lo, hi in chunks(m, m * 4 * table.itemsize):
-        acc = np.where(order[lo:hi], np.arange(m), empty)
-        acc[np.arange(hi - lo), np.arange(lo, hi)] = empty
-        while acc.shape[1] > 1:
-            if acc.shape[1] % 2:
-                acc = np.concatenate([acc, np.full((len(acc), 1), empty)], axis=1)
-            acc = table[acc[:, 0::2], acc[:, 1::2]]
-        out[lo:hi] = acc[:, 0]
-    return np.flatnonzero(out != np.arange(m))
-
-
 def _closed_by_irreducibles(reps, lattice):
     """True iff the derived join and meet of every pair are those of Eq(A).
 
@@ -288,11 +263,12 @@ def _closed_by_irreducibles(reps, lattice):
     join in L of the join-irreducibles below it, so joining them into a
     one at a time stays in L and ends at a v b.  Meets are the dual, with
     the meet-irreducibles, so only those m * (|J| + |M|) pairs are
-    evaluated.  The derived meet c of a and b refines their meet in Eq(A),
-    and the derived join coarsens their join, so each is equal to it
-    exactly when the block counts agree: the meet has one block per
-    distinct pair (rep_a[i], rep_b[i]), the join one per component of the
-    union.  A canonical partition has one block per point with
+    evaluated; both sets are the lattice's (FiniteLattice.join_irreducibles
+    and meet_irreducibles).  The derived meet c of a and b refines their
+    meet in Eq(A), and the derived join coarsens their join, so each is
+    equal to it exactly when the block counts agree: the meet has one
+    block per distinct pair (rep_a[i], rep_b[i]), the join one per
+    component of the union.  A canonical partition has one block per point with
     rep[i] == i.  Comparable pairs are skipped, since their bounds are a
     and b.
     """
@@ -302,9 +278,9 @@ def _closed_by_irreducibles(reps, lattice):
     codes = reps.astype(narrow_dtype(n * n)) * n
     leq = lattice.leq
     halves = (
-        (_irreducibles(lattice.join, leq.T, lattice.bottom), lattice.join,
+        (lattice.join_irreducibles, lattice.join,
          lambda a, b: np.count_nonzero(_join_reps(reps[a], reps[b]) == points, axis=1)),
-        (_irreducibles(lattice.meet, leq, lattice.top), lattice.meet,
+        (lattice.meet_irreducibles, lattice.meet,
          lambda a, b: _distinct_counts(codes[a] + reps[b])),
     )
     for members, table, count in halves:

@@ -6,11 +6,12 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import congforge
 from congforge import fixtures, jsonio, limits, verify
-from congforge.algebras import FiniteAlgebra, make_operation
+from congforge.algebras import FiniteAlgebra, Operation, make_operation
 from congforge.cli import main
 from congforge.lattice import LatticeError, NotALatticeError
 from congforge.limits import CongforgeError
@@ -297,6 +298,22 @@ def test_alg_embed_construct_over_the_power_table_bound_exits_2(files, capsys, m
     assert main(["alg", files["z2"], "embed-construct", "--alpha", "top", "--n", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "need 1152 bytes, over the bound of 1151" in err
+
+
+def test_alg_embed_construct_over_the_translation_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # affine Z3 at n = 3 over the top: 27 tuples; the power's table of 27^3
+    # cells at 16 bytes fits, but its 3 * 27^2 translations of 27 points,
+    # 59049 cells at 57 bytes a cell, are refused at a bound one byte lower
+    x, y, z = np.ogrid[:3, :3, :3]
+    path = tmp_path / "aff3.json"
+    path.write_text(json.dumps(jsonio.algebra_to_dict(
+        FiniteAlgebra(3, [Operation("p", 3, (x - y + z) % 3)]))))
+    monkeypatch.setattr(limits, "CLOSURE_BYTES", 57 * 59049 - 1)
+    assert main(["alg", str(path), "embed-construct", "--alpha", "top", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the translations of the algebra on 27 points")
+    assert "59049 cells, need 3365793 bytes, over the bound of 3365792" in captured.err
 
 
 def test_alg_con_far_over_the_element_cap_exits_2(tmp_path, capsys, monkeypatch):

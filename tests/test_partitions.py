@@ -322,8 +322,7 @@ def _assert_irreducible_check_matches_the_oracle(family):
     reps, lattice = _reps_and_order(family)
     if lattice is None:
         return None, None
-    found = (partitions._irreducibles(lattice.join, lattice.leq.T, lattice.bottom).tolist(),
-             partitions._irreducibles(lattice.meet, lattice.leq, lattice.top).tolist())
+    found = (lattice.join_irreducibles.tolist(), lattice.meet_irreducibles.tolist())
     assert found == _irreducibles_by_covers(lattice)
     verdict = closed_in_eq_by_pairs(reps, lattice)
     assert partitions._closed_by_irreducibles(reps, lattice) == verdict
