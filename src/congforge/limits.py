@@ -9,7 +9,7 @@ exhaustive identity check spends at most DEFAULT_BUDGET term evaluations
 by default, and a check or search past its budget raises
 BudgetExceededError.  Bytes: every vectorised pass walks its rows in the
 ranges of chunks, each within CHUNK_BYTES; sampled draws come in rounds
-of HOLDS_ROUND or PAIR_ROUND; and state that cannot be chunked (the
+of HOLDS_ROUND or PAIR_ROUND, held in the value dtype; and state that cannot be chunked (the
 2x2-matrix closure, the translation table of the commutator's Delta
 route, the tables of a power algebra) must fit CLOSURE_BYTES before it
 is allocated.
@@ -39,8 +39,13 @@ CHUNK_BYTES = 1 << 24
 FIRST_CELLS = 1 << 14
 
 # Values per variable in one round of the seeded draws of terms.holds and
-# of verify.dn_pair_agreement; they fix the seeded streams.  A round's int64
-# draws are held whole, outside CHUNK_BYTES: 256 MiB for PAIR_ROUND at n = 4.
+# of verify.dn_pair_agreement; they fix the seeded streams.  A round is held
+# whole in the lattice's value dtype (narrow_dtype), draws * variables *
+# itemsize bytes: 32 MiB for PAIR_ROUND at n = 4 on up to 256 elements.  It
+# is drawn as int64 in the slices of chunks, one slice within CHUNK_BYTES at
+# a time; numpy's Generator.integers gives the same values drawn in slices
+# as drawn whole, because the bit generator keeps the spare half of a
+# 64-bit output in its state between calls.
 HOLDS_ROUND = 1 << 18
 PAIR_ROUND = 1 << 22
 

@@ -511,7 +511,7 @@ class VectorEvaluator:
     gather from its flat table at left * size + right, that index being
     computed in narrow_dtype(size**2), named as the dtype of the multiply
     so that no promotion rule can leave it in the narrower dtype of the
-    values; sampled mode gathers over narrow copies of its int64 draws.
+    values; sampled mode stores its seeded draws in that dtype.
     """
 
     def __init__(self, lat, identities):
@@ -611,7 +611,7 @@ class VectorEvaluator:
             for offset, env in self.assignments(samples, seed, draws):
                 vals = [None] * len(self._program)
                 for v, node in zip(self.names, self._var_nodes):
-                    vals[node] = env[v].astype(self._narrow)
+                    vals[node] = env[v]
                 self._run(vals, self._inner, free)
                 yield offset, env, [vals[c] for c in self._checks]
             return
@@ -649,15 +649,20 @@ class VectorEvaluator:
     def assignments(self, samples, seed, draws):
         """Yield (offset, env) blocks of seeded uniform assignments to `names`.
 
-        env maps each variable to an int64 array of elements, one per
-        assignment; offset is the number of assignments yielded before the
-        block.  `samples` assignments are drawn in rounds of `draws` values
-        per variable (the last round takes the rest), which fixes the
-        seeded stream.  Each round is yielded in the row ranges of
-        limits.chunks at room for one int64 per variable and per node,
-        which covers the narrow copies of the drawn values, the program's
-        values and the index temporaries of a gather.  The round itself
-        lies outside that budget (see limits.PAIR_ROUND).
+        env maps each variable to an array of elements in the value dtype,
+        limits.narrow_dtype(size), one per assignment; offset is the number
+        of assignments yielded before the block.  `samples` assignments are
+        drawn in rounds of `draws` values per variable (the last round
+        takes the rest), which fixes the seeded stream: variable by
+        variable, each round's column is rng.integers(0, size, dtype=int64).
+        A column is drawn in the int64 slices of limits.chunks and stored
+        narrow, which gives the same values as one whole draw, since the
+        generator keeps the spare half of a 64-bit output in its state
+        between calls.  So a round holds draws * len(names) narrow values
+        and one int64 slice within CHUNK_BYTES at a time.  Each round is
+        yielded in the row ranges of limits.chunks at room for one int64
+        per variable and per node, which covers the program's values and
+        the index temporaries of a gather.
         """
         if samples is None or seed is None:
             raise ValueError("sampled mode needs samples and an explicit seed")
@@ -667,7 +672,11 @@ class VectorEvaluator:
         rng = np.random.default_rng(seed)
         for done in range(0, samples, draws):
             m = min(draws, samples - done)
-            draw = {v: rng.integers(0, self.size, size=m, dtype=np.int64) for v in self.names}
+            draw = {}
+            for v in self.names:
+                col = draw[v] = np.empty(m, self._narrow)
+                for lo, hi in chunks(m, 8):
+                    col[lo:hi] = rng.integers(0, self.size, size=hi - lo, dtype=np.int64)
             for lo, hi in chunks(m, row_bytes):
                 yield done + lo, {v: col[lo:hi] for v, col in draw.items()}
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,59 @@ def test_tiny_chunk_budget_gives_the_same_sweeps(monkeypatch, m3, n5):
     monkeypatch.undo()
     monkeypatch.setattr(limits, "FIRST_CELLS", 1)  # the shared schedule starts at one row
     assert outcomes() == expected
+
+
+def test_sampled_columns_are_the_seeded_int64_stream_in_the_value_dtype(monkeypatch, n5):
+    # the seeded sampled results rest on this: a round's column drawn as
+    # int64 slices and stored narrow holds the values of one whole draw
+    lats = [fixtures.chain(2), n5, fixtures.m3_times_chain2(),
+            lattice.direct_product(fixtures.boolean_square(), fixtures.boolean_square()),
+            fixtures.chain(67), fixtures.chain(300)]
+    assert [lat.size for lat in lats] == [2, 5, 10, 16, 67, 300]
+    samples, draws, seed = 301, 200, 11  # two rounds, the second one short
+    phi = generate_modular()
+    names = sorted(phi.variables())
+
+    def stream(size):
+        rng = np.random.default_rng(seed)
+        cols = {v: [] for v in names}
+        for done in range(0, samples, draws):
+            for v in names:
+                cols[v].append(rng.integers(0, size, size=min(draws, samples - done),
+                                            dtype=np.int64))
+        return {v: np.concatenate(c) for v, c in cols.items()}
+
+    def swept(lat):
+        ev = VectorEvaluator(lat, [phi])
+        blocks = _in_rounds_of(draws, lambda: [
+            (offset, env) for offset, env, _ in
+            ev.sweep("sampled", samples, seed, limits.HOLDS_ROUND)])
+        sizes = [len(env[names[0]]) for _, env in blocks]
+        assert [offset for offset, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+        for _, env in blocks:
+            assert all(col.dtype == limits.narrow_dtype(lat.size) for col in env.values())
+        return {v: np.concatenate([env[v] for _, env in blocks]) for v in names}
+
+    assert limits.narrow_dtype(lats[-1].size) == np.uint16
+    # the default budget, slices of 37 values, and slices of one value
+    for chunk_bytes in (limits.CHUNK_BYTES, 8 * 37, 1):
+        monkeypatch.setattr(limits, "CHUNK_BYTES", chunk_bytes)
+        for lat in lats:
+            got, want = swept(lat), stream(lat.size)
+            assert all(np.array_equal(got[v], want[v]) for v in names), (lat.size, chunk_bytes)
+
+
+def test_a_sampled_round_is_held_in_the_value_dtype(m3):
+    # 2**20 draws of 8 variables: an 8 MiB round in uint8, with one int64
+    # slice and the sweep's chunks within CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        got = dn_pair_agreement(m3, 4, "sampled", samples=1 << 20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (1 << 20, 0, None)
+    assert peak < 24 << 20
 
 
 def test_sampled_mode_needs_a_positive_count(m3):
