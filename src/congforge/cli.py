@@ -1,14 +1,16 @@
 """Command-line surface: check, gen, alg, verify.
 
 Exit codes: 0 the property holds / all checks pass, 1 it fails (with a
-verdict on stdout), 2 usage or input errors.  Output is JSON by default;
---human switches to a short text rendering.
+verdict on stdout) or stdout was closed before the output was written,
+2 usage or input errors.  Output is JSON by default; --human switches to
+a short text rendering.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import algebras, fixtures, jsonio, limits, subspaces, terms, verify
@@ -247,7 +249,14 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (as `| head` does); pointing it at
+        # devnull keeps the interpreter's last flush from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CongforgeError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -111,18 +111,22 @@ def chunk_rows(bytes_per_row, fixed=0):
     return max(1, (CHUNK_BYTES - fixed) // max(1, bytes_per_row))
 
 
-def chunks(stop, bytes_per_row, start=0, cells=None, fixed=0):
+def chunks(stop, bytes_per_row, start=0, cells=None, fixed=0, period=None):
     """(lo, hi) row ranges covering start..stop-1 in order, each of
     chunk_rows(bytes_per_row, fixed) rows but the last; given cells, the
     cells per row of a pass that can stop at its first hit, they grow
-    instead, from about FIRST_CELLS cells, doubling up to that bound."""
+    instead, from about FIRST_CELLS cells, doubling up to that bound.
+    Given period, no range crosses a multiple of it: a range that would
+    ends at the multiple, and the next range starts the schedule again."""
     most = chunk_rows(bytes_per_row, fixed)
-    rows = most if cells is None else max(1, min(most, FIRST_CELLS // cells))
-    lo = start
+    first = most if cells is None else max(1, min(most, FIRST_CELLS // cells))
+    lo, rows = start, first
     while lo < stop:
-        hi = min(stop, lo + rows)
+        hi, rows = min(stop, lo + rows), min(most, 2 * rows)
+        if period is not None and hi >= lo - lo % period + period:
+            hi, rows = lo - lo % period + period, first
         yield lo, hi
-        lo, rows = hi, min(most, 2 * rows)
+        lo = hi
 
 
 def narrow_dtype(limit):

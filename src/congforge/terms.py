@@ -109,9 +109,14 @@ class QuasiIdentity:
 
 
 def variables(term):
-    if isinstance(term, Var):
-        return {term.name}
-    return variables(term.left) | variables(term.right)
+    out, stack = set(), [term]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, Var):
+            out.add(term.name)
+        else:
+            stack += term.left, term.right
+    return out
 
 
 def substitute(term, mapping):
@@ -125,30 +130,42 @@ def substitute(term, mapping):
 # -- printing ---------------------------------------------------------------
 
 
-def _term_str(term, parent_prec, right_child, tight):
-    if isinstance(term, Var):
-        return term.name
-    prec = 1 if isinstance(term, Join) else 2
-    # the grammar is left-associative, so a right child at equal
-    # precedence needs parentheses to round-trip
-    parens = parent_prec > prec or (parent_prec == prec and right_child)
-    inner_tight = tight or parens or isinstance(term, Meet)
-    if isinstance(term, Join):
-        sep = "+" if inner_tight else " + "
-    else:
-        sep = "*"
-    s = (
-        _term_str(term.left, prec, False, inner_tight)
-        + sep
-        + _term_str(term.right, prec, True, inner_tight)
-    )
-    return "(" + s + ")" if parens else s
+def _term_str(term):
+    """The concrete syntax of a term, written by an explicit stack of
+    pending pieces, so a deep term needs no deep Python stack.  A piece is
+    a string or a subterm framed as (term, parent_prec, right_child,
+    tight); pieces are pushed right to left."""
+    out, stack = [], [(term, 0, False, False)]
+    while stack:
+        piece = stack.pop()
+        if piece.__class__ is str:
+            out.append(piece)
+            continue
+        term, parent_prec, right_child, tight = piece
+        if isinstance(term, Var):
+            out.append(term.name)
+            continue
+        prec = 1 if isinstance(term, Join) else 2
+        # the grammar is left-associative, so a right child at equal
+        # precedence needs parentheses to round-trip
+        parens = parent_prec > prec or (parent_prec == prec and right_child)
+        inner_tight = tight or parens or isinstance(term, Meet)
+        if isinstance(term, Join):
+            sep = "+" if inner_tight else " + "
+        else:
+            sep = "*"
+        if parens:
+            stack.append(")")
+        stack += (term.right, prec, True, inner_tight), sep, (term.left, prec, False, inner_tight)
+        if parens:
+            stack.append("(")
+    return "".join(out)
 
 
 def to_str(obj):
     """Canonical concrete syntax; parse(to_str(x)) == x."""
     if isinstance(obj, (Var, Join, Meet)):
-        return _term_str(obj, 0, False, False)
+        return _term_str(obj)
     if isinstance(obj, Identity):
         op = " = " if obj.kind == "eq" else " <= "
         return to_str(obj.lhs) + op + to_str(obj.rhs)
@@ -475,9 +492,6 @@ def evaluate(term, lat, assignment):
 _VAR, _JOIN, _MEET, _EQ, _LE = range(5)
 
 
-# The compiler is two module-level functions rather than closures: a
-# recursive closure is a reference cycle, and one per check left the
-# garbage collector a cycle to find on every call.
 def _intern(key, keys, program):
     """The node of key in program, appended when new."""
     node = keys.get(key)
@@ -488,13 +502,34 @@ def _intern(key, keys, program):
 
 
 def _visit(term, keys, program):
-    """Compile term into program, postorder; a variable's key is its name,
-    an operation's (op, left node, right node)."""
-    if isinstance(term, Var):
-        return _intern(term.name, keys, program)
-    op = _JOIN if isinstance(term, Join) else _MEET
-    return _intern((op, _visit(term.left, keys, program), _visit(term.right, keys, program)),
-                   keys, program)
+    """Compile term into program, postorder, and return its node and its
+    size, the number of its term nodes with every occurrence counted; a
+    variable's key is its name, an operation's (op, left node, right node).
+    The walk keeps its own stack, so a deep term needs no deep Python
+    stack: it goes down left operands, holding each operation passed as
+    (op, right operand) until its left node is known, then as (op, left
+    node) until its right node is."""
+    get, pending, walked = keys.get, [], 0
+    while True:
+        while term.__class__ is not Var:
+            pending.append((_JOIN if term.__class__ is Join else _MEET, term.right))
+            term = term.left
+        key = term.name
+        while True:
+            walked += 1
+            node = get(key)
+            if node is None:
+                node = keys[key] = len(program)
+                program.append(key)
+            if not pending:
+                return node, walked
+            op, other = pending.pop()
+            if other.__class__ is int:
+                key = (op, other, node)
+            else:
+                pending.append((op, node))
+                term = other
+                break
 
 
 class VectorEvaluator:
@@ -516,42 +551,43 @@ class VectorEvaluator:
 
     def __init__(self, lat, identities):
         self.size = size = lat.size
-        keys, program = {}, []
-        checks = [_intern((_EQ if ident.kind == "eq" else _LE, _visit(ident.lhs, keys, program),
-                           _visit(ident.rhs, keys, program)), keys, program)
-                  for ident in identities]
+        keys, program, checks, self.nodes = {}, [], [], 0
+        for ident in identities:
+            left, left_size = _visit(ident.lhs, keys, program)
+            right, right_size = _visit(ident.rhs, keys, program)
+            checks.append(_intern((_EQ if ident.kind == "eq" else _LE, left, right), keys, program))
+            self.nodes += left_size + right_size
         self.names = sorted(key for key in program if key.__class__ is str)
         axis = {v: i for i, v in enumerate(self.names)}
-        # per node: its variables as a bit mask and its tree size, which
-        # structurally equal subterms share
-        masks, sizes = [], []
+        # per node: its variables as a bit mask; and the last node to read
+        # each node, so that a value can be dropped once it is read for the
+        # last time
+        masks, last, inner = [], [None] * len(program), []
         for node, key in enumerate(program):
             if key.__class__ is str:
                 program[node] = (_VAR, axis[key], 0)
                 masks.append(1 << axis[key])
-                sizes.append(1)
             else:
-                masks.append(masks[key[1]] | masks[key[2]])
-                sizes.append(sizes[key[1]] + sizes[key[2]] + 1)
-        self.nodes = sum(sizes[program[c][1]] + sizes[program[c][2]] for c in checks)
-        self.cost = size ** len(self.names) * self.nodes
-        # the last node to read each node, so that a value can be dropped
-        # as soon as it is read for the last time
-        last = [None] * len(program)
-        for node, (op, a, b) in enumerate(program):
-            if op != _VAR:
+                _, a, b = key
+                masks.append(masks[a] | masks[b])
                 last[a] = last[b] = node
+                inner.append(node)
+        self.cost = size ** len(self.names) * self.nodes
         self._program, self._masks, self._checks, self._last = program, masks, checks, last
         self._var_nodes = [keys[v] for v in self.names]
-        self._inner = [node for node, (op, _, _) in enumerate(program) if op != _VAR]
+        self._inner = inner
         join, meet = lat.narrow_tables
         self._narrow = join.dtype
         self._tables = (None, join, meet, None, lat.leq.ravel())
         self._wide_size = narrow_dtype(size * size).type(size)
+        self._bounds = lat.bottom, lat.top
 
     def _run(self, vals, todo, free=frozenset()):
         """Fill vals[node] for each node of todo, in program order, and drop
-        the value of each node of free once its last reader has run."""
+        the value of each node of free once its last reader has run.  On a
+        range with one-valued variables, sweep first hands todo to _fold,
+        which folds the operations they absorb to constants without a
+        gather, and runs only the nodes it leaves."""
         size, program, tables, last = self._wide_size, self._program, self._tables, self._last
         wide = size.dtype
         for node in todo:
@@ -564,6 +600,54 @@ class VectorEvaluator:
                 vals[a] = None
             if last[b] == node and b in free:
                 vals[b] = None
+
+    def _fold(self, vals, todo, one, ones):
+        """Evaluate the one-valued nodes of todo and return, in program
+        order, the other nodes of todo that the checks need, for _run.
+
+        one maps each node whose value is the same at every assignment of
+        the range to that value, a Python int (a bool for a truth).  It
+        starts with the one-valued variables and gains, in program order,
+        each node whose operands are both one-valued, computed on those
+        values, and each operation with a one-valued operand whose line in
+        the operation's table is constant (the bottom under a meet, the
+        top under a join, the bottom on the left of <= and the top on its
+        right), which becomes that constant without a gather.  A needed
+        one-valued node is stored as an array of shape `ones`, which
+        broadcasts to the block; nodes of todo that no check needs are
+        neither computed nor kept, so where every check folds, as on the
+        bottom's block of 2-distributivity, nothing is gathered.
+        """
+        program, tables, size = self._program, self._tables, self.size
+        # per instruction code, the constant lines of its table as
+        # {operand: value}, for a left and for a right operand.  A lattice
+        # has no others: a meet line constant at c has c = a*a = a and
+        # c = a*0 = 0, and dually for a join and the two sides of <=.
+        bottom, top = self._bounds
+        lines = (None, ({top: top},) * 2, ({bottom: bottom},) * 2, ({}, {}),
+                 ({bottom: True}, {top: True}))
+        for node in todo:
+            op, a, b = program[node]
+            if a in one and b in one:
+                one[node] = (one[a] == one[b] if op == _EQ
+                             else tables[op][one[a] * size + one[b]].item())
+            else:
+                left, right = lines[op]
+                value = left.get(one.get(a), right.get(one.get(b)))
+                if value is not None:
+                    one[node] = value
+        needed, rest = set(self._checks), []
+        for node in reversed(todo):
+            if node not in needed:
+                vals[node] = None
+            elif node in one:
+                op = program[node][0]
+                vals[node] = np.full(ones, one[node], bool if op >= _EQ else self._narrow)
+            else:
+                rest.append(node)
+                needed.update(program[node][1:])
+        rest.reverse()
+        return rest
 
     def _layout(self, split):
         """Bytes of the grid whose first `split` variables form the prefix
@@ -601,10 +685,21 @@ class VectorEvaluator:
         fit a chunk (limits.fits), and the rows are walked in the growing
         ranges of limits.chunks, so that the first range holds few
         assignments and no range's live arrays and gather temporaries
-        outgrow the chunk.  Flattened in C order, a block's arrays list
-        its assignments in lexicographic order.  Sampled mode evaluates
-        the same program on the seeded stream of `assignments`, drawn
-        `draws` values per variable at a time.
+        outgrow the chunk.  With two or more prefix variables the ranges
+        are cut at each value of the first, so that no range spans two
+        values of it, and each value starts the growth again.  A variable
+        whose value is the same across a range is one-valued there: the
+        first in every such cut range, every prefix variable in a one-row
+        range.  On those ranges _fold folds the operations that absorb a
+        one-valued operand and evaluates what only one-valued operands
+        feed on single values; truths still broadcast to the block's
+        shape, so callers read each block as before and find the same
+        first hit.  A range of several rows under a single prefix variable has no
+        one-valued variable and is evaluated in full, with no added work.
+        Flattened in C order, a block's arrays list its assignments in
+        lexicographic order.  Sampled mode evaluates the same program on
+        the seeded stream of `assignments`, drawn `draws` values per
+        variable at a time.
         """
         if mode == "sampled":
             free = set(self._inner)
@@ -632,15 +727,26 @@ class VectorEvaluator:
         row_nodes = [node for node in self._inner if self._masks[node] & prefix]
         free = set(row_nodes)
         column = (-1,) + (1,) * (k - split)
-        for lo, hi in chunks(size ** split, per_row, cells=cells, fixed=fixed):
+        ones = (1,) * len(column)
+        lead = size ** (split - 1)  # prefix rows per value of the first variable
+        for lo, hi in chunks(size ** split, per_row, cells=cells, fixed=fixed,
+                             period=lead if split > 1 else None):
             if split == 1:
                 vals[var_nodes[0]] = axis[lo:hi].reshape(column)
             else:
                 at = np.arange(lo, hi)
-                for i in range(split):
-                    col = at // size ** (split - 1 - i)
-                    vals[var_nodes[i]] = (col % size if i else col).astype(narrow).reshape(column)
-            self._run(vals, row_nodes, free)
+                vals[var_nodes[0]] = np.full(ones, lo // lead, narrow)
+                for i in range(1, split):
+                    col = at // size ** (split - 1 - i) % size
+                    vals[var_nodes[i]] = col.astype(narrow).reshape(column)
+            if hi - lo == 1:
+                one = {var_nodes[i]: lo // size ** (split - 1 - i) % size for i in range(split)}
+            elif split > 1:
+                one = {var_nodes[0]: lo // lead}
+            else:
+                one = None
+            self._run(vals, row_nodes if one is None else self._fold(vals, row_nodes, one, ones),
+                      free)
             shape = (hi - lo,) + (size,) * (k - split)
             truths = [vals[c] for c in self._checks]
             yield lo * cells, dict(zip(self.names, (vals[v] for v in var_nodes))), [
@@ -693,6 +799,16 @@ def assignment_at(env, shape, j):
             for v, col in env.items()}
 
 
+def _assignment_of_rank(names, size, rank):
+    """The assignment at 0-based `rank` in the lexicographic order of an
+    exhaustive sweep, the last name fastest: rank's digits in base size."""
+    values = []
+    for _ in names:
+        rank, value = divmod(rank, size)
+        values.append(value)
+    return dict(zip(names, reversed(values)))
+
+
 @dataclass
 class Verdict:
     status: str  # "holds" | "fails" | "sampled_pass"
@@ -741,7 +857,12 @@ def holds(lat, phi, mode="exhaustive", samples=None, seed=None, budget=DEFAULT_B
             bad &= truth
         j = int(bad.argmax())
         if bad.flat[j]:
-            return Verdict("fails", assignment_at(env, bad.shape, j), offset + j + 1)
+            # an exhaustive block lists its assignments in lexicographic
+            # order from offset, so its first counterexample is read from
+            # its rank, without indexing the columns
+            assignment = (_assignment_of_rank(ev.names, lat.size, offset + j)
+                          if mode == "exhaustive" else assignment_at(env, bad.shape, j))
+            return Verdict("fails", assignment, offset + j + 1)
         checked = offset + bad.size
     return Verdict("holds" if mode == "exhaustive" else "sampled_pass", None, checked)
 

@@ -200,7 +200,7 @@ def test_alg_bad_input_exits_2(files, capsys, argv, message):
 
 @pytest.mark.parametrize("argv", [
     ["check", "m3", "--builtin", "dn", "--n", "2000"],
-    ["check", "m3", "--identity", "+".join(["x"] * 990) + "=x"],
+    ["check", "m3", "--identity", "x+(" * 990 + "x" + ")" * 990 + "=x"],
     ["check", "m3", "--identity", "(" * 3000 + "x" + ")" * 3000 + "=x"],
     ["alg", "s3", "wdt", "mul(" * 2000 + "x" + ",x)" * 2000],
 ])
@@ -208,7 +208,10 @@ def test_deeply_nested_input_exits_2(files, capsys, argv):
     assert main([argv[0], files[argv[1]]] + argv[2:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+    # dn's 4000 variables nest its terms 2000 deep to the left; they compile
+    # without a deep stack, so the evaluation budget refuses the check
+    message = "term evaluations, budget is" if "--builtin" in argv else "nested too deeply"
+    assert captured.err.startswith("error: ") and message in captured.err
     # a 400-term chain is still checked
     assert main(["check", files["m3"], "--identity", "+".join(["x"] * 400) + "=x"]) == 0
 
@@ -337,6 +340,35 @@ def test_verify_cli(files, capsys):
     assert main(["--human", "verify", "m3proj"]) == 0
     out = capsys.readouterr().out
     assert "m3proj-nonmodular-failure" in out
+
+
+@pytest.mark.parametrize("count", [990, 5000])
+def test_a_deep_flat_identity_is_checked(tmp_path, capsys, count):
+    # x+x+...+x nests to the left as deep as it is long; compiling and
+    # printing it walk no Python stack
+    path = tmp_path / "c3.json"
+    path.write_text(jsonio.lattice_to_json(fixtures.chain(3)))
+    text = "+".join(["x"] * count) + "=x"
+    assert main(["check", str(path), "--identity", text]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert (out["status"], out["checked"]) == ("holds", 3)
+    assert out["formula"] == " + ".join(["x"] * count) + " = x"
+
+
+def test_a_reader_closing_stdout_early_gets_no_traceback():
+    # the reader closes its end before the program writes, as `| head -c 100`
+    # does once it has its bytes; the program stops quietly with exit 1
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "congforge.cli", "gen", "pi", "--n", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_cli_entry_point_runs():

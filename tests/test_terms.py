@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from congforge import fixtures, lattice, limits, subspaces, terms, verify
 from congforge.lattice import LatticeHom
 from congforge.limits import SizeLimitError
-from congforge.partitions import Partition, closed_sublattice
+from congforge.partitions import Partition, closed_sublattice, full_partition_lattice
 from congforge.terms import (
     BudgetExceededError,
     Identity,
@@ -330,6 +330,128 @@ def test_tiny_chunk_budget_gives_the_same_sweeps(monkeypatch, m3, n5):
     monkeypatch.undo()
     monkeypatch.setattr(limits, "FIRST_CELLS", 1)  # the shared schedule starts at one row
     assert outcomes() == expected
+
+
+# -- the folded sweep ------------------------------------------------------------
+#
+# On a range where a variable is one-valued, the grid sweep folds the
+# operations it absorbs (the bottom under a meet, the top under a join, the
+# bottom on the left of <= and the top on its right) and computes what only
+# one-valued operands feed on single values.  These tests hold that path to
+# scalar evaluation under settings that reach it in each of its forms, on
+# lattices whose element 0 is the bottom, the top, or neither.
+
+
+def _relabelled(lat, order):
+    """lat with its elements renumbered: new element i is old element order[i]."""
+    return lattice.FiniteLattice(lat.leq[np.ix_(order, order)])
+
+
+def _relabellings(lat):
+    """lat renumbered so that element 0 is its bottom, its top, and (given
+    a third element) neither; the other elements keep their order."""
+    middle = [x for x in range(lat.size) if x not in (lat.bottom, lat.top)]
+    return [_relabelled(lat, [first] + [x for x in range(lat.size) if x != first])
+            for first in [lat.bottom, lat.top] + middle[:1]]
+
+
+def _settings(lat, identities):
+    """(CHUNK_BYTES, FIRST_CELLS) settings of a sweep of identities on lat.
+
+    The defaults; a first range of one prefix row, so that the first
+    variable is one-valued there and the others are not; room for three
+    prefix rows of the split after the first variable, so that ranges are
+    cut at each value of it (for a lattice of more than three elements);
+    and, up to 10**4 assignments, one byte, where every range is one
+    assignment.
+    """
+    ev = VectorEvaluator(lat, identities)
+    fixed, per_row = ev._layout(2) if len(ev.names) > 1 else (0, 0)
+    out = [(limits.CHUNK_BYTES, limits.FIRST_CELLS), (limits.CHUNK_BYTES, 1),
+           (fixed + 3 * per_row, limits.FIRST_CELLS)]
+    return out + [(1, limits.FIRST_CELLS)] * (lat.size ** len(ev.names) <= 10 ** 4)
+
+
+def _under(setting, check):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "CHUNK_BYTES", setting[0])
+        mp.setattr(limits, "FIRST_CELLS", setting[1])
+        return check()
+
+
+def _matches_scalar_evaluation(lat, phi):
+    premises, conclusion = terms._formula_parts(phi)
+    expected = _oracle_verdict(lat, phi)
+    for setting in _settings(lat, (conclusion,) + premises):
+        assert _under(setting, lambda: holds(lat, phi, budget=None)) == expected, (
+            lat, to_str(phi), setting)
+
+
+# each side of = and <= meets a one-valued operand on either side of an
+# operation, and some identities fail only past element 0's block
+_FOLDING = [parse(text) for text in (
+    "y <= x", "x <= y", "x*y <= z", "z <= x + y", "x + y*z <= (x + y)*(x + z)",
+    "u*(x + y) = u*x + u*y", "u + x*y = (u + x)*(u + y)", "x*y = x*z -> x*y = x*(y + z)",
+)] + [generate_2distributive(), generate_modular(), generate_sd("join")]
+
+
+@pytest.mark.parametrize("name", ["corpus", "pi_3", "pi_4"])
+def test_folded_sweeps_match_scalar_evaluation(lattice_corpus, name):
+    if name == "corpus":  # up to 16 elements, for the scalar oracle's sake
+        lats = [lat for _, lat in lattice_corpus if lat.size <= 16]
+    else:
+        lats = [full_partition_lattice(int(name[-1])).lattice]
+    for lat in lats:
+        for relabelled in _relabellings(lat):
+            for phi in _FOLDING:
+                _matches_scalar_evaluation(relabelled, phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=3),
+       st.sampled_from(_FOLDING), st.integers(0, 2))
+def test_folded_sweeps_match_scalar_evaluation_on_generated_lattices(labelings, phi, which):
+    variants = _relabellings(_random_lattice(labelings))
+    _matches_scalar_evaluation(variants[min(which, len(variants) - 1)], phi)
+
+
+def _scalar_pair_agreement(lat, n):
+    """dn_pair_agreement by scalar evaluation of every assignment."""
+    pair = [generate_dn(n), generate_dn_star(n)]
+    names = sorted(pair[0].variables())
+    discrepancies, first = 0, None
+    for values in itertools.product(range(lat.size), repeat=len(names)):
+        env = dict(zip(names, values))
+        truths = [lat.le(evaluate(ident.lhs, lat, env), evaluate(ident.rhs, lat, env))
+                  for ident in pair]
+        if truths[0] != truths[1]:
+            discrepancies += 1
+            first = first or env
+    return lat.size ** len(names), discrepancies, first
+
+
+def test_folded_pair_sweeps_match_scalar_evaluation(n5, m3):
+    # the sweep runs only where the two disagree, up to the first
+    # disagreement, so n5 and its relabellings carry the test
+    for lat in _relabellings(n5) + [m3, fixtures.chain(3)]:
+        expected = _scalar_pair_agreement(lat, 3)
+        for setting in _settings(lat, [generate_dn(3), generate_dn_star(3)]):
+            assert _under(setting, lambda: dn_pair_agreement(lat, 3)) == expected, (lat, setting)
+
+
+def test_sweep_ranges_hold_one_value_of_the_first_variable():
+    # Sub(3,7) has 116 elements; 2-distributivity takes two prefix
+    # variables and fails at u = 1, x = 2, past the whole block of u = 0
+    lat = subspaces.subspace_lattice(3, 7).lattice
+    ev = VectorEvaluator(lat, [generate_2distributive()])
+    blocks = list(itertools.islice(ev.sweep("exhaustive", None, None, None), 9))
+    starts = [offset // 116 ** 3 for offset, _, _ in blocks]
+    ends = [(offset + truths[0].size - 1) // 116 ** 3 for offset, _, truths in blocks]
+    assert starts == ends == [0] * 7 + [1, 1]
+    # the schedule starts again at u = 1, so its first rows cost little
+    assert [truths[0].shape[0] for _, _, truths in blocks] == [1, 2, 4, 8, 16, 32, 53, 1, 2]
+    assert holds(lat, generate_2distributive(), budget=None) == Verdict(
+        "fails", {"u": 1, "x": 2, "y": 9, "z": 17}, 1588870)
 
 
 def test_sampled_columns_are_the_seeded_int64_stream_in_the_value_dtype(monkeypatch, n5):
