@@ -6,8 +6,8 @@ hashing O(1) after construction, and the canonical form is unique, so
 partitions double as dictionary keys when lattices of them are built.
 
 Join and meet come in two forms: on one pair of rep tuples (union-find,
-and one pass over the pairs of blocks), behind p_join, p_meet and the
-permuting-family harness; and on arrays of rep rows, behind the
+and one pass over the pairs of blocks), behind p_join, p_meet, permutes
+and the permuting-family harness; and on arrays of rep rows, behind the
 closures and EqRelLattice's check that a family is closed in Eq(A).
 Every join on arrays goes through one kernel, _join_edges, which joins
 each rep row with a list of edges by scatter-min onto the roots and
@@ -24,14 +24,23 @@ element cap on the rows found so far after every chunk of pairs, before
 a round's rows are added.  EqRelLattice checks closedness over the
 irreducibles of the derived lattice: a family is closed under the join
 of Eq(A) iff a v j lies in it for every member a and every
-join-irreducible member j, and dually for meets.  The harness evaluates
-its inequality straight in Eq(A) and builds no lattice per instance.
+join-irreducible member j, and dually for meets.
+
+The permuting-family harness works on rep tuples only.  permutes decides
+a o b = b o a by Ore's criterion, on block counts of the join and the
+meet, so no relation matrix is built; relation_compose keeps the matrix
+product as the slow route.  The harness evaluates its inequality dn*
+straight in Eq(A), as a straight-line program compiled once per n by the
+sweep engine's compiler (terms._visit), and builds no lattice per
+instance.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,12 +177,30 @@ def _relation_matrix(p):
 
 
 def permutes(a, b):
-    """True iff a o b = b o a as relations (equivalently a o b = a v b)."""
+    """True iff a o b = b o a as relations (equivalently a o b = a v b).
+
+    Ore's criterion (O. Ore, "Theory of equivalence relations", Duke
+    Math. J. 9 (1942)), decided on block counts with no relation matrix.
+    Within a block J of the join, x (a o b) z iff the a-block of x meets
+    the b-block of z, so a o b covers J x J iff each of the p_J a-blocks
+    of J meets each of its q_J b-blocks.  Those intersections are the
+    blocks of the meet, and each meet block lies in one a-block and one
+    b-block of one join block, so the meet has at most the sum over J of
+    p_J * q_J blocks, with equality iff a o b = a v b.  That holds iff
+    the pair permutes: a o b lies in a v b, a o b = b o a makes it
+    transitive and so the join, and a o b = a v b makes it symmetric, so
+    equal to its converse b o a.  The cost is the union-find join,
+    _rep_join, and O(n) counting over the points.
+    """
     _check_sizes(a, b)
-    A = _relation_matrix(a)
-    B = _relation_matrix(b)
-    ab = A @ B
-    return np.array_equal(ab, ab.T)
+    ra, rb = a.rep, b.rep
+    per_a, per_b = [0] * len(ra), [0] * len(ra)  # a- and b-blocks per join block
+    for i, j in enumerate(_rep_join(ra, rb)):
+        if ra[i] == i:
+            per_a[j] += 1
+        if rb[i] == i:
+            per_b[j] += 1
+    return len(set(zip(ra, rb))) == sum(map(operator.mul, per_a, per_b))
 
 
 def relation_compose(a, b):
@@ -447,12 +474,42 @@ def closed_sublattice(gens):
     return EqRelLattice(Partition(tuple(rep)) for rep in closed.tolist())
 
 
-def _eval_reps(term, env):
-    """Value of a lattice term in Eq(A), with variables bound to rep tuples."""
-    if isinstance(term, terms.Var):
-        return env[term.name]
-    op = _rep_join if isinstance(term, terms.Join) else _rep_meet
-    return op(_eval_reps(term.left, env), _eval_reps(term.right, env))
+@lru_cache(maxsize=64)
+def _dn_star_program(n):
+    """The companion inequality dn* as a straight-line program on rep tuples.
+
+    terms._visit compiles both sides into the sweep engine's postorder
+    program, where a shared subterm is one node.  Here the 2n inputs are
+    values 0..2n-1 (x_i is value i, x_i' value n + i) and each operation
+    of the program, in its order, appends the value (op, left, right),
+    op being _rep_join or _rep_meet.  Returns the steps and the values
+    of the two sides; cached per n, like terms.generate_dn_star.
+    """
+    phi = terms.generate_dn_star(n)
+    keys, program = {}, []
+    lhs, _ = terms._visit(phi.lhs, keys, program)
+    rhs, _ = terms._visit(phi.rhs, keys, program)
+    value = {"x%d" % i: i for i in range(n)}
+    value.update(("x%d'" % i, n + i) for i in range(n))
+    steps, where = [], []
+    for key in program:
+        if key.__class__ is str:
+            where.append(value[key])
+        else:
+            op, left, right = key
+            where.append(2 * n + len(steps))
+            steps.append((_rep_join if op == terms._JOIN else _rep_meet, where[left], where[right]))
+    return tuple(steps), where[lhs], where[rhs]
+
+
+def _dn_star_reps(alphas, alphaps):
+    """The rep tuples of the two sides of dn* in Eq(A), its variables
+    x_i and x_i' bound to alphas[i] and alphaps[i]."""
+    steps, lhs, rhs = _dn_star_program(len(alphas))
+    vals = [a.rep for a in alphas] + [a.rep for a in alphaps]
+    for op, left, right in steps:
+        vals.append(op(vals[left], vals[right]))
+    return vals[lhs], vals[rhs]
 
 
 def verify_dn_permuting(alphas, alphaps):
@@ -465,8 +522,10 @@ def verify_dn_permuting(alphas, alphaps):
     the rep tuples: a lattice term has the same value there as in every
     sublattice holding its inputs, so no sublattice is built, and no
     element cap applies however large the generated sublattice would be.
-    In Eq(A) with permuting pairs the inequality always holds, so a
-    False here signals a bug.
+    dn* runs as a compiled straight-line program (_dn_star_program, one
+    per n), each distinct subterm evaluated once.  In Eq(A) with
+    permuting pairs the inequality always holds, so a False here signals
+    a bug.
     """
     n = len(alphas)
     if len(alphaps) != n:
@@ -478,12 +537,7 @@ def verify_dn_permuting(alphas, alphaps):
             raise NotPermutingError(i)
     for a in alphas:  # each alphaps[i] matches alphas[i] already
         _check_sizes(alphas[0], a)
-    phi = terms.generate_dn_star(n)
-    env = {}
-    for i in range(n):
-        env["x%d" % i] = alphas[i].rep
-        env["x%d'" % i] = alphaps[i].rep
-    lo, hi = _eval_reps(phi.lhs, env), _eval_reps(phi.rhs, env)
+    lo, hi = _dn_star_reps(alphas, alphaps)
     return all(hi[i] == hi[v] for i, v in enumerate(lo))
 
 

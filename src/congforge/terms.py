@@ -120,11 +120,28 @@ def variables(term):
 
 
 def substitute(term, mapping):
-    """Replace variables by terms; variables absent from mapping stay."""
-    if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    cls = type(term)
-    return cls(substitute(term.left, mapping), substitute(term.right, mapping))
+    """Replace variables by terms; variables absent from mapping stay.
+
+    The walk keeps its own stack, as _visit does, so a deep term needs no
+    deep Python stack: it goes down left operands, holding each operation
+    passed as (class, right operand, False) until its left result is
+    known, then as (class, left result, True) until its right one is."""
+    pending = []
+    while True:
+        while term.__class__ is not Var:
+            pending.append((term.__class__, term.right, False))
+            term = term.left
+        out = mapping.get(term.name, term)
+        while pending:
+            cls, other, done = pending.pop()
+            if done:
+                out = cls(other, out)
+            else:
+                pending.append((cls, out, True))
+                term = other
+                break
+        else:
+            return out
 
 
 # -- printing ---------------------------------------------------------------
@@ -475,16 +492,35 @@ def generate_sd(side):
 
 
 def evaluate(term, lat, assignment):
-    """Value of a term in lat under a variable->element assignment."""
-    if isinstance(term, Var):
-        try:
-            return int(assignment[term.name])
-        except KeyError:
-            raise UnboundVariableError(term.name) from None
-    left = evaluate(term.left, lat, assignment)
-    right = evaluate(term.right, lat, assignment)
-    table = lat.join if isinstance(term, Join) else lat.meet
-    return int(table[left, right])
+    """Value of a term in lat under a variable->element assignment.
+
+    The walk keeps its own stack, as _visit does: it goes down left
+    operands, holding each operation passed as (table, right operand)
+    until its left value is known; a variable right operand is then read
+    at once, and any other is held as (table, left value), an int, until
+    its own value is known."""
+    join, meet, pending = lat.join, lat.meet, []
+    try:
+        while True:
+            while term.__class__ is not Var:
+                pending.append((join if term.__class__ is Join else meet, term.right))
+                term = term.left
+            value = int(assignment[term.name])
+            while pending:
+                table, other = pending.pop()
+                if other.__class__ is int:
+                    value = table.item(other, value)
+                elif other.__class__ is Var:
+                    term = other
+                    value = table.item(value, int(assignment[term.name]))
+                else:
+                    pending.append((table, value))
+                    term = other
+                    break
+            else:
+                return value
+    except KeyError:
+        raise UnboundVariableError(term.name) from None
 
 
 # instruction codes of a compiled program: a variable, the two operations,

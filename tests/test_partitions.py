@@ -17,7 +17,6 @@ from congforge.partitions import (
     NotPermutingError,
     Partition,
     SizeMismatchError,
-    _eval_reps,
     abelian_coset_partitions,
     all_partitions,
     closed_sublattice,
@@ -154,11 +153,80 @@ def test_join_meet_are_bounds_in_full_lattice():
                     assert p_leq(c, m)
 
 
+def _permutes_by_definition(a, b):
+    """a o b = b o a, on the relation matrices (the slow route)."""
+    return np.array_equal(relation_compose(a, b), relation_compose(b, a))
+
+
 def test_compose_on_256_points():
     # every point is related through 256 middle points; a uint8 count wraps to 0
     whole = Partition.one_block(256)
     assert relation_compose(whole, whole).all()
     assert permutes(whole, Partition.singletons(256))
+    halves = Partition(tuple(i % 128 for i in range(256)))
+    pairs = Partition(tuple(i - i % 2 for i in range(256)))
+    chained = Partition((0, 0) + tuple(range(2, 256)))  # {0,1}, singletons
+    shifted = Partition((0, 1, 1) + tuple(range(3, 256)))  # {1,2}, singletons
+    cases = [(whole, whole), (whole, Partition.singletons(256)), (halves, pairs),
+             (chained, shifted), (chained, pairs), (shifted, pairs)]
+    for a, b in cases:
+        assert permutes(a, b) == permutes(b, a) == _permutes_by_definition(a, b)
+    assert [permutes(a, b) for a, b in cases] == [True, True, True, False, True, False]
+
+
+def test_permutes_matches_the_relation_product_on_every_pair_of_up_to_6_points():
+    for n in range(1, 7):
+        parts = all_partitions(n)
+        found = [permutes(a, b) for a in parts for b in parts]
+        assert found == [_permutes_by_definition(a, b) for a in parts for b in parts], n
+
+
+def _canonical(labels):
+    first = {}
+    return Partition(tuple(first.setdefault(label, i) for i, label in enumerate(labels)))
+
+
+@st.composite
+def _partition_pairs(draw, max_points=40):
+    """Two partitions of up to max_points points.  Either both are drawn
+    as free labels, or each join block is drawn as a grid whose rows are
+    a-blocks and whose columns are b-blocks, every cell holding 0-2
+    points, so that the pair permutes unless some cell is empty; then the
+    points are shuffled."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, max_points))
+        labels = st.lists(st.integers(0, draw(st.integers(0, n))), min_size=n, max_size=n)
+        return _canonical(draw(labels)), _canonical(draw(labels))
+    cells, rows, cols = [], 0, 0
+    for _ in range(draw(st.integers(1, 4))):
+        height, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        for r, c in itertools.product(range(height), range(width)):
+            cells += [(rows + r, cols + c)] * draw(st.sampled_from([0, 1, 1, 1, 2]))
+        rows, cols = rows + height, cols + width
+    cells = cells[:max_points] or [(0, 0)]
+    cells = [cells[i] for i in draw(st.permutations(range(len(cells))))]
+    return _canonical([r for r, _ in cells]), _canonical([c for _, c in cells])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partition_pairs())
+def test_permutes_matches_the_relation_product_on_drawn_pairs(pair):
+    a, b = pair
+    assert permutes(a, b) == permutes(b, a) == _permutes_by_definition(a, b)
+
+
+def test_permutes_builds_no_relation_matrix_on_2187_points(monkeypatch):
+    # two coset partitions of Z3^7, in base-3 digits; then {0,1} and {1,2}
+    def refuse(p):
+        raise AssertionError("permutes built a relation matrix")
+
+    monkeypatch.setattr(partitions, "_relation_matrix", refuse)
+    low = Partition(tuple(i - i % 3 for i in range(2187)))
+    high = Partition(tuple(i % 729 for i in range(2187)))
+    assert permutes(low, high) and permutes(high, low)
+    left = Partition((0, 0) + tuple(range(2, 2187)))
+    right = Partition((0, 1, 1) + tuple(range(3, 2187)))
+    assert not permutes(left, right) and not permutes(right, left)
 
 
 def test_permuting_implies_compose_equals_join():
@@ -393,6 +461,26 @@ def test_verify_dn_permuting_rejects_mixed_base_sizes():
         verify_dn_permuting([large, large, small], [large, large, small])
 
 
+def test_verify_dn_permuting_raises_in_order():
+    # unequal lengths, then n < 3, then each pair in turn (its sizes, then
+    # whether it permutes), then the sizes across pairs
+    bad_a = Partition.from_blocks(3, [[0, 1], [2]])
+    bad_b = Partition.from_blocks(3, [[0], [1, 2]])
+    good, other = Partition.singletons(3), Partition.singletons(4)
+    with pytest.raises(ValueError, match="equally many") as err:
+        verify_dn_permuting([bad_a] * 2, [bad_b])
+    assert not isinstance(err.value, terms.InvalidNError)
+    with pytest.raises(terms.InvalidNError):
+        verify_dn_permuting([bad_a, other], [bad_b, good])
+    with pytest.raises(SizeMismatchError):
+        verify_dn_permuting([good, other, bad_a], [other, good, bad_b])
+    with pytest.raises(NotPermutingError) as err:
+        verify_dn_permuting([good, bad_a, other, good], [good, bad_b, good, good])
+    assert err.value.index == 1
+    with pytest.raises(SizeMismatchError):
+        verify_dn_permuting([good, bad_a, other], [good, bad_a, other])
+
+
 def _relabel(part, perm):
     return Partition.from_blocks(len(perm), [[perm[x] for x in b] for b in part.blocks()])
 
@@ -410,10 +498,26 @@ def _dn_star_in_sublattice(alphas, alphaps):
 
 
 def _dn_star_in_eq(alphas, alphaps):
-    env = {"x%d" % i: a.rep for i, a in enumerate(alphas)}
-    env.update(("x%d'" % i, a.rep) for i, a in enumerate(alphaps))
-    phi = terms.generate_dn_star(len(alphas))
-    return Partition(_eval_reps(phi.lhs, env)), Partition(_eval_reps(phi.rhs, env))
+    lhs, rhs = partitions._dn_star_reps(alphas, alphaps)
+    return Partition(lhs), Partition(rhs)
+
+
+def test_dn_star_program_has_one_step_per_distinct_operation():
+    for n in (3, 4, 7):
+        steps, lhs, rhs = partitions._dn_star_program(n)
+        assert partitions._dn_star_program(n) is partitions._dn_star_program(n)
+        phi = terms.generate_dn_star(n)
+        distinct, stack = set(), [phi.lhs, phi.rhs]
+        while stack:
+            t = stack.pop()
+            if not isinstance(t, terms.Var) and t not in distinct:
+                distinct.add(t)
+                stack += t.left, t.right
+        assert len(steps) == len(distinct)
+        # a step reads only inputs and earlier steps, and the right side is the last step
+        assert all(max(left, right) < 2 * n + k for k, (_, left, right) in enumerate(steps))
+        assert {op for op, _, _ in steps} == {partitions._rep_join, partitions._rep_meet}
+        assert rhs == 2 * n + len(steps) - 1 and lhs < rhs
 
 
 _COSET_ORDERS = [(2,), (3,), (4,), (2, 2), (5,), (6,), (8,), (4, 2), (2, 2, 2)]

@@ -147,6 +147,25 @@ def test_evaluate_2dist_witness_in_sub32(sub32):
     assert evaluate(phi.rhs, sub32.lattice, env) == sub32.lattice.bottom
 
 
+def test_a_deep_flat_term_is_evaluated_and_substituted(m3):
+    # the 5000-term x+...+x that check --identity accepts, nested 4999
+    # levels deep on the left, past the default recursion limit
+    flat = parse("+".join(["x"] * 5000))
+    assert evaluate(flat, m3, {"x": 2}) == 2
+    with pytest.raises(UnboundVariableError):
+        evaluate(flat, m3, {"y": 2})
+    # a right operand deeper than the left, under a meet
+    deep = Meet(Var("y"), substitute(flat, {"x": Join(Var("x"), Var("y"))}))
+    assert to_str(deep) == "y*(x+y" + "+(x+y)" * 4999 + ")"
+    assert evaluate(deep, m3, {"x": 1, "y": 2}) == m3.meet[2, m3.join[1, 2]]
+    swapped = substitute(deep, {"x": Meet(Var("u"), Var("v")), "y": Var("w")})
+    assert to_str(swapped) == "w*(u*v+w" + "+(u*v+w)" * 4999 + ")"
+    assert terms.variables(swapped) == {"u", "v", "w"}
+    assert evaluate(swapped, m3, {"u": 1, "v": 1, "w": 3}) == 3
+    # variables absent from the mapping stay, as the same objects
+    assert substitute(flat, {}).left.left.right is flat.left.left.right
+
+
 def _oracle_verdict(lat, phi):
     """Straightforward nested-loop scan in the same enumeration order."""
     names = sorted(phi.variables())
