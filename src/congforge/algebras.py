@@ -7,15 +7,19 @@ brings (nested tuples included) and builds its own operations around
 the copies, so alg.operations[i].table is alg.by_name[name].
 Congruences are Partitions compatible with every operation.  They are
 generated in batches: a (k, n) array of canonical reps is closed under
-the algebra's unary translations, cached as one (n, C) table, by a
-fixpoint that joins into each row the pairs (t(a), t(rep[a])) it does
-not yet relate (partitions._join_edges), in the row ranges of
-limits.chunks.  Con(A) is the join-closure of bottom and the
-principal congruences, which are generated as one batch: the semi-naive
+the algebra's distinct unary translations, cached as one (n, C) table,
+by a fixpoint that joins into each row the pairs (t(a), t(rep[a])) it
+does not yet relate (partitions._join_edges), in the row ranges of
+limits.chunks.  The table is built by _translations, the one builder of
+translation tables, as that of A(0), the diagonal of A^2, which is A
+itself; the Delta route below builds those of A(alpha) the same way.
+Con(A) is the join-closure of bottom and the principal congruences,
+which are generated in the row ranges of limits.chunks, their distinct
+count meeting the CONGFORGE_CAP check after every range: the semi-naive
 closure of partitions._close_rows joins each new row with the
-principals only, its size meets the CONGFORGE_CAP check after every
-chunk of a round, and every row of the result is then checked for
-compatibility in one vectorised pass.
+principals only, its size meets the same check after every chunk of a
+round, and every row of the result is then checked for compatibility
+in one vectorised pass.
 Centrality C(a, b; d) and the commutator [a, b] of congruences a and b
 are read off the closure M(a, b) of the 2x2 matrices under the basic
 operations, unless the order settles them first or the algebra has a
@@ -154,25 +158,16 @@ class FiniteAlgebra:
 
     @cached_property
     def _moves(self):
-        """Every unary translation by a basic operation, one per column of
-        an (n, C) table: each operation with one argument slot moved
-        first, flattened over the other slots.  These generate congruence
-        closure; C is 0 when every operation is nullary.  The table and
-        one _images pass over it, n * C cells of C = sum k * n^(k-1) over
-        the k-ary tables, must fit limits.CLOSURE_BYTES, else
-        SizeLimitError is raised before the table is built."""
-        n = self.size
-        cells = n * sum(k * n ** (k - 1) for k in (arr.ndim for arr in self.by_name.values()) if k)
-        need = cells * (_TRANSLATION_BYTES + _GEN_BYTES)
-        if need > limits.CLOSURE_BYTES:
-            raise SizeLimitError(
-                "the translations of the algebra on %d points, %d cells, need %d bytes, "
-                "over the bound of %d" % (n, cells, need, limits.CLOSURE_BYTES)
-            )
-        cols = [np.moveaxis(arr, pos, 0).reshape(self.size, -1)
-                for arr in self.by_name.values() for pos in range(arr.ndim)]
-        moves = np.concatenate(cols, axis=1) if cols else np.empty((self.size, 0))
-        moves = moves.astype(np.intp)
+        """The distinct unary translations by the basic operations, one per
+        column of an (n, C) table: those of A(0), the diagonal of A^2, which
+        is A itself (_translations).  A unary table gives its own column and
+        a binary one its rows and columns, repeats included; a table of
+        arity 3 or more gives each distinct map once.  These generate
+        congruence closure; C is 0 when every operation is nullary.
+        SizeLimitError is raised when the table and one _images pass over
+        it would pass limits.CLOSURE_BYTES."""
+        points = np.arange(self.size)
+        moves = _translations(self, points, points, None)
         moves.setflags(write=False)
         return moves
 
@@ -475,22 +470,35 @@ def con_lattice(algebra, cap=limits.DEFAULT_ALGEBRA_CAP):
     efficiently", Algebra Universalis 59 (2008)).  Its size is checked
     against CONGFORGE_CAP after every chunk of a round, before the
     round's rows are added.  The n(n-1)/2 principal congruences are
-    generated as one batch.  EqRelLattice re-checks that the result is
-    closed under the join and meet of Eq(A), and compatibility of every
-    row is re-verified, as self-tests (both must hold automatically).
-    Algebras over cap elements are refused; cap=None lifts that.
+    generated in the ranges of limits.chunks, and the count of distinct
+    ones found, with the bottom, is checked against CONGFORGE_CAP after
+    every range.  EqRelLattice re-checks that the result is closed under
+    the join and meet of Eq(A), and compatibility of every row is
+    re-verified, as self-tests (both must hold automatically).  Algebras
+    over cap elements are refused; cap=None lifts that.
     """
     n = algebra.size
     if cap is not None:
         limits.check_cap(n, "con_lattice's algebra", cap)
-    a, b = np.triu_indices(n, 1)
-    rows = np.tile(np.arange(n), (a.size, 1))
-    rows[np.arange(a.size), b] = a  # row p relates a[p] and b[p] alone
-    dtype = narrow_dtype(n)
-    principals = _fresh_rows(_generate(algebra._moves, rows).astype(dtype), set())
+    moves, dtype = algebra._moves, narrow_dtype(n)
+    # pair p of the pairs a < b in row-major order has the last a with
+    # starts[a] <= p, and b = a + 1 + p - starts[a]
+    points = np.arange(n)
+    starts = points * (2 * n - points - 1) // 2
+    seen, found = set(), [np.empty((0, n), dtype=dtype)]
+    # per row: one _images pass over its translations, and its own copies
+    for lo, hi in limits.chunks(n * (n - 1) // 2, _GEN_BYTES * (moves.size + n)):
+        p = np.arange(lo, hi)
+        a = np.searchsorted(starts, p, side="right") - 1
+        rows = np.tile(points, (hi - lo, 1))
+        rows[np.arange(hi - lo), a + 1 + p - starts[a]] = a  # row p relates a and b alone
+        found.append(_fresh_rows(_generate(moves, rows).astype(dtype), seen))
+        # distinct principals and the bottom are distinct congruences
+        limits.check_cap(len(seen) + 1, "partition sublattice closure")
+    principals = np.concatenate(found)
     bottom = np.arange(n, dtype=dtype).reshape(1, n)
     reps = _close_rows(np.concatenate([bottom, principals]), (_join_reps,), principals)
-    if not _compatible(algebra._moves, reps):
+    if not _compatible(moves, reps):
         raise RuntimeError(
             "the join-closure of the principal congruences holds a partition "
             "that is not a congruence; this indicates a bug in the closure"
@@ -521,9 +529,10 @@ def _closure_bytes(algebra, by_projections=False):
     n^4-entry bitmaps, codes, generators and pair tables.  By projections:
     the same state of rounds in A^2, over n^2 pairs, on narrow copies of
     the tables, the three relations they give, and the translation table
-    that is_congruence caches (n rows of k n^(k-1) intp columns per k-ary
-    table).  Every binary operation is counted as associative, so the
-    bound is settled before associativity is."""
+    that is_congruence caches, counted at its most: n rows of k n^(k-1)
+    intp columns per k-ary table (for arity 3 and up only the distinct
+    columns are kept).  Every binary operation is counted as associative,
+    so the bound is settled before associativity is."""
     n = algebra.size
     n2 = n * n
     arities = [arr.ndim for arr in algebra.by_name.values() if arr.ndim]
@@ -769,9 +778,10 @@ def _closure_by_projections(algebra, alpha, beta):
     return M
 
 
-# Bytes per (point, translation) cell of the translation table of A(alpha),
-# beside one _images pass over it (_GEN_BYTES): the table itself and the
-# copy that joins its column blocks (8 + 8).
+# Bytes per (point, translation) cell of a translation table, beside one
+# _images pass over it (_GEN_BYTES): the table itself and the copy that
+# joins its column blocks (8 + 8).  Also the bytes per entry of a slot's
+# maps while they are keyed: their contiguous copy and its bytes (8 + 8).
 _TRANSLATION_BYTES = 16
 # Bytes per constant tuple of A(alpha) in one range of a slot of a table of
 # arity 3 or more: the tuple's flat index and its digit (8 + 8), the flat
@@ -783,11 +793,13 @@ _SLOT_BYTES = 72
 def _translations(algebra, x, y, index):
     """The basic translations of A(alpha), the subalgebra of A^2 on the
     pairs (x[i], y[i]) of alpha, as an (m, C) table of point indices;
-    index[a * n + b] is the point of the pair (a, b).  SizeLimitError is
+    index[a * n + b] is the point of the pair (a, b).  index None stands
+    for A(0), the diagonal, with x = y = 0..n-1: its point (a, a) is a,
+    so its table is the translation table of A itself
+    (FiniteAlgebra._moves), and no n^2 index is built.  SizeLimitError is
     raised when the table and one _images pass over it would pass
-    limits.CLOSURE_BYTES, before the table is built.
-    Every gather is on flat arrays, which numpy does faster than on two
-    index arrays.
+    limits.CLOSURE_BYTES, before the table is built.  Every gather is on
+    flat arrays, which numpy does faster than on two index arrays.
 
     Each k-ary table gives, for every argument slot and every (k-1)-tuple
     of points of A(alpha) as constants in the other slots, the column
@@ -801,11 +813,14 @@ def _translations(algebra, x, y, index):
     built.  A column is fixed by its pair (t, u), and the point (a, a)
     alone shows both t(a) and u(a), so distinct columns are distinct
     pairs.  So the distinct unary maps of A by every such slot are found
-    first, among its n^(k-1) constant tuples, each with an id; the m^(k-1)
-    constant tuples of A(alpha) are then walked in limits.chunks ranges,
-    each read as the pair key id(t) * T + id(u), T maps in all; the
-    distinct keys meet the byte bound as they are found, and their columns
-    are gathered at the end.
+    first, among its n^(k-1) constant tuples, each with an id, keyed in
+    limits.chunks ranges of the leading constant.  Every map t gives the
+    column (t, t) with constants on the diagonal, so the maps found so far
+    meet the byte bound as they are found.  The m^(k-1) constant tuples of
+    A(alpha) are then walked in limits.chunks ranges, each read as the
+    pair key id(t) * T + id(u), T maps in all; the distinct keys meet the
+    byte bound as they are found, and their columns are gathered at the
+    end.
     """
     n, m = algebra.size, x.size
 
@@ -817,6 +832,9 @@ def _translations(algebra, x, y, index):
                 % (columns, m, need, limits.CLOSURE_BYTES)
             )
 
+    def point(a, b):
+        return a if index is None else index[a * n + b]
+
     count = sum(k * m ** (k - 1) for k in (arr.ndim for arr in algebra.by_name.values())
                 if 1 <= k <= 2)
     check(count)
@@ -824,16 +842,20 @@ def _translations(algebra, x, y, index):
     for arr in algebra.by_name.values():
         k, flat = arr.ndim, arr.ravel()
         if k == 1:
-            blocks.append(index[arr[x] * n + arr[y]][:, None])
+            blocks.append(point(arr[x], arr[y])[:, None])
         elif k == 2:
-            table = index[flat[(x * n)[:, None] + x] * n + flat[(y * n)[:, None] + y]]
+            table = point(flat[(x * n)[:, None] + x], flat[(y * n)[:, None] + y])
             blocks += [table, table.T]
         elif k >= 3:
             for slot in range(k):
                 # row r: the map of the slot with the other slots' constants at r
-                rows = np.ascontiguousarray(np.moveaxis(arr, slot, -1)).reshape(-1, n)
-                keys = rows.view(np.dtype((np.void, n * rows.itemsize))).ravel().tolist()
-                slots.append((k, np.array([maps.setdefault(key, len(maps)) for key in keys])))
+                moved, ids = np.moveaxis(arr, slot, -1), []
+                for lo, hi in limits.chunks(n, _TRANSLATION_BYTES * n ** (k - 1)):
+                    rows = np.ascontiguousarray(moved[lo:hi]).reshape(-1, n)
+                    keys = rows.view(np.dtype((np.void, n * rows.itemsize))).ravel().tolist()
+                    ids += [maps.setdefault(key, len(maps)) for key in keys]
+                    check(count + len(maps))
+                slots.append((k, np.array(ids)))
     if slots:
         pairs = np.empty(0, dtype=np.int64)
         for k, ids in slots:
@@ -842,11 +864,14 @@ def _translations(algebra, x, y, index):
                 for _ in range(k - 1):  # the constants' coordinates, a digit at a time
                     consts, c = np.divmod(consts, m)
                     at_x, at_y = at_x * n + x[c], at_y * n + y[c]
-                pairs = np.union1d(pairs, ids[at_x] * len(maps) + ids[at_y])
+                # with return_index, np.unique does not import numpy.ma, as
+                # np.union1d and a plain np.unique do
+                pairs = np.unique(np.concatenate([pairs, ids[at_x] * len(maps) + ids[at_y]]),
+                                  return_index=True)[0]
                 check(count + pairs.size)
         values = np.frombuffer(b"".join(maps), dtype=np.int64)  # map i at a: i * n + a
         t, u = np.divmod(pairs, len(maps))
-        blocks.append(index[values[t * n + x[:, None]] * n + values[u * n + y[:, None]]])
+        blocks.append(point(values[t * n + x[:, None]], values[u * n + y[:, None]]))
     return np.concatenate(blocks, axis=1) if blocks else np.empty((m, 0), dtype=np.intp)
 
 

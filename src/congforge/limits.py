@@ -10,9 +10,9 @@ by default, and a check or search past its budget raises
 BudgetExceededError.  Bytes: every vectorised pass walks its rows in the
 ranges of chunks, each within CHUNK_BYTES; sampled draws come in rounds
 of HOLDS_ROUND or PAIR_ROUND, held in the value dtype; and state that cannot be chunked (the
-2x2-matrix closure, the translation table of the commutator's Delta
-route, the tables of a power algebra) must fit CLOSURE_BYTES before it
-is allocated.
+2x2-matrix closure, the translation tables of congruence generation
+and of the commutator's Delta route, the tables of a power algebra) must
+fit CLOSURE_BYTES before it is allocated.
 Iterations: every iteration to a fixpoint walks a monotone chain in a
 finite lattice, so it stops within a bound fixed by the size of its
 input; running past that bound raises NonConvergenceError.  Widths:
@@ -52,10 +52,11 @@ PAIR_ROUND = 1 << 22
 # Byte bound on the state of one 2x2-matrix closure (algebras._matrix_closure):
 # its n^4 bitmap, the bool temporary of a violation pass over it, and its
 # route's rounds (bitmaps and codes in the worst case) and tables.  The same
-# bound holds the translation table of A(alpha) with one pass over it
-# (algebras._translations; past it the commutator runs the closure and
-# construct_delta raises SizeLimitError) and the operation tables of
-# alpha_power_algebra (past it SizeLimitError).
+# bound holds a translation table, of an algebra or of A(alpha), with one
+# pass over it (algebras._translations; past it congruence generation and
+# construct_delta raise SizeLimitError, and the commutator runs the
+# closure) and the operation tables of alpha_power_algebra (past it
+# SizeLimitError).
 CLOSURE_BYTES = 1 << 28
 
 

@@ -58,19 +58,73 @@ class InvalidNError(ValueError, CongforgeError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """==, hash and repr for terms, in place of the dataclass ones, which
+    recurse once per nesting level.  Each walks the term on its own stack,
+    as _visit does, so a deep term needs no deep Python stack; == and repr
+    give what the dataclass methods give (repr(Var("x")) is
+    "Var(name='x')"), and equal terms hash alike."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if a.__class__ is Var:
+                if a.name != b.name:
+                    return False
+            else:
+                stack += (a.right, b.right), (a.left, b.left)
+        return True
+
+    def __hash__(self):
+        order, stack = [], [self]  # preorder, so every node comes before its operands
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if node.__class__ is not Var:
+                stack += node.left, node.right
+        value = {}
+        for node in reversed(order):
+            value[id(node)] = (hash((node.name,)) if node.__class__ is Var else
+                               hash((node.__class__ is Join, value[id(node.left)],
+                                     value[id(node.right)])))
+        return value[id(self)]
+
+    def __repr__(self):
+        out, stack = [], [self]  # pieces pushed right to left
+        while stack:
+            piece = stack.pop()
+            if piece.__class__ is str:
+                out.append(piece)
+            elif piece.__class__ is Var:
+                out.append("Var(name=%r)" % (piece.name,))
+            else:
+                stack += (")", piece.right, ", right=", piece.left,
+                          piece.__class__.__name__ + "(left=")
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Join:
+@dataclass(frozen=True, eq=False, repr=False)
+class Join(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Meet:
+@dataclass(frozen=True, eq=False, repr=False)
+class Meet(_Node):
     left: "Term"
     right: "Term"
 

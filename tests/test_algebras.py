@@ -191,20 +191,22 @@ def test_tiny_chunk_budget_gives_the_same_con(monkeypatch, algebra_corpus):
 
 
 def test_translation_table_is_refused_past_the_byte_bound(monkeypatch):
-    # affine Z3: one ternary table, 3 * 3^2 translations of 3 points, 81
-    # cells at 57 bytes a cell; refused at a bound one byte lower, before
-    # the table is built
+    # affine Z3: one ternary table, whose 3 * 3^2 translations are 6
+    # distinct maps, x + c and c - x, of 3 points: 18 cells at 57 bytes a
+    # cell; refused at a bound one byte lower, before the table is built
     x, y, z = np.ogrid[:3, :3, :3]
     alg = FiniteAlgebra(3, [Operation("p", 3, (x - y + z) % 3)])
-    assert (algebras._TRANSLATION_BYTES + algebras._GEN_BYTES) * 81 == 4617
-    monkeypatch.setattr(limits, "CLOSURE_BYTES", 4616)
+    assert (algebras._TRANSLATION_BYTES + algebras._GEN_BYTES) * 18 == 1026
+    monkeypatch.setattr(limits, "CLOSURE_BYTES", 1025)
     for call in (lambda: is_congruence(alg, Partition.one_block(3)),
                  lambda: principal_congruence(alg, 0, 1), lambda: con_lattice(alg)):
-        with pytest.raises(limits.SizeLimitError, match="81 cells, need 4617 bytes, over the bound of 4616"):
+        with pytest.raises(limits.SizeLimitError,
+                           match=r"6 translations of A\(alpha\) on 3 points need 1026 bytes, "
+                                 "over the bound of 1025"):
             call()
         assert "_moves" not in vars(alg)
-    monkeypatch.setattr(limits, "CLOSURE_BYTES", 4617)
-    assert alg._moves.shape == (3, 27) and is_congruence(alg, Partition.one_block(3))
+    monkeypatch.setattr(limits, "CLOSURE_BYTES", 1026)
+    assert alg._moves.shape == (3, 6) and is_congruence(alg, Partition.one_block(3))
 
 
 def test_compatibility_check_reaches_the_last_row_chunk(monkeypatch, algebra_corpus):

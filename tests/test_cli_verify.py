@@ -11,7 +11,7 @@ import pytest
 
 import congforge
 from congforge import fixtures, jsonio, limits, verify
-from congforge.algebras import FiniteAlgebra, Operation, make_operation
+from congforge.algebras import FiniteAlgebra, make_operation
 from congforge.cli import main
 from congforge.lattice import LatticeError, NotALatticeError
 from congforge.limits import CongforgeError
@@ -304,19 +304,37 @@ def test_alg_embed_construct_over_the_power_table_bound_exits_2(files, capsys, m
 
 
 def test_alg_embed_construct_over_the_translation_bound_exits_2(tmp_path, capsys, monkeypatch):
-    # affine Z3 at n = 3 over the top: 27 tuples; the power's table of 27^3
-    # cells at 16 bytes fits, but its 3 * 27^2 translations of 27 points,
-    # 59049 cells at 57 bytes a cell, are refused at a bound one byte lower
-    x, y, z = np.ogrid[:3, :3, :3]
-    path = tmp_path / "aff3.json"
-    path.write_text(json.dumps(jsonio.algebra_to_dict(
-        FiniteAlgebra(3, [Operation("p", 3, (x - y + z) % 3)]))))
-    monkeypatch.setattr(limits, "CLOSURE_BYTES", 57 * 59049 - 1)
+    # Z3 at n = 3 over the top: 27 tuples; the power's tables, 27^2 + 27
+    # cells at 16 bytes, fit, but its translations, inv's column and mul's
+    # 2 * 27, 1485 cells at 57 bytes a cell, are refused at a bound one
+    # byte lower.  (Over affine Z3 the power's 27^3 table is refused first:
+    # its translations are 54 distinct columns, 83106 bytes.)
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(jsonio.algebra_to_dict(fixtures.cyclic_group(3))))
+    monkeypatch.setattr(limits, "CLOSURE_BYTES", 57 * 1485 - 1)
     assert main(["alg", str(path), "embed-construct", "--alpha", "top", "--n", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: the translations of the algebra on 27 points")
-    assert "59049 cells, need 3365793 bytes, over the bound of 3365792" in captured.err
+    assert captured.err.startswith("error: 55 translations of A(alpha) on 27 points")
+    assert "need 84645 bytes, over the bound of 84644" in captured.err
+    monkeypatch.setattr(limits, "CLOSURE_BYTES", 57 * 1485)
+    assert main(["alg", str(path), "embed-construct", "--alpha", "top", "--n", "3"]) == 0
+
+
+def test_alg_embed_construct_of_a_large_unary_power_exits_2_at_the_element_cap(
+        tmp_path, capsys, monkeypatch):
+    # the identity on 2 points at n = 12: 4096 tuples, whose 8386560
+    # principal congruences are all distinct; they are generated a chunk at
+    # a time and refused past the cap of 20000, not held at once (256 GiB)
+    monkeypatch.delenv("CONGFORGE_CAP", raising=False)
+    path = tmp_path / "id2.json"
+    path.write_text(json.dumps(jsonio.algebra_to_dict(
+        FiniteAlgebra(2, [make_operation("id", 1, range(2), 2)]))))
+    assert main(["alg", str(path), "embed-construct", "--alpha", "top", "--n", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: partition sublattice closure has ")
+    assert "over the cap of 20000" in captured.err
 
 
 def test_alg_con_far_over_the_element_cap_exits_2(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from congforge import fixtures, limits
 from congforge.algebras import (
     FiniteAlgebra,
+    Operation,
     _generate,
+    alpha_power_algebra,
     con_lattice,
     congruence_from_pairs,
     make_operation,
@@ -25,14 +27,21 @@ from congforge.partitions import (
 )
 
 
+def moves_by_all_columns(tables, n):
+    """Every unary translation by the tables on n points, one per column:
+    each table with one argument slot moved first, flattened over the
+    other slots, k * n^(k-1) columns per k-ary table, repeats included."""
+    cols = [np.moveaxis(arr, pos, 0).reshape(n, -1) for arr in tables for pos in range(arr.ndim)]
+    return np.concatenate(cols, axis=1) if cols else np.empty((n, 0), dtype=np.intp)
+
+
 def congruence_by_union_find(algebra, pairs, start=None):
     """Least congruence containing the pairs (and the start partition), by
     a Python union-find: whenever two classes merge, every unary
     translation by a basic operation is applied to the merged pair, until
     no merge produces new identifications."""
     n = algebra.size
-    translations = [np.moveaxis(arr, pos, 0).reshape(n, -1)
-                    for arr in algebra.by_name.values() for pos in range(arr.ndim)]
+    translations = moves_by_all_columns(algebra.by_name.values(), n)
     parent = list(range(n))
 
     def find(x):
@@ -59,10 +68,9 @@ def congruence_by_union_find(algebra, pairs, start=None):
         union(int(a), int(b))
     while worklist:
         a, b = worklist.pop()
-        for moved in translations:
-            ra, rb = moved[a], moved[b]
-            for j in np.flatnonzero(ra != rb):
-                union(int(ra[j]), int(rb[j]))
+        ra, rb = translations[a], translations[b]
+        for j in np.flatnonzero(ra != rb):
+            union(int(ra[j]), int(rb[j]))
     return Partition(tuple(find(i) for i in range(n)))
 
 
@@ -74,9 +82,26 @@ def principal_rows(n):
     return rows
 
 
+def assert_moves_match_all_columns(alg):
+    """alg._moves against every column: the same set of columns; the
+    columns of the unary and binary tables first, one per slot and
+    constant as in the oracle; then those of the tables of arity 3 and up,
+    each once; and the same principal congruences from _generate."""
+    n, moves = alg.size, alg._moves
+    every = moves_by_all_columns(alg.by_name.values(), n)
+    assert {tuple(c) for c in moves.T.tolist()} == {tuple(c) for c in every.T.tolist()}
+    low = moves_by_all_columns([arr for arr in alg.by_name.values() if arr.ndim <= 2], n)
+    assert np.array_equal(moves[:, :low.shape[1]], low)
+    high = moves[:, low.shape[1]:]
+    assert len({tuple(c) for c in high.T.tolist()}) == high.shape[1]
+    assert np.array_equal(_generate(moves, principal_rows(n)), _generate(every, principal_rows(n)))
+
+
 def assert_generation_matches_union_find(alg, pairs, start):
-    """Single calls, with and without start, and one batch of every
-    principal congruence, each against the union-find."""
+    """The translation table against every column, then single calls,
+    with and without start, and one batch of every principal congruence,
+    each against the union-find."""
+    assert_moves_match_all_columns(alg)
     n = alg.size
     assert congruence_from_pairs(alg, pairs) == congruence_by_union_find(alg, pairs)
     assert (congruence_from_pairs(alg, np.array(pairs, dtype=np.int64).reshape(-1, 2),
@@ -107,6 +132,30 @@ def test_tiny_chunk_budget_gives_the_same_congruences(monkeypatch, algebra_corpu
     for alg, rows in zip(cases, want):
         assert np.array_equal(_generate(alg._moves, principal_rows(alg.size)), rows)
         assert_generation_matches_union_find(alg, [(0, alg.size - 1)], _some_partition(alg.size, 1))
+
+
+def affine_z3_power(n):
+    """The power of affine Z3, (Z3, x - y + z), on all n-tuples."""
+    x, y, z = np.ogrid[:3, :3, :3]
+    aff = FiniteAlgebra(3, [Operation("p", 3, (x - y + z) % 3)])
+    return alpha_power_algebra(aff, Partition.one_block(3), n)[0]
+
+
+def test_moves_keep_each_translation_once_at_a_tiny_chunk_budget(monkeypatch, algebra_corpus):
+    # affine Z3 powers: the 2 * 3^n distinct maps x + c and c - x of
+    # 3 * 3^(2n) columns; a seeded ternary table, whose slots give
+    # different maps, beside a unary one
+    powers = [affine_z3_power(n) for n in (2, 3)]
+    assert [power._moves.shape for power in powers] == [(9, 18), (27, 54)]
+    table = np.random.default_rng(0).integers(0, 3, 27)
+    mixed = FiniteAlgebra(3, [make_operation("t", 3, table, 3),
+                              make_operation("u", 1, [1, 1, 0], 3)])
+    cases = [alg for _, alg, _ in algebra_corpus] + powers + [mixed]
+    monkeypatch.setattr(limits, "CHUNK_BYTES", 1)
+    for alg in cases:
+        again = FiniteAlgebra(alg.size, alg.operations)  # its table built at one-row chunks
+        assert_moves_match_all_columns(again)
+        assert np.array_equal(again._moves, alg._moves)
 
 
 @st.composite

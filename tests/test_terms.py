@@ -166,6 +166,32 @@ def test_a_deep_flat_term_is_evaluated_and_substituted(m3):
     assert substitute(flat, {}).left.left.right is flat.left.left.right
 
 
+def test_a_deep_flat_term_is_compared_hashed_and_printed():
+    # the same 5000-term x+...+x, past the default recursion limit for the
+    # dataclass ==, hash and repr
+    flat, again = (parse("+".join(["x"] * 5000)) for _ in range(2))
+    assert flat == again and flat is not again and hash(flat) == hash(again)
+    assert {flat: 1}[again] == 1 and Identity(flat, again) == Identity(again, flat)
+    assert repr(flat) == "Join(left=" * 4999 + "Var(name='x')" + ", right=Var(name='x'))" * 4999
+    # one differing leaf, at the bottom or the top, or a meet in place of a join
+    assert flat != parse("y+" + "+".join(["x"] * 4999))
+    assert flat != parse("+".join(["x"] * 4999) + "+y")
+    assert flat != Meet(flat.left, flat.right) and flat != flat.left
+    assert flat.__eq__("x") is NotImplemented and flat != "x"
+
+
+def test_shallow_terms_keep_their_dataclass_repr():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    assert repr(x) == "Var(name='x')"
+    assert repr(Meet(Join(x, y), z)) == (
+        "Meet(left=Join(left=Var(name='x'), right=Var(name='y')), right=Var(name='z'))")
+    assert repr(Identity(Join(x, y), y, "le")) == (
+        "Identity(lhs=Join(left=Var(name='x'), right=Var(name='y')), "
+        "rhs=Var(name='y'), kind='le')")
+    assert Join(x, y) != Meet(x, y) and Join(x, y) == Join(Var("x"), Var("y"))
+    assert len({Join(x, y), Join(Var("x"), Var("y")), Meet(x, y)}) == 2
+
+
 def _oracle_verdict(lat, phi):
     """Straightforward nested-loop scan in the same enumeration order."""
     names = sorted(phi.variables())
