@@ -60,7 +60,9 @@ subalgebras of A^2 spanned by the projected seeds, b, a and Sg(a u b)
 on the diagonals, so M is the AND of six broadcast n x n relations (a
 congruence among them is used as it is, not closed) and no n^(2k) pair
 table is built.  The byte bound counts M, a violation pass's bool
-temporary and each route's own state.  The tables, which of them are
+temporary and each route's own state, checked before anything is built,
+and then, on the projection route, the translation table that the
+congruence checks read, at the bytes it holds.  The tables, which of them are
 associative or majority operations and the translation table are
 derived lazily on first use and cached on the algebra; no closure or
 congruence is cached across calls.
@@ -524,15 +526,15 @@ _CELL_BYTES = 16
 
 
 def _closure_bytes(algebra, by_projections=False):
-    """Bytes of a closure's state: the n^4 bitmap M and a violation pass's
-    temporary, plus each route's own state.  By rounds in A^4: the other
-    n^4-entry bitmaps, codes, generators and pair tables.  By projections:
-    the same state of rounds in A^2, over n^2 pairs, on narrow copies of
-    the tables, the three relations they give, and the translation table
-    that is_congruence caches, counted at its most: n rows of k n^(k-1)
-    intp columns per k-ary table (for arity 3 and up only the distinct
-    columns are kept).  Every binary operation is counted as associative,
-    so the bound is settled before associativity is."""
+    """Bytes of a closure's own state: the n^4 bitmap M and a violation
+    pass's temporary, plus each route's own state.  By rounds in A^4: the
+    other n^4-entry bitmaps, codes, generators and pair tables.  By
+    projections: the same state of rounds in A^2, over n^2 pairs, on
+    narrow copies of the tables, and the three relations they give; the
+    translation table that is_congruence reads is not counted here, as
+    _matrix_closure adds the bytes it holds.  Every binary operation is
+    counted as associative, so the bound is settled before associativity
+    is."""
     n = algebra.size
     n2 = n * n
     arities = [arr.ndim for arr in algebra.by_name.values() if arr.ndim]
@@ -540,7 +542,7 @@ def _closure_bytes(algebra, by_projections=False):
     if by_projections:
         item = narrow_dtype(n).itemsize
         return (n2 * n2 * _BITMAP_BYTES + n2 * (per_element + 3)
-                + sum(item * n**k + 8 * k * n**k for k in arities))
+                + sum(item * n**k for k in arities))
     item = narrow_dtype(n2).itemsize
     return n2 * n2 * (_BITMAP_BYTES + per_element) + sum(item * n2**k for k in arities)
 
@@ -687,11 +689,16 @@ def _matrix_closure(algebra, alpha, beta):
     otherwise it is generated by rounds (_closure_by_rounds).  Both
     return M as a bool array of shape (n, n, n, n), true at
     [m00, m01, m10, m11] exactly for the members, and both must fit
-    limits.CLOSURE_BYTES or SizeLimitError is raised before anything is
-    allocated.
+    limits.CLOSURE_BYTES or SizeLimitError is raised.  The route's own
+    state (_closure_bytes) is checked first, before anything is built;
+    only when it fits does the projection route add the bytes of the
+    translation table that is_congruence reads (FiniteAlgebra._moves,
+    built under its own bound) and check again.
     """
     by_projections = any(algebra._majority)
     need = _closure_bytes(algebra, by_projections)
+    if by_projections and need <= limits.CLOSURE_BYTES:
+        need += algebra._moves.nbytes
     if need > limits.CLOSURE_BYTES:
         raise SizeLimitError(
             "2x2-matrix closure on %d elements needs %d bytes, over the bound of %d"

@@ -32,11 +32,9 @@ def cmd_check(args):
     elif args.identity:
         phi = terms.parse(args.identity)
         if not isinstance(phi, (terms.Identity, terms.QuasiIdentity)):
-            print("error: input parses to a bare term, not an identity", file=sys.stderr)
-            return 2
+            raise ValueError("input parses to a bare term, not an identity")
     else:
-        print("error: give --builtin or --identity", file=sys.stderr)
-        return 2
+        raise ValueError("give --builtin or --identity")
     if args.mode == "sampled":
         verdict = terms.holds(
             lat, phi, mode="sampled", samples=args.samples, seed=args.seed
@@ -70,25 +68,21 @@ def cmd_gen(args):
         lat = fixtures.n5()
     elif args.kind == "pi":
         if args.n is None:
-            print("error: gen pi needs --n", file=sys.stderr)
-            return 2
+            raise ValueError("gen pi needs --n")
         lat = full_partition_lattice(args.n).lattice
     elif args.kind == "sub":
         if args.dim is None or args.p is None:
-            print("error: gen sub needs --dim and --p", file=sys.stderr)
-            return 2
+            raise ValueError("gen sub needs --dim and --p")
         lat = subspaces.subspace_lattice(args.dim, args.p).lattice
     elif args.kind == "product":
         if len(args.files) != 2:
-            print("error: gen product needs two lattice files", file=sys.stderr)
-            return 2
+            raise ValueError("gen product needs two lattice files")
         from .lattice import direct_product
 
         lat = direct_product(jsonio.load_lattice(args.files[0]),
                              jsonio.load_lattice(args.files[1]))
     else:
-        print("error: unknown kind %r" % args.kind, file=sys.stderr)
-        return 2
+        raise ValueError("unknown kind %r" % args.kind)
     print(jsonio.lattice_to_json(lat))
     return 0
 
@@ -110,9 +104,8 @@ _ALG_ARGS = {"con": 0, "commutator": 2, "wdt": 1, "embed-construct": 0}
 
 def cmd_alg(args):
     if len(args.args) != _ALG_ARGS[args.action]:
-        print("error: alg %s takes %d arguments, got %d"
-              % (args.action, _ALG_ARGS[args.action], len(args.args)), file=sys.stderr)
-        return 2
+        raise ValueError("alg %s takes %d arguments, got %d"
+                         % (args.action, _ALG_ARGS[args.action], len(args.args)))
     alg = jsonio.load_algebra(args.algebra)
     if args.action == "con":
         con = algebras.con_lattice(alg)
@@ -149,8 +142,7 @@ def cmd_alg(args):
         return 0
     if args.action == "embed-construct":
         if args.alpha is None:
-            print("error: alg embed-construct needs --alpha", file=sys.stderr)
-            return 2
+            raise ValueError("alg embed-construct needs --alpha")
         alpha = _parse_congruence(alg, args.alpha)
         rep = algebras.verify_embedding_construction(alg, alpha, args.n)
         payload = {
@@ -162,8 +154,7 @@ def cmd_alg(args):
         }
         _emit(payload, args.human, "passed: %s (%s)" % (rep.passed, rep.checks))
         return 0 if rep.passed else 1
-    print("error: unknown alg action %r" % args.action, file=sys.stderr)
-    return 2
+    raise ValueError("unknown alg action %r" % args.action)
 
 
 def cmd_verify(args):

@@ -20,6 +20,19 @@ ranges of `limits.chunks`), or on the seeded stream of
 exhaustive count of assignments at which the n-th cyclic inequality and
 its companion disagree: `_dn_transfer` counts them by a transfer over
 the cycle of variable pairs, without visiting the assignments one by one.
+
+A term may nest thousands of levels deep (`generate_dn(2000)`, or a flat
+`x+x+...+x` from the command line), so no walk over a term recurses.  One
+walk, `_postorder`, lists a term's nodes bottom-up on a stack of its own;
+`==` and `hash` read the tuple of its tokens, `variables` collects its
+names, and `substitute` and `evaluate` run a value stack over it.  Four
+walks stay separate.  `repr` and `_term_str` write strings top-down on a
+stack of pending pieces: a bottom-up fold would copy each subterm's string
+at every level above it, which is quadratic on a deep chain.  `_visit`
+compiles formulas for the sweep engine, on the timed path of `holds`, and
+`evaluate` is its independent oracle.  The parser keeps its own descent:
+it recurses only into parentheses, and the tests pin the depth at which
+it gives up.
 """
 
 from __future__ import annotations
@@ -60,43 +73,28 @@ class InvalidNError(ValueError, CongforgeError):
 
 class _Node:
     """==, hash and repr for terms, in place of the dataclass ones, which
-    recurse once per nesting level.  Each walks the term on its own stack,
-    as _visit does, so a deep term needs no deep Python stack; == and repr
-    give what the dataclass methods give (repr(Var("x")) is
-    "Var(name='x')"), and equal terms hash alike."""
+    recurse once per nesting level.  == and hash read the tuple of the
+    term's postorder tokens, each variable's name and each operation's
+    class (_postorder); operations are binary, so this tuple names the term
+    exactly, and equal terms hash alike.  repr keeps its own walk, as
+    _term_str does: it writes its string top-down on a stack of pending
+    pieces, where a bottom-up fold would copy strings at every level.  It
+    gives what the dataclass repr gives (repr(Var("x")) is
+    "Var(name='x')")."""
 
     __slots__ = ()
+
+    def _tokens(self):
+        return tuple(node.name if node.__class__ is Var else node.__class__
+                     for node in _postorder(self))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            if a.__class__ is Var:
-                if a.name != b.name:
-                    return False
-            else:
-                stack += (a.right, b.right), (a.left, b.left)
-        return True
+        return self._tokens() == other._tokens()
 
     def __hash__(self):
-        order, stack = [], [self]  # preorder, so every node comes before its operands
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if node.__class__ is not Var:
-                stack += node.left, node.right
-        value = {}
-        for node in reversed(order):
-            value[id(node)] = (hash((node.name,)) if node.__class__ is Var else
-                               hash((node.__class__ is Join, value[id(node.left)],
-                                     value[id(node.right)])))
-        return value[id(self)]
+        return hash(self._tokens())
 
     def __repr__(self):
         out, stack = [], [self]  # pieces pushed right to left
@@ -162,40 +160,37 @@ class QuasiIdentity:
         return out
 
 
-def variables(term):
-    out, stack = set(), [term]
+def _postorder(term):
+    """The nodes of term, each after its left and then its right operand:
+    its root-right-left preorder, walked on a stack of its own, reversed.
+    So a deep term needs no deep Python stack."""
+    order, stack = [], [term]
     while stack:
-        term = stack.pop()
-        if isinstance(term, Var):
-            out.add(term.name)
-        else:
-            stack += term.left, term.right
-    return out
+        node = stack.pop()
+        order.append(node)
+        while node.__class__ is not Var:  # down the right spine, holding left operands
+            stack.append(node.left)
+            node = node.right
+            order.append(node)
+    order.reverse()
+    return order
+
+
+def variables(term):
+    return {node.name for node in _postorder(term) if node.__class__ is Var}
 
 
 def substitute(term, mapping):
     """Replace variables by terms; variables absent from mapping stay.
-
-    The walk keeps its own stack, as _visit does, so a deep term needs no
-    deep Python stack: it goes down left operands, holding each operation
-    passed as (class, right operand, False) until its left result is
-    known, then as (class, left result, True) until its right one is."""
-    pending = []
-    while True:
-        while term.__class__ is not Var:
-            pending.append((term.__class__, term.right, False))
-            term = term.left
-        out = mapping.get(term.name, term)
-        while pending:
-            cls, other, done = pending.pop()
-            if done:
-                out = cls(other, out)
-            else:
-                pending.append((cls, out, True))
-                term = other
-                break
+    The result is built on a value stack over _postorder."""
+    values = []
+    for node in _postorder(term):
+        if node.__class__ is Var:
+            values.append(mapping.get(node.name, node))
         else:
-            return out
+            right = values.pop()
+            values[-1] = node.__class__(values[-1], right)
+    return values[0]
 
 
 # -- printing ---------------------------------------------------------------
@@ -546,35 +541,20 @@ def generate_sd(side):
 
 
 def evaluate(term, lat, assignment):
-    """Value of a term in lat under a variable->element assignment.
-
-    The walk keeps its own stack, as _visit does: it goes down left
-    operands, holding each operation passed as (table, right operand)
-    until its left value is known; a variable right operand is then read
-    at once, and any other is held as (table, left value), an int, until
-    its own value is known."""
-    join, meet, pending = lat.join, lat.meet, []
+    """Value of a term in lat under a variable->element assignment, on a
+    value stack over _postorder; UnboundVariableError names the leftmost
+    variable that the assignment lacks."""
+    join, meet, values = lat.join.item, lat.meet.item, []
     try:
-        while True:
-            while term.__class__ is not Var:
-                pending.append((join if term.__class__ is Join else meet, term.right))
-                term = term.left
-            value = int(assignment[term.name])
-            while pending:
-                table, other = pending.pop()
-                if other.__class__ is int:
-                    value = table.item(other, value)
-                elif other.__class__ is Var:
-                    term = other
-                    value = table.item(value, int(assignment[term.name]))
-                else:
-                    pending.append((table, value))
-                    term = other
-                    break
+        for node in _postorder(term):
+            if node.__class__ is Var:
+                values.append(int(assignment[node.name]))
             else:
-                return value
+                right = values.pop()
+                values[-1] = (join if node.__class__ is Join else meet)(values[-1], right)
     except KeyError:
-        raise UnboundVariableError(term.name) from None
+        raise UnboundVariableError(node.name) from None
+    return values[0]
 
 
 # instruction codes of a compiled program: a variable, the two operations,

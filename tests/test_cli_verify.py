@@ -198,6 +198,23 @@ def test_alg_bad_input_exits_2(files, capsys, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "pi"], "gen pi needs --n"),
+    (["gen", "sub", "--dim", "3"], "gen sub needs --dim and --p"),
+    (["gen", "sub", "--p", "2"], "gen sub needs --dim and --p"),
+    (["gen", "product", "m3"], "gen product needs two lattice files"),
+    (["check", "m3"], "give --builtin or --identity"),
+    (["check", "m3", "--identity", "x + y"], "input parses to a bare term, not an identity"),
+    (["alg", "z2", "embed-construct"], "alg embed-construct needs --alpha"),
+])
+def test_usage_errors_exit_2_with_one_message(files, capsys, argv, message):
+    argv = [files.get(arg, arg) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "m3", "--builtin", "dn", "--n", "2000"],
     ["check", "m3", "--identity", "x+(" * 990 + "x" + ")" * 990 + "=x"],

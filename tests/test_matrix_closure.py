@@ -541,3 +541,23 @@ def test_projection_route_counts_its_own_bytes():
         _matrix_closure(chain, Partition.one_block(refused), Partition.one_block(refused))
     # refused before any table is built, and before the congruence checks
     assert not {"_pair_tables", "_moves"} & set(vars(chain))
+
+
+def test_projection_route_counts_the_translation_table_it_holds(monkeypatch):
+    # the route's own state is checked first, with nothing built; then the
+    # bytes of the translation table is_congruence reads, as it is held
+    n = 16
+    top, quarters = Partition.one_block(n), Partition(tuple(x - x % 4 for x in range(n)))
+    want = _matrix_closure(_chain_median(n), top, quarters)
+    own = algebras._closure_bytes(_chain_median(n), True)
+    table = _chain_median(n)._moves.nbytes
+    assert table == 8 * n * (n * (n + 1) // 2)  # one column per distinct map, not 3 n^3
+    monkeypatch.setattr(limits, "CLOSURE_BYTES", own + table)
+    assert np.array_equal(_matrix_closure(_chain_median(n), top, quarters), want)
+    for bound, built in ((own + table - 1, True), (own - 1, False)):
+        monkeypatch.setattr(limits, "CLOSURE_BYTES", bound)
+        chain = _chain_median(n)
+        with pytest.raises(SizeLimitError, match="2x2-matrix closure on 16 elements needs %d bytes"
+                           % (own + table if built else own)):
+            _matrix_closure(chain, top, quarters)
+        assert ("_moves" in vars(chain)) is built and "_pair_tables" not in vars(chain)

@@ -192,6 +192,91 @@ def test_shallow_terms_keep_their_dataclass_repr():
     assert len({Join(x, y), Join(Var("x"), Var("y")), Meet(x, y)}) == 2
 
 
+# Recursive references for the term walks: the dataclass semantics, which
+# hold on shallow terms.
+
+
+def _ref_eq(s, t):
+    if s.__class__ is not t.__class__:
+        return False
+    if s.__class__ is Var:
+        return s.name == t.name
+    return _ref_eq(s.left, t.left) and _ref_eq(s.right, t.right)
+
+
+def _ref_key(t):
+    """The fields of t with its class, nested: two terms are equal exactly
+    when their keys are, so a hash that reads the whole term tells apart
+    what the keys tell apart."""
+    if t.__class__ is Var:
+        return ("Var", t.name)
+    return (t.__class__.__name__, _ref_key(t.left), _ref_key(t.right))
+
+
+def _ref_variables(t):
+    return {t.name} if t.__class__ is Var else _ref_variables(t.left) | _ref_variables(t.right)
+
+
+def _ref_substitute(t, mapping):
+    if t.__class__ is Var:
+        return mapping.get(t.name, t)
+    return t.__class__(_ref_substitute(t.left, mapping), _ref_substitute(t.right, mapping))
+
+
+def _ref_evaluate(t, lat, env):
+    if t.__class__ is Var:
+        if t.name not in env:
+            raise UnboundVariableError(t.name)
+        return int(env[t.name])
+    left = _ref_evaluate(t.left, lat, env)
+    right = _ref_evaluate(t.right, lat, env)
+    return int((lat.join if t.__class__ is Join else lat.meet)[left, right])
+
+
+@st.composite
+def _term_pairs(draw):
+    """A term and a second one: a fresh copy, one drawn apart, or the copy
+    with one variable renamed."""
+    s = draw(_term_strategy())
+    how = draw(st.sampled_from(["copy", "drawn", "renamed"]))
+    if how == "copy":
+        return s, _ref_substitute(s, {})
+    if how == "drawn":
+        return s, draw(_term_strategy())
+    return s, _ref_substitute(s, {draw(_names): Var(draw(_names))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_pairs())
+def test_eq_hash_and_variables_match_the_recursive_references(pair):
+    s, t = pair
+    assert (s == t) is _ref_eq(s, t) and (s != t) is not _ref_eq(s, t)
+    assert (hash(s) == hash(t)) is (_ref_key(s) == _ref_key(t))
+    assert len({s, t}) == len({_ref_key(s), _ref_key(t)})
+    assert terms.variables(s) == _ref_variables(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_strategy(), st.dictionaries(_names, st.integers(0, 4)))
+def test_evaluate_matches_the_recursive_reference(term, env):
+    lat = fixtures.n5()
+    try:
+        want = _ref_evaluate(term, lat, env)
+    except UnboundVariableError as err:
+        with pytest.raises(UnboundVariableError) as got:
+            evaluate(term, lat, env)
+        assert got.value.name == err.name  # the leftmost unbound variable
+    else:
+        assert evaluate(term, lat, env) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_strategy(), st.dictionaries(_names, _term_strategy(), max_size=3))
+def test_substitute_matches_the_recursive_reference(term, mapping):
+    got, want = substitute(term, mapping), _ref_substitute(term, mapping)
+    assert to_str(got) == to_str(want) and _ref_eq(got, want)
+
+
 def _oracle_verdict(lat, phi):
     """Straightforward nested-loop scan in the same enumeration order."""
     names = sorted(phi.variables())
