@@ -74,15 +74,13 @@ def cmd_gen(args):
         if args.dim is None or args.p is None:
             raise ValueError("gen sub needs --dim and --p")
         lat = subspaces.subspace_lattice(args.dim, args.p).lattice
-    elif args.kind == "product":
+    else:  # product, the last of the parser's choices
         if len(args.files) != 2:
             raise ValueError("gen product needs two lattice files")
         from .lattice import direct_product
 
         lat = direct_product(jsonio.load_lattice(args.files[0]),
                              jsonio.load_lattice(args.files[1]))
-    else:
-        raise ValueError("unknown kind %r" % args.kind)
     print(jsonio.lattice_to_json(lat))
     return 0
 
@@ -140,21 +138,20 @@ def cmd_alg(args):
             "weak difference term: %s" % ok,
         )
         return 0
-    if args.action == "embed-construct":
-        if args.alpha is None:
-            raise ValueError("alg embed-construct needs --alpha")
-        alpha = _parse_congruence(alg, args.alpha)
-        rep = algebras.verify_embedding_construction(alg, alpha, args.n)
-        payload = {
-            "n": rep.n,
-            "universe_size": rep.universe_size,
-            "interval_size": rep.interval_size,
-            "checks": rep.checks,
-            "passed": rep.passed,
-        }
-        _emit(payload, args.human, "passed: %s (%s)" % (rep.passed, rep.checks))
-        return 0 if rep.passed else 1
-    raise ValueError("unknown alg action %r" % args.action)
+    # embed-construct, the last of the parser's choices
+    if args.alpha is None:
+        raise ValueError("alg embed-construct needs --alpha")
+    alpha = _parse_congruence(alg, args.alpha)
+    rep = algebras.verify_embedding_construction(alg, alpha, args.n)
+    payload = {
+        "n": rep.n,
+        "universe_size": rep.universe_size,
+        "interval_size": rep.interval_size,
+        "checks": rep.checks,
+        "passed": rep.passed,
+    }
+    _emit(payload, args.human, "passed: %s (%s)" % (rep.passed, rep.checks))
+    return 0 if rep.passed else 1
 
 
 def cmd_verify(args):

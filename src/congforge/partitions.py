@@ -32,7 +32,8 @@ meet, so no relation matrix is built; relation_compose keeps the matrix
 product as the slow route.  The harness evaluates its inequality dn*
 straight in Eq(A), as a straight-line program compiled once per n by the
 sweep engine's compiler (terms._visit), and builds no lattice per
-instance.
+instance.  Each pair is joined once: the join that Ore's test computes
+(_ore_join) is the program's input x_i v x_i'.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _int_list(value):
     return isinstance(value, list) and all(type(v) is int for v in value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     rep: tuple[int, ...]
 
@@ -176,8 +177,8 @@ def _relation_matrix(p):
     return r[:, None] == r[None, :]
 
 
-def permutes(a, b):
-    """True iff a o b = b o a as relations (equivalently a o b = a v b).
+def _ore_join(ra, rb):
+    """The join of two canonical rep tuples when they permute, else None.
 
     Ore's criterion (O. Ore, "Theory of equivalence relations", Duke
     Math. J. 9 (1942)), decided on block counts with no relation matrix.
@@ -190,17 +191,28 @@ def permutes(a, b):
     the pair permutes: a o b lies in a v b, a o b = b o a makes it
     transitive and so the join, and a o b = a v b makes it symmetric, so
     equal to its converse b o a.  The cost is the union-find join,
-    _rep_join, and O(n) counting over the points.
+    _rep_join, and O(n) counting over the points.  The join is handed
+    back, so the permuting harness reads each pair's join from here and
+    does not join the pair again for dn*.
     """
-    _check_sizes(a, b)
-    ra, rb = a.rep, b.rep
+    join = _rep_join(ra, rb)
     per_a, per_b = [0] * len(ra), [0] * len(ra)  # a- and b-blocks per join block
-    for i, j in enumerate(_rep_join(ra, rb)):
+    for i, j in enumerate(join):
         if ra[i] == i:
             per_a[j] += 1
         if rb[i] == i:
             per_b[j] += 1
-    return len(set(zip(ra, rb))) == sum(map(operator.mul, per_a, per_b))
+    if len(set(zip(ra, rb))) != sum(map(operator.mul, per_a, per_b)):
+        return None
+    return join
+
+
+def permutes(a, b):
+    """True iff a o b = b o a as relations (equivalently a o b = a v b),
+    by Ore's criterion on block counts (_ore_join); the same one join per
+    pair serves Ore's test here and dn* in verify_dn_permuting."""
+    _check_sizes(a, b)
+    return _ore_join(a.rep, b.rep) is not None
 
 
 def relation_compose(a, b):
@@ -479,11 +491,13 @@ def _dn_star_program(n):
     """The companion inequality dn* as a straight-line program on rep tuples.
 
     terms._visit compiles both sides into the sweep engine's postorder
-    program, where a shared subterm is one node.  Here the 2n inputs are
-    values 0..2n-1 (x_i is value i, x_i' value n + i) and each operation
-    of the program, in its order, appends the value (op, left, right),
-    op being _rep_join or _rep_meet.  Returns the steps and the values
-    of the two sides; cached per n, like terms.generate_dn_star.
+    program, where a shared subterm is one node.  Here the 3n inputs are
+    values 0..3n-1: x_i is value i, x_i' value n + i, and the pair join
+    x_i + x_i' value 2n + i, which Ore's test has already computed, so
+    it is read, not joined again.  Each other operation of the program,
+    in its order, appends the value (op, left, right), op being
+    _rep_join or _rep_meet.  Returns the steps and the values of the two
+    sides; cached per n, like terms.generate_dn_star.
     """
     phi = terms.generate_dn_star(n)
     keys, program = {}, []
@@ -495,18 +509,23 @@ def _dn_star_program(n):
     for key in program:
         if key.__class__ is str:
             where.append(value[key])
+            continue
+        op, left, right = key
+        left, right = where[left], where[right]
+        if op == terms._JOIN and left < n and right == n + left:
+            where.append(2 * n + left)  # the pair join x_i + x_i'
         else:
-            op, left, right = key
-            where.append(2 * n + len(steps))
-            steps.append((_rep_join if op == terms._JOIN else _rep_meet, where[left], where[right]))
+            where.append(3 * n + len(steps))
+            steps.append((_rep_join if op == terms._JOIN else _rep_meet, left, right))
     return tuple(steps), where[lhs], where[rhs]
 
 
-def _dn_star_reps(alphas, alphaps):
+def _dn_star_reps(alphas, alphaps, joins):
     """The rep tuples of the two sides of dn* in Eq(A), its variables
-    x_i and x_i' bound to alphas[i] and alphaps[i]."""
+    x_i and x_i' bound to alphas[i] and alphaps[i]; joins[i] is the rep
+    tuple of alphas[i] v alphaps[i]."""
     steps, lhs, rhs = _dn_star_program(len(alphas))
-    vals = [a.rep for a in alphas] + [a.rep for a in alphaps]
+    vals = [a.rep for a in alphas] + [a.rep for a in alphaps] + joins
     for op, left, right in steps:
         vals.append(op(vals[left], vals[right]))
     return vals[lhs], vals[rhs]
@@ -523,21 +542,26 @@ def verify_dn_permuting(alphas, alphaps):
     sublattice holding its inputs, so no sublattice is built, and no
     element cap applies however large the generated sublattice would be.
     dn* runs as a compiled straight-line program (_dn_star_program, one
-    per n), each distinct subterm evaluated once.  In Eq(A) with
-    permuting pairs the inequality always holds, so a False here signals
-    a bug.
+    per n), each distinct subterm evaluated once.  Each pair is joined
+    once: Ore's test (_ore_join) hands its join x_i v x_i' to the
+    program as an input.  In Eq(A) with permuting pairs the inequality
+    always holds, so a False here signals a bug.
     """
     n = len(alphas)
     if len(alphaps) != n:
         raise ValueError("need equally many primed and unprimed partitions")
     if n < 3:
         raise terms.InvalidNError("need n >= 3")
+    joins = []
     for i, (a, b) in enumerate(zip(alphas, alphaps)):
-        if not permutes(a, b):
+        _check_sizes(a, b)
+        join = _ore_join(a.rep, b.rep)
+        if join is None:
             raise NotPermutingError(i)
+        joins.append(join)
     for a in alphas:  # each alphaps[i] matches alphas[i] already
         _check_sizes(alphas[0], a)
-    lo, hi = _dn_star_reps(alphas, alphaps)
+    lo, hi = _dn_star_reps(alphas, alphaps, joins)
     return all(hi[i] == hi[v] for i, v in enumerate(lo))
 
 

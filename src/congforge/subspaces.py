@@ -233,9 +233,9 @@ class SubspaceLattice:
         leq = _containment_order(subs, dim, p)
         self.p = p
         self.dim = dim
-        self.subspaces = tuple(subs)
+        self.subspaces = subs = tuple(subs)
         self.index = index
-        self.lattice = FiniteLattice(leq, labels=[s.notation() for s in subs])
+        self.lattice = FiniteLattice(leq, labels=lambda: [s.notation() for s in subs])
 
     def __len__(self):
         return len(self.subspaces)

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import inspect
 import json
@@ -12,7 +13,7 @@ import pytest
 import congforge
 from congforge import fixtures, jsonio, limits, verify
 from congforge.algebras import FiniteAlgebra, make_operation
-from congforge.cli import main
+from congforge.cli import build_parser, main
 from congforge.lattice import LatticeError, NotALatticeError
 from congforge.limits import CongforgeError
 from congforge.terms import InvalidNError
@@ -177,6 +178,46 @@ def test_alg_commands(files, capsys):
     assert main(["alg", files["s3"], "wdt", "mul(x, mul(inv(y), z))"]) == 0
     assert json.loads(capsys.readouterr().out)["is_weak_difference_term"]
     assert main(["alg", files["s3"], "commutator", "top", "[[0,1],[2,3],[4,5]]"]) == 2
+
+
+def _choices(command, dest):
+    """The choices of the positional argument dest of a subcommand."""
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in subs.choices[command]._actions if a.dest == dest)
+
+
+def test_every_gen_kind_dispatches(tmp_path, capsys):
+    # the last choice has no test of its own in cmd_gen (nor in cmd_alg),
+    # so a choice added without its branch would run that last one
+    m3, two = tmp_path / "m3.json", tmp_path / "two.json"
+    m3.write_text(jsonio.lattice_to_json(fixtures.m3()))
+    two.write_text(jsonio.lattice_to_json(fixtures.chain(2)))
+    kinds = {
+        "pi": (["--n", "3"], lambda: congforge.full_partition_lattice(3).lattice),
+        "sub": (["--dim", "2", "--p", "3"], lambda: congforge.subspace_lattice(2, 3).lattice),
+        "m3": ([], fixtures.m3),
+        "n5": ([], fixtures.n5),
+        "product": ([str(m3), str(two)], lambda: congforge.direct_product(
+            jsonio.load_lattice(str(m3)), jsonio.load_lattice(str(two)))),
+    }
+    assert sorted(kinds) == sorted(_choices("gen", "kind"))
+    for kind, (argv, build) in kinds.items():
+        assert main(["gen", kind] + argv) == 0, kind
+        assert capsys.readouterr().out == jsonio.lattice_to_json(build()) + "\n", kind
+
+
+def test_every_alg_action_dispatches(files, capsys):
+    actions = {
+        "con": (["con"], {"count", "congruences", "lattice"}),
+        "commutator": (["commutator", "top", "top"], {"commutator"}),
+        "wdt": (["wdt", "mul(x, mul(inv(y), z))"], {"is_weak_difference_term", "witness"}),
+        "embed-construct": (["embed-construct", "--alpha", "top"],
+                            {"n", "universe_size", "interval_size", "checks", "passed"}),
+    }
+    assert sorted(actions) == sorted(_choices("alg", "action"))
+    for action, (argv, keys) in actions.items():
+        assert main(["alg", files["s3" if action == "wdt" else "z2"]] + argv) == 0, action
+        assert set(json.loads(capsys.readouterr().out)) == keys, action
 
 
 @pytest.mark.parametrize("argv, message", [

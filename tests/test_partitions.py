@@ -497,27 +497,87 @@ def _dn_star_in_sublattice(alphas, alphaps):
     return sub.partitions[lhs], sub.partitions[rhs], bool(sub.lattice.leq[lhs, rhs])
 
 
-def _dn_star_in_eq(alphas, alphaps):
-    lhs, rhs = partitions._dn_star_reps(alphas, alphaps)
+def _dn_star_in_eq(alphas, alphaps, joins=None):
+    """dn* by its program; the pair joins by _rep_join unless given."""
+    if joins is None:
+        joins = [partitions._rep_join(a.rep, b.rep) for a, b in zip(alphas, alphaps)]
+    lhs, rhs = partitions._dn_star_reps(alphas, alphaps, joins)
     return Partition(lhs), Partition(rhs)
 
 
+def _distinct_operations(phi):
+    """The distinct non-variable subterms of both sides of phi."""
+    distinct, stack = set(), [phi.lhs, phi.rhs]
+    while stack:
+        t = stack.pop()
+        if not isinstance(t, terms.Var) and t not in distinct:
+            distinct.add(t)
+            stack += t.left, t.right
+    return distinct
+
+
 def test_dn_star_program_has_one_step_per_distinct_operation():
+    # every distinct operation but the n pair joins x_i + x_i', which are
+    # inputs 2n..3n-1 (Ore's test has computed them)
     for n in (3, 4, 7):
         steps, lhs, rhs = partitions._dn_star_program(n)
         assert partitions._dn_star_program(n) is partitions._dn_star_program(n)
-        phi = terms.generate_dn_star(n)
-        distinct, stack = set(), [phi.lhs, phi.rhs]
-        while stack:
-            t = stack.pop()
-            if not isinstance(t, terms.Var) and t not in distinct:
-                distinct.add(t)
-                stack += t.left, t.right
-        assert len(steps) == len(distinct)
+        assert len(steps) == len(_distinct_operations(terms.generate_dn_star(n))) - n
+        read = {v for _, left, right in steps for v in (left, right)} | {lhs}
+        assert set(range(2 * n, 3 * n)) <= read
+        assert not {(partitions._rep_join, i, n + i) for i in range(n)} & set(steps)
         # a step reads only inputs and earlier steps, and the right side is the last step
-        assert all(max(left, right) < 2 * n + k for k, (_, left, right) in enumerate(steps))
+        assert all(max(left, right) < 3 * n + k for k, (_, left, right) in enumerate(steps))
         assert {op for op, _, _ in steps} == {partitions._rep_join, partitions._rep_meet}
-        assert rhs == 2 * n + len(steps) - 1 and lhs < rhs
+        assert rhs == 3 * n + len(steps) - 1 and lhs < rhs
+
+
+def test_verify_dn_permuting_joins_once_per_distinct_join(monkeypatch):
+    # Ore's test joins each pair once and dn* reads those joins, so the
+    # union-find join runs once per distinct join subterm of dn*
+    fam = abelian_coset_partitions((2, 2, 2))
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return join(a, b)
+
+    join = partitions._rep_join
+    monkeypatch.setattr(partitions, "_rep_join", counted)
+    partitions._dn_star_program.cache_clear()  # its steps hold the join they were built with
+    try:
+        for n in (3, 4, 5):
+            joins = sum(isinstance(t, terms.Join)
+                        for t in _distinct_operations(terms.generate_dn_star(n)))
+            partitions._dn_star_program(n)
+            calls.clear()
+            assert verify_dn_permuting(fam[3:3 + n], fam[9:9 + n])
+            assert len(calls) == joins, n
+    finally:
+        partitions._dn_star_program.cache_clear()
+
+
+def test_dn_star_program_reads_each_pair_at_its_own_join():
+    # dn* reads the pair joins only through their meet, so the joins in
+    # any order, rotated by one pair among them, give the right sides; a
+    # mutant fed the joins of the pairs rotated by one, x_i + x_(i+1)',
+    # must disagree with the sublattice oracle on some coset family
+    rng = np.random.default_rng(0)
+    families = [abelian_coset_partitions(orders) for orders in _COSET_ORDERS]
+    disagreed = 0
+    for _ in range(40):
+        fam = families[int(rng.integers(0, len(families)))]
+        n = int(rng.integers(3, 6))
+        picks = rng.integers(0, len(fam), size=2 * n)
+        alphas, alphaps = [fam[int(i)] for i in picks[:n]], [fam[int(i)] for i in picks[n:]]
+        lhs, rhs, _ = _dn_star_in_sublattice(alphas, alphaps)
+        joins = [partitions._rep_join(a.rep, b.rep) for a, b in zip(alphas, alphaps)]
+        assert _dn_star_in_eq(alphas, alphaps, joins) == (lhs, rhs)
+        assert _dn_star_in_eq(alphas, alphaps, joins[1:] + joins[:1]) == (lhs, rhs)
+        rotated = [partitions._rep_join(a.rep, b.rep)
+                   for a, b in zip(alphas, alphaps[1:] + alphaps[:1])]
+        disagreed += _dn_star_in_eq(alphas, alphaps, rotated) != (lhs, rhs)
+    assert disagreed
 
 
 _COSET_ORDERS = [(2,), (3,), (4,), (2, 2), (5,), (6,), (8,), (4, 2), (2, 2, 2)]
@@ -631,6 +691,13 @@ def test_random_permuting_families_hold(instance_seed):
     alphas = [fam[int(i)] for i in picks[:n]]
     alphaps = [fam[int(i)] for i in picks[n:]]
     assert verify_dn_permuting(alphas, alphaps)
+
+
+def test_partitions_are_slotted():
+    part = Partition.singletons(3)
+    assert not hasattr(part, "__dict__")
+    with pytest.raises(AttributeError):
+        part.rep = (0, 0, 0)
 
 
 def test_partition_labels_are_built_on_first_read():

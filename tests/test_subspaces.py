@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from congforge import fixtures, terms, verify
-from congforge.lattice import find_sublattice, is_modular
+from congforge.jsonio import lattice_to_json
+from congforge.lattice import FiniteLattice, find_sublattice, is_modular
 from congforge.subspaces import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -201,3 +202,14 @@ def test_cover_preserving_can_be_strictly_harder(m3):
     assert res.status == "found"
     dims = sorted(s.dim for s in res.images())
     assert dims == [0, 1, 1, 1, 2]
+
+
+def test_subspace_labels_are_built_on_first_read():
+    for dim, p in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        sub = subspace_lattice(dim, p)
+        lat = sub.lattice
+        assert callable(lat._labels)  # nothing built yet
+        want = [s.notation() for s in sub.subspaces]
+        # the JSON of gen sub, byte for byte that of the eager labels
+        assert lattice_to_json(lat) == lattice_to_json(FiniteLattice(lat.leq, labels=want))
+        assert lat.labels == want
