@@ -490,10 +490,14 @@ def check_semidistributivity(lat, side):
     Returns (True, None) or (False, (x, y, z)), the lexicographically
     first violation.
     """
+    n = lat.size
+    # the values are gathered from the narrow tables, the indices read
+    # from the int64 ones, as in is_modular
+    join, meet = (table.reshape(n, n) for table in lat.narrow_tables)
     if side == "meet":
-        M, J = lat.meet, lat.join
+        M, J = meet, lat.join
     elif side == "join":
-        M, J = lat.join, lat.meet
+        M, J = join, lat.meet
     else:
         raise ValueError("side must be 'meet' or 'join'")
 
@@ -502,7 +506,7 @@ def check_semidistributivity(lat, side):
         xz = M[x][:, None, :]  # x.z
         return (xy == xz) & (xy != M[x][:, J])  # M[x][:, J] is x.(y+z)
 
-    return _scan(lat.size, lat.size**2, violated, first=True)
+    return _scan(n, n * n, violated, first=True)
 
 
 def sublattice_closure(lat, seed):
@@ -675,7 +679,7 @@ def m3_configurations(lat):
     """
     J, M, n = lat.join, lat.meet, lat.size
     ascending = np.arange(n)[:, None] < np.arange(n)
-    bounds = M * n + J  # the pair (meet, join) as one key
+    bounds = (M * n + J).astype(narrow_dtype(n * n))  # the pair (meet, join) as one key
 
     # three distinct elements with one pairwise meet o and join i are a
     # diamond's atoms: o or i equal to an atom would make two atoms equal

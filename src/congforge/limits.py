@@ -112,15 +112,33 @@ def chunk_rows(bytes_per_row, fixed=0):
     return max(1, (CHUNK_BYTES - fixed) // max(1, bytes_per_row))
 
 
-def chunks(stop, bytes_per_row, start=0, cells=None, fixed=0, period=None):
+def first_steps(cells, step):
+    """How many divisions by step bring cells nearest FIRST_CELLS by
+    ratio, the larger over the smaller, the fewest on a tie: none at or
+    below FIRST_CELLS."""
+    steps = 0
+    while cells > FIRST_CELLS:
+        smaller = cells // step
+        # below FIRST_CELLS, smaller is nearer iff FIRST_CELLS / smaller
+        # < cells / FIRST_CELLS
+        if smaller < FIRST_CELLS and FIRST_CELLS * FIRST_CELLS >= cells * smaller:
+            break
+        cells, steps = smaller, steps + 1
+    return steps
+
+
+def chunks(stop, bytes_per_row, start=0, cells=None, fixed=0, period=None, first=None):
     """(lo, hi) row ranges covering start..stop-1 in order, each of
     chunk_rows(bytes_per_row, fixed) rows but the last; given cells, the
     cells per row of a pass that can stop at its first hit, they grow
-    instead, from about FIRST_CELLS cells, doubling up to that bound.
+    instead, from about FIRST_CELLS cells, doubling up to that bound;
+    given first, they grow from that many rows.
     Given period, no range crosses a multiple of it: a range that would
     ends at the multiple, and the next range starts the schedule again."""
     most = chunk_rows(bytes_per_row, fixed)
-    first = most if cells is None else max(1, min(most, FIRST_CELLS // cells))
+    if first is None:
+        first = most if cells is None else FIRST_CELLS // cells
+    first = max(1, min(most, first))
     lo, rows = start, first
     while lo < stop:
         hi, rows = min(stop, lo + rows), min(most, 2 * rows)

@@ -255,38 +255,66 @@ def find_two_diamond(lat):
 
     In a modular lattice such a configuration exists exactly when the
     2-distributive law fails, so this is the structural counterpart of
-    the identity check.  Returns (z, u, (x1, x2, x3, x4)) or None; the
-    scan order is lexicographic, so the witness is deterministic.
+    the identity check.  Returns (z, u, (x1, x2, x3, x4)) or None, the
+    lexicographically first witness with x1 < x2 < x3 < x4.
+
+    The search runs in three vectorised stages, each walking its rows in
+    the growing ranges of limits.chunks and listing what passes in
+    lexicographic order (np.nonzero reads a mask in row-major order):
+    the pairs x1 < x2 of incomparable elements, over ranges of x1 rows,
+    with z = x1 ^ x2; the triples x1 < x2 < x3 over ranges of those
+    pairs, x3 having the meet z with x1 and with x2, z < x3, and each of
+    the three meeting the join of the other two at z; and the fourth
+    element, tested against those triples in ranges that grow from a
+    single triple, so that an early witness costs one triple's test.
+    The pair and triple ranges go on growing across the ranges of the
+    stage before, rather than starting again in each.  Each range of the
+    last stage is a (triple, x4) block, and argmax over it, in row-major
+    order, finds its first hit: the lexicographically first witness,
+    since every range before it held none.
     """
     n = lat.size
     J, M = lat.join, lat.meet
-    rng = range(n)
-    elems = np.arange(n)
-    for x1 in rng:
-        for x2 in range(x1 + 1, n):
-            if int(M[x1, x2]) in (x1, x2):
-                continue
-            for x3 in range(x2 + 1, n):
-                z = int(M[x1, int(J[x2, x3])])
-                if z != int(M[x2, int(J[x1, x3])]) or z != int(M[x3, int(J[x1, x2])]):
-                    continue
-                if x1 == z or x2 == z or x3 == z:
-                    continue
-                if int(M[x1, x2]) != z or int(M[x1, x3]) != z or int(M[x2, x3]) != z:
-                    continue
-                u = int(J[int(J[x1, x2]), x3])
-                # vectorised pass over the fourth element
-                x4 = elems
-                j12, j13, j23 = int(J[x1, x2]), int(J[x1, x3]), int(J[x2, x3])
-                ok = (x4 > x3) & (x4 != z) & (x4 != u)
-                ok &= (M[x4, j12] == z) & (M[x4, j13] == z) & (M[x4, j23] == z)
-                ok &= (M[x1, J[x2, x4]] == z) & (M[x1, J[x3, x4]] == z)
-                ok &= (M[x2, J[x1, x4]] == z) & (M[x2, J[x3, x4]] == z)
-                ok &= (M[x3, J[x1, x4]] == z) & (M[x3, J[x2, x4]] == z)
-                ok &= (J[j12, x4] == u) & (J[j13, x4] == u) & (J[j23, x4] == u)
-                hits = np.flatnonzero(ok)
-                if hits.size:
-                    return z, u, (x1, x2, x3, int(hits[0]))
+    cols = np.arange(n)
+    pair_rows, triple_rows = None, 1
+    for lo, hi in chunks(n, 32 * n, cells=n * n):
+        rows, m = cols[lo:hi, None], M[lo:hi]
+        x1, x2 = np.nonzero((cols > rows) & (m != rows) & (m != cols))
+        z = m[x1, x2]
+        x1 += lo
+        # a pair stands for up to n triples of n fourth elements each
+        for a, e in chunks(x1.size, 96 * n, cells=n * n, first=pair_rows):
+            pair_rows = max(pair_rows or 0, 2 * (e - a))
+            p, q, w = x1[a:e], x2[a:e], z[a:e]
+            wc = w[:, None]
+            r, x3 = np.nonzero((cols > q[:, None]) & (M[p] == wc) & (M[q] == wc) & (cols != wc))
+            p, q, w = p[r], q[r], w[r]
+            j12, j13, j23 = J[p, q], J[p, x3], J[q, x3]
+            ok = (M[p, j23] == w) & (M[q, j13] == w) & (M[x3, j12] == w)
+            p, q, x3, w = p[ok], q[ok], x3[ok], w[ok]
+            j12, j13, j23 = j12[ok], j13[ok], j23[ok]
+            u = J[j12, x3]
+            for b, f in chunks(p.size, 64 * n, first=triple_rows):
+                triple_rows = max(triple_rows, 2 * (f - b))
+                t = slice(b, f)
+                t1, t2, t3, wt, ut = p[t, None], q[t, None], x3[t, None], w[t, None], u[t, None]
+                J1, J2, J3 = J[p[t]], J[q[t]], J[x3[t]]
+                # x4 needs no test of its own: x4 ^ (x1 + x2) = z keeps it
+                # off x1, x2 and u, x4 ^ (x1 + x3) = z off x3, and
+                # x4 + (x1 + x2) = u off z (x1 + x2 = u would put x3 below
+                # it, against x3 ^ (x1 + x2) = z); and the conditions read
+                # the same under any order of the four, so a witness with
+                # x4 < x3 lies in the row of an earlier triple
+                hit = (M[t1, J2] == wt) & (M[t1, J3] == wt)
+                hit &= (M[t2, J1] == wt) & (M[t2, J3] == wt)
+                hit &= (M[t3, J1] == wt) & (M[t3, J2] == wt)
+                for j in (j12[t], j13[t], j23[t]):
+                    hit &= (M[j] == wt) & (J[j] == ut)
+                k = int(hit.argmax())
+                if hit.flat[k]:
+                    i, x4 = divmod(k, n)
+                    i += b
+                    return int(w[i]), int(u[i]), (int(p[i]), int(q[i]), int(x3[i]), x4)
     return None
 
 
@@ -297,7 +325,12 @@ def k_infinity_member(lat):
     Returns (verdict, certificate).  The identity route (2-distributive
     law) and the structural route (2-diamond search) are both run on
     modular inputs and must agree; disagreement raises, since it would
-    mean one of the detectors is broken.
+    mean one of the detectors is broken.  Each route stops at its first
+    hit and reads little past it: the sweep's first range holds about
+    limits.FIRST_CELLS assignments whatever the lattice's size (see
+    terms.VectorEvaluator.sweep), and the search tests the fourth
+    element from a single triple on (see find_two_diamond).  Both still
+    report the lexicographically first counterexample and witness.
     """
     modular, triple = is_modular(lat)
     if not modular:

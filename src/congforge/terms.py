@@ -398,10 +398,12 @@ def _dn_transfer(lat, n):
     pairs i and i+1, so the count is a transfer (variable elimination)
     around the cycle.  For each outer pair (x1, x1') the walk holds
     weighted states (x_i, x_i', Y, T), the weight being the number of
-    assignments to x2..x_i that reach the state, and each step adds the
-    next pair: Y joins y_i, T meets x_(i+1) + x_(i+1)', and equal states
-    merge.  The last step adds (x0, x0') and completes Y with y(n-1),
-    leaving T alone; each merged state is then evaluated once.
+    assignments to x2..x_i that reach the state.  The walk starts at pair
+    2 with one state per (outer pair, pair 2), all distinct and of weight
+    1: Y = y1, T = (x1 + x1')*(x2 + x2').  Each step adds the next pair:
+    Y joins y_i, T meets x_(i+1) + x_(i+1)', and equal states merge.  The
+    last step adds (x0, x0') and completes Y with y(n-1), leaving T alone;
+    each merged state is then evaluated once.
 
     States merge by exact int64 accumulation into a dense table of the
     next states.  Outer pairs are taken in batches and next pairs in
@@ -463,10 +465,14 @@ def _dn_transfer(lat, n):
     checked = discrepancies = 0
     for first in range(0, pairs, batch):
         outer = np.arange(first, min(pairs, first + batch))
-        # before pair 2: Y is the empty join, T the meet of x1 + x1' alone
-        state = (outer - first, outer, np.full(outer.size, lat.bottom), pair_join[outer],
-                 np.ones(outer.size, np.int64))
-        for _ in range(n - 2):
+        # pair 2's states, one per (outer pair, next pair) and all distinct:
+        # Y is y1 = (x1 + x2)*(x1' + x2'), T the meet of x1 + x1' and x2 + x2'
+        o = np.repeat(np.arange(outer.size), pairs)
+        p = np.tile(np.arange(pairs), outer.size)
+        x = outer[o]
+        y = meet[join[hi[x] * size + hi[p]] * size + join[lo[x] * size + lo[p]]]
+        state = (o, p, y, meet[pair_join[x] * size + pair_join[p]], np.ones(o.size, np.int64))
+        for _ in range(n - 3):
             state = tuple(map(np.concatenate, zip(*advance(*state, outer.size, False))))
         for o, p, y, t, w in advance(*state, outer.size, True):
             for a, b in chunks(w.size, 128 * share):
@@ -738,6 +744,26 @@ class VectorEvaluator:
         cells = size ** (len(self.names) - split)
         return fixed, row + cells * (2 * self._wide_size.itemsize + 9) + 16
 
+    def _split(self):
+        """(split, fixed, per_row): the number of prefix variables of the
+        exhaustive grid, with its _layout.  Of the splits whose prefix row
+        fits a chunk (limits.fits), it is the one whose row holds nearest
+        limits.FIRST_CELLS assignments by ratio, the smaller split on a
+        tie; if none fits, every variable is a prefix variable.  Each
+        split past the first that fits fits too, as both its row and its
+        fixed part are no larger, and each row is size times the next, so
+        limits.first_steps counts the splits to go on from the first fit.
+        """
+        k = len(self.names)
+        for split in range(1, k + 1):
+            fixed, per_row = self._layout(split)
+            if limits.fits(fixed + per_row):
+                break
+        nearer = split + limits.first_steps(self.size ** (k - split), self.size)
+        if nearer != split:
+            split, (fixed, per_row) = nearer, self._layout(nearer)
+        return split, fixed, per_row
+
     def sweep(self, mode, samples, seed, draws):
         """Yield (offset, env, truths) blocks of assignments to `names`.
 
@@ -751,11 +777,16 @@ class VectorEvaluator:
         gathered only over the axes of its own variables.  The leading
         variables are flattened into one prefix axis, walked in chunks of
         rows; the subterms over the trailing variables alone are computed
-        once per call.  The split is the first that lets one prefix row
-        fit a chunk (limits.fits), and the rows are walked in the growing
-        ranges of limits.chunks, so that the first range holds few
-        assignments and no range's live arrays and gather temporaries
-        outgrow the chunk.  With two or more prefix variables the ranges
+        once per call.  The split (_split) is the fitting one whose prefix
+        row holds nearest limits.FIRST_CELLS assignments by ratio, and the
+        rows are walked in the growing ranges of limits.chunks, so that
+        the first range holds about FIRST_CELLS assignments, also where
+        one row of the first fitting split holds many more (2-distributivity
+        on Sub(4,2): 67**3 at split 1, 67**2 at split 2), and no range's
+        live arrays and gather temporaries outgrow the chunk.  The split
+        changes which blocks are yielded, not the order of the
+        assignments in them, so the first hit is the lexicographically
+        first at any split.  With two or more prefix variables the ranges
         are cut at each value of the first, so that no range spans two
         values of it, and each value starts the growth again.  A variable
         whose value is the same across a range is one-valued there: the
@@ -783,10 +814,7 @@ class VectorEvaluator:
         if mode != "exhaustive":
             raise ValueError("mode must be 'exhaustive' or 'sampled'")
         size, k, narrow, var_nodes = self.size, len(self.names), self._narrow, self._var_nodes
-        for split in range(1, k + 1):
-            fixed, per_row = self._layout(split)
-            if limits.fits(fixed + per_row):
-                break
+        split, fixed, per_row = self._split()
         cells = size ** (k - split)  # assignments per prefix row
         vals = [None] * len(self._program)
         axis = np.arange(size, dtype=narrow)

@@ -83,3 +83,22 @@ def test_chunks_are_single_rows_at_a_one_byte_budget(monkeypatch):
         assert list(limits.chunks(5, 8, start=1, cells=cells)) == [(i, i + 1) for i in range(1, 5)]
         assert list(limits.chunks(3, 8, cells=cells, fixed=64)) == [(0, 1), (1, 2), (2, 3)]
     assert not limits.fits(2) and limits.fits(1)
+
+
+def test_chunks_grow_from_a_given_first_range(monkeypatch):
+    monkeypatch.setattr(limits, "CHUNK_BYTES", 6 * 10)  # 6 rows of 10 bytes
+    assert list(limits.chunks(20, 10, first=1)) == [(0, 1), (1, 3), (3, 7), (7, 13), (13, 19),
+                                                     (19, 20)]
+    # first wins over cells, and is held within the budget's rows
+    assert list(limits.chunks(9, 10, cells=1, first=2)) == [(0, 2), (2, 6), (6, 9)]
+    assert list(limits.chunks(9, 10, first=100)) == [(0, 6), (6, 9)]
+
+
+def test_first_steps_come_nearest_first_cells(monkeypatch):
+    monkeypatch.setattr(limits, "FIRST_CELLS", 100)
+    assert limits.first_steps(100, 10) == 0 and limits.first_steps(7, 10) == 0
+    assert limits.first_steps(10 ** 5, 10) == 3
+    assert limits.first_steps(3 ** 6, 3) == 2  # 81, ratio 1.23, against 2.43 at 243
+    assert limits.first_steps(4 ** 5, 4) == 2  # 64 at 1.56 against 256 at 2.56
+    monkeypatch.setattr(limits, "FIRST_CELLS", 128)
+    assert limits.first_steps(4 ** 5, 4) == 1  # 256 and 64 tie at 2: the fewer steps

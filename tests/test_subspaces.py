@@ -1,10 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from congforge import fixtures, terms, verify
+from congforge import fixtures, limits, terms, verify
 from congforge.jsonio import lattice_to_json
-from congforge.lattice import FiniteLattice, find_sublattice, is_modular
+from congforge.lattice import FiniteLattice, direct_product, find_sublattice, is_modular
+from congforge.partitions import all_partitions, closed_sublattice
 from congforge.subspaces import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -123,6 +127,111 @@ def test_two_diamond_agrees_with_identity(lattice_corpus):
             continue
         fails = terms.holds(lat, terms.generate_2distributive(), budget=None).status == "fails"
         assert (find_two_diamond(lat) is not None) == fails, name
+
+
+def two_diamond_by_loop(lat):
+    """find_two_diamond's definition as a loop over x1 < x2 < x3, with one
+    pass over the fourth element per triple: the oracle of the search."""
+    n = lat.size
+    J, M = lat.join, lat.meet
+    elems = np.arange(n)
+    for x1 in range(n):
+        for x2 in range(x1 + 1, n):
+            if int(M[x1, x2]) in (x1, x2):
+                continue
+            for x3 in range(x2 + 1, n):
+                z = int(M[x1, int(J[x2, x3])])
+                if z != int(M[x2, int(J[x1, x3])]) or z != int(M[x3, int(J[x1, x2])]):
+                    continue
+                if x1 == z or x2 == z or x3 == z:
+                    continue
+                if int(M[x1, x2]) != z or int(M[x1, x3]) != z or int(M[x2, x3]) != z:
+                    continue
+                u = int(J[int(J[x1, x2]), x3])
+                x4 = elems
+                j12, j13, j23 = int(J[x1, x2]), int(J[x1, x3]), int(J[x2, x3])
+                ok = (x4 > x3) & (x4 != z) & (x4 != u)
+                ok &= (M[x4, j12] == z) & (M[x4, j13] == z) & (M[x4, j23] == z)
+                ok &= (M[x1, J[x2, x4]] == z) & (M[x1, J[x3, x4]] == z)
+                ok &= (M[x2, J[x1, x4]] == z) & (M[x2, J[x3, x4]] == z)
+                ok &= (M[x3, J[x1, x4]] == z) & (M[x3, J[x2, x4]] == z)
+                ok &= (J[j12, x4] == u) & (J[j13, x4] == u) & (J[j23, x4] == u)
+                hits = np.flatnonzero(ok)
+                if hits.size:
+                    return z, u, (x1, x2, x3, int(hits[0]))
+    return None
+
+
+def _relabelled(lat, order):
+    """lat with its elements renumbered: new element i is old element order[i]."""
+    return FiniteLattice(lat.leq[np.ix_(order, order)])
+
+
+def _assert_search_matches_loop(lat, name):
+    expected = two_diamond_by_loop(lat)
+    assert find_two_diamond(lat) == expected, name
+    # one row, pair and triple per range
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "CHUNK_BYTES", 1)
+        assert find_two_diamond(lat) == expected, name
+    return expected
+
+
+def _closure_system(points, sets):
+    """The lattice of the intersections of sets (bit masks over points)
+    and the full set, ordered by inclusion."""
+    family = {(1 << points) - 1, *sets}
+    while True:
+        new = {a & b for a in family for b in family} - family
+        if not new:
+            break
+        family |= new
+    family = sorted(family, key=lambda a: (bin(a).count("1"), a))
+    return FiniteLattice(np.array([[a & b == a for b in family] for a in family]))
+
+
+_FACTORS = {"m3": fixtures.m3, "n5": fixtures.n5, "boolean": fixtures.boolean_square,
+            "kinf_b": fixtures.kinf_sample_b, "sub_2_3": lambda: subspace_lattice(2, 3).lattice}
+_PRODUCTS = [("m3", 2), ("m3", "m3"), ("sub_2_3", 2), ("n5", 2), ("boolean", 3), ("m3", 3),
+             ("n5", "n5"), ("kinf_b", 2), ("boolean", "boolean"), ("m3", "boolean")]
+
+
+def test_two_diamond_search_matches_the_loop():
+    corpus = list(fixtures.standard_lattices())
+    for a, b in _PRODUCTS:
+        right = fixtures.chain(b) if isinstance(b, int) else _FACTORS[b]()
+        corpus.append(("%s x %s" % (a, b), direct_product(_FACTORS[a](), right)))
+    for dim, p in [(3, 2), (3, 3), (4, 2), (3, 5)]:
+        corpus.append(("sub(%d,%d)" % (dim, p), subspace_lattice(dim, p).lattice))
+    # 18 elements; 1, 2, 4 and 10 meet pairwise at the bottom, every
+    # three join to the top and each of 1, 2 and 4 meets the join of any
+    # two others at the bottom, but 10 meets 1 + 2 and 1 + 4 above it
+    corpus.append(("closure", _closure_system(5, [22, 10, 21, 7, 28, 25])))
+    found = {name: _assert_search_matches_loop(lat, name) for name, lat in corpus}
+    assert found["closure"] is None
+    assert found["sub(4,2)"] == (0, 51, (1, 2, 4, 7))
+    assert found["sub(3,5)"] == (0, 63, (1, 2, 7, 13))
+    assert found["m3 x m3"] is None and found["kinf_b x 2"] is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_two_diamond_search_matches_the_loop_on_generated_lattices(data):
+    kind = data.draw(st.sampled_from(["sub(3,2)", "closure", "partitions"]))
+    if kind == "sub(3,2)":  # renumbered: the witness moves
+        lat = subspace_lattice(3, 2).lattice
+        lat = _relabelled(lat, data.draw(st.permutations(range(lat.size))))
+    elif kind == "closure":
+        points = data.draw(st.integers(3, 6))
+        sets = data.draw(st.lists(st.integers(0, (1 << points) - 1), min_size=1, max_size=9))
+        lat = _closure_system(points, sets)
+    else:
+        everything = all_partitions(data.draw(st.integers(1, 5)))
+        picks = data.draw(st.lists(st.sampled_from(everything), min_size=1, max_size=4))
+        lat = closed_sublattice(picks).lattice
+        if data.draw(st.booleans()):
+            lat = direct_product(lat, fixtures.m3())
+    _assert_search_matches_loop(lat, lat)
 
 
 def test_two_diamond_witness_structure(sub32):

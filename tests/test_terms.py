@@ -488,16 +488,19 @@ def _relabellings(lat):
 def _settings(lat, identities):
     """(CHUNK_BYTES, FIRST_CELLS) settings of a sweep of identities on lat.
 
-    The defaults; a first range of one prefix row, so that the first
-    variable is one-valued there and the others are not; room for three
-    prefix rows of the split after the first variable, so that ranges are
-    cut at each value of it (for a lattice of more than three elements);
-    and, up to 10**4 assignments, one byte, where every range is one
-    assignment.
+    The defaults; a first range of one row of the first variable (the
+    split's row then holds FIRST_CELLS cells), so that the first variable
+    is one-valued there and the others are not; FIRST_CELLS = 1, where
+    every variable is a prefix variable, and the first range one
+    assignment; room for three prefix rows of the split after the first
+    variable, so that ranges are cut at each value of it (for a lattice of
+    more than three elements); and, up to 10**4 assignments, one byte,
+    where every range is one assignment.
     """
     ev = VectorEvaluator(lat, identities)
     fixed, per_row = ev._layout(2) if len(ev.names) > 1 else (0, 0)
-    out = [(limits.CHUNK_BYTES, limits.FIRST_CELLS), (limits.CHUNK_BYTES, 1),
+    out = [(limits.CHUNK_BYTES, limits.FIRST_CELLS),
+           (limits.CHUNK_BYTES, lat.size ** (len(ev.names) - 1)), (limits.CHUNK_BYTES, 1),
            (fixed + 3 * per_row, limits.FIRST_CELLS)]
     return out + [(1, limits.FIRST_CELLS)] * (lat.size ** len(ev.names) <= 10 ** 4)
 
@@ -582,6 +585,86 @@ def test_sweep_ranges_hold_one_value_of_the_first_variable():
     assert [truths[0].shape[0] for _, _, truths in blocks] == [1, 2, 4, 8, 16, 32, 53, 1, 2]
     assert holds(lat, generate_2distributive(), budget=None) == Verdict(
         "fails", {"u": 1, "x": 2, "y": 9, "z": 17}, 1588870)
+
+
+def _split_first_fit(ev):
+    """The split rule before the ratio: the first split whose prefix row
+    fits a chunk, or every variable if none does."""
+    k = len(ev.names)
+    for split in range(1, k + 1):
+        fixed, per_row = ev._layout(split)
+        if limits.fits(fixed + per_row):
+            break
+    return split, fixed, per_row
+
+
+def _verdict_under(rule, lat, phi):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VectorEvaluator, "_split", rule)
+        return holds(lat, phi, budget=None)
+
+
+@pytest.mark.parametrize("case", ["sub(4,2)", "sub(3,5)", "kinf_b", "one-byte"])
+def test_the_split_rule_keeps_every_verdict(case):
+    # the split changes which blocks a sweep yields, never the verdict, the
+    # rank it stops at or the counterexample
+    if case == "kinf_b":  # 7**5 = 16807 cells per row, just over FIRST_CELLS: still split 1
+        lat, phi, split = fixtures.kinf_sample_b(), generate_dn(3), 1
+    elif case == "one-byte":  # no split fits: every variable is a prefix variable
+        lat, phi, split = fixtures.m3(), generate_2distributive(), 4
+    else:  # rows of 67**3 and 64**3 cells at split 1; 67**2 and 64**2 at split 2
+        lat = subspaces.subspace_lattice(int(case[4]), int(case[6])).lattice
+        phi, split = generate_2distributive(), 2
+    with pytest.MonkeyPatch.context() as mp:
+        if case == "one-byte":
+            mp.setattr(limits, "CHUNK_BYTES", 1)
+        ev = VectorEvaluator(lat, [phi])
+        assert ev._split()[0] == split
+        old, new = _verdict_under(_split_first_fit, lat, phi), holds(lat, phi, budget=None)
+    assert (new.status, new.checked, new.assignment) == (old.status, old.checked, old.assignment)
+    expected = {"sub(4,2)": ("fails", 310017, {"u": 1, "x": 2, "y": 4, "z": 7}),
+                "sub(3,5)": ("fails", 270798, {"u": 1, "x": 2, "y": 7, "z": 13}),
+                "kinf_b": ("holds", 7 ** 6, None),
+                "one-byte": ("holds", 5 ** 4, None)}[case]
+    assert (new.status, new.checked, new.assignment) == expected
+
+
+def test_grid_bytes_do_not_grow_with_the_split():
+    # _split goes on from the first fitting split: every later one fits
+    for phi in _FOLDING + [generate_dn(3), generate_dn_star(4)]:
+        premises, conclusion = terms._formula_parts(phi)
+        for size in (2, 5, 67):
+            ev = VectorEvaluator(fixtures.chain(size), (conclusion,) + premises)
+            grid = [sum(ev._layout(split)) for split in range(1, len(ev.names) + 1)]
+            assert grid == sorted(grid, reverse=True), (to_str(phi), size)
+
+
+def test_the_first_range_past_the_folded_block_holds_about_first_cells():
+    # Sub(4,2): split 1 would evaluate rows of 67**3 = 300763 assignments,
+    # two of them past u = 0, for a hit 9254 assignments into u = 1
+    lat = subspaces.subspace_lattice(4, 2).lattice
+    ev = VectorEvaluator(lat, [generate_2distributive()])
+    block = next(truths[0] for offset, _, truths in ev.sweep("exhaustive", None, None, None)
+                 if offset >= 67 ** 3)
+    assert block.size <= limits.FIRST_CELLS
+    assert not block.all()  # the first counterexample, rank 310016, lies in it
+
+
+def test_split_is_the_fitting_row_nearest_first_cells_by_ratio(monkeypatch):
+    lat = fixtures.m3_times_chain2()  # 10 elements, six variables
+    ev = VectorEvaluator(lat, [generate_dn(3)])
+    assert ev._split()[0] == 2  # 10**4 cells, a ratio of 1.6, against 6.1 for 10**5
+    monkeypatch.setattr(limits, "FIRST_CELLS", 10 ** 5)
+    assert ev._split()[0] == 1
+    monkeypatch.setattr(limits, "FIRST_CELLS", 1)
+    assert ev._split()[0] == 6
+    # on a tie the smaller split: 4**4 and 4**3 cells are both twice from 128
+    monkeypatch.setattr(limits, "FIRST_CELLS", 128)
+    assert VectorEvaluator(fixtures.chain(4), [generate_dn(3)])._split()[0] == 2
+    # only fitting splits are candidates
+    monkeypatch.setattr(limits, "FIRST_CELLS", 10 ** 5)
+    monkeypatch.setattr(limits, "CHUNK_BYTES", sum(ev._layout(2)))
+    assert ev._split()[0] == 2 and _split_first_fit(ev)[0] == 2
 
 
 def test_sampled_columns_are_the_seeded_int64_stream_in_the_value_dtype(monkeypatch, n5):
