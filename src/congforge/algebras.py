@@ -8,9 +8,10 @@ the copies, so alg.operations[i].table is alg.by_name[name].
 Congruences are Partitions compatible with every operation.  They are
 generated in batches: a (k, n) array of canonical reps is closed under
 the algebra's distinct unary translations, cached as one (n, C) table,
-by a fixpoint that joins into each row the pairs (t(a), t(rep[a])) it
-does not yet relate (partitions._join_edges), in the row ranges of
-limits.chunks.  The table is built by _translations, the one builder of
+by a worklist that pushes each generating pair (a, rep[a]) once, the
+start's first and then each root a join absorbs, and joins into its
+row the images (t(a), t(rep[a])) it does not yet relate
+(partitions._join_edges), in the row ranges of limits.chunks.  The table is built by _translations, the one builder of
 translation tables, as that of A(0), the diagonal of A^2, which is A
 itself; the Delta route below builds those of A(alpha) the same way.
 Con(A) is the join-closure of bottom and the principal congruences,
@@ -41,8 +42,8 @@ M is held as a bool array of shape (n, n, n, n), true at
 [m00, m01, m10, m11] exactly for the members; both routes build it in
 place and return it.  The rounds work on integer keys: a matrix is the
 key hi*n^2 + lo with hi = m00*n + m01 and lo = m10*n + m11, its flat
-index in M, so one key is a pair of pair codes, held in the narrowest
-unsigned dtype that holds n^4 - 1.  For each k-ary operation f the
+index in M, so one key is a pair of pair codes, held as intp, the dtype
+the bitmap scatter indexes with.  For each k-ary operation f the
 algebra caches a pair table of shape (n^2,)*k,
 T[(x0,y0),...] = f(x0,...)*n + f(y0,...), which applies f to both top
 entries (or both bottom entries) at once: the image of k matrices is
@@ -342,22 +343,21 @@ def parse_term_expr(text):
 # -- congruences --------------------------------------------------------------
 
 
-# Bytes per (row, point, translation) cell of congruence generation: the
-# flat positions of both images and the gather behind one (8 each), the
-# reps found there (up to 8 each) and their comparison.
+# Bytes per (row, point, translation) cell of one round of congruence
+# generation, which pushes at most n points a row, or of the compatibility
+# check: the flat positions of both images (8 each), the reps or roots read
+# there (up to 8 each), and the comparison and gather behind them (1 + 8).
 _GEN_BYTES = 41
 
 
 def _images(reps, moves):
     """For every row of reps, point a and translation t (a column of
-    moves): the flat positions row * n + t(a) and row * n + t(rep[a]),
-    and whether the row relates them (False) or not (True)."""
+    moves): whether the row relates t(a) and t(rep[a]) (False) or not
+    (True)."""
     k, n = reps.shape
     base = np.arange(0, k * n, n)[:, None, None]
-    at_point = base + moves
-    at_rep = base + moves[reps]
     flat = reps.ravel()
-    return at_point, at_rep, flat[at_point] != flat[at_rep]
+    return flat[base + moves] != flat[base + moves[reps]]
 
 
 def _compatible(moves, reps):
@@ -370,8 +370,24 @@ def _compatible(moves, reps):
     all a.  All rows are checked at once, in the row ranges of
     limits.chunks.
     """
-    return not any(_images(reps[lo:hi], moves)[2].any()
+    return not any(_images(reps[lo:hi], moves).any()
                    for lo, hi in limits.chunks(len(reps), _GEN_BYTES * moves.size))
+
+
+def _pushed(reps, pos, moves):
+    """The edges that pushing the cells at flat positions pos = row * n + a
+    of reps gives and that reps does not yet hold: the pairs of flat
+    positions (row * n + t(a), row * n + t(rep[a])), t a column of moves,
+    whose points lie in two blocks of their row, as two flat arrays."""
+    a = pos % reps.shape[1]
+    base = (pos - a)[:, None]
+    flat = reps.ravel()
+    at_point = moves[a]
+    at_point += base
+    at_rep = moves[flat[pos]]
+    at_rep += base
+    apart = flat[at_point] != flat[at_rep]
+    return at_point[apart], at_rep[apart]
 
 
 def _generate(moves, reps):
@@ -379,19 +395,45 @@ def _generate(moves, reps):
     canonical partitions, for the unary translations in the columns of
     the (n, C) table moves.
 
-    A fixpoint per row range of limits.chunks: while some row fails
-    the compatibility test of _compatible, the pairs (t(a), t(rep[a])) it
-    does not relate are joined into it by partitions._join_edges.  Each
-    round merges blocks, so at most n - 1 rounds change a row.
+    A worklist (R. Freese, "Computing congruences efficiently", Algebra
+    Universalis 59 (2008), Sec. 3), all rows of a row range of
+    limits.chunks at once, on flat positions row * n + a.  The first
+    round pushes every point a that is not its own rep, paired with
+    rep[a]; each later round pushes the roots that the last join
+    absorbed, each paired with its new rep.  A pushed pair (a, b) gives
+    the edges (t(a), t(b)) for every translation t, and those whose ends
+    lie in two blocks are joined into the row by partitions._join_edges
+    (_pushed).  The rounds end when no root is absorbed or no edge is
+    left to join.  Why this is exact:
+    - a partition theta is the equivalence that its pairs (a, rep[a])
+      generate;
+    - a join gives theta' = theta v {(r, rep'[r]) : r a root of theta
+      absorbed in it}, so the pairs pushed so far, the start's
+      non-trivial pairs first, generate the row;
+    - joins only coarsen, so an image joined in an earlier round stays
+      related;
+    - at the end, then, every generating pair maps into the row under
+      every translation t, and so does every pair of the row, since the
+      pairs that t maps into it form an equivalence: the row is
+      compatible.  Each joined edge lies in every congruence above the
+      start, so the row is the least one.
+    Each root is absorbed once, so a row pushes at most its non-trivial
+    start points plus n - 1 points in all; the compatibility check
+    (_compatible) gathers all n points of a row.
     """
     out = np.array(reps)
+    points = np.arange(out.shape[1])
     for lo, hi in limits.chunks(len(out), _GEN_BYTES * moves.size):
         chunk = out[lo:hi]
-        while True:
-            at_point, at_rep, apart = _images(chunk, moves)
-            if not apart.any():
+        # ravel().nonzero() is np.flatnonzero without its wrapper's call cost
+        pos = (chunk != points).ravel().nonzero()[0]
+        while pos.size:
+            at_point, at_rep = _pushed(chunk, pos, moves)
+            if not at_point.size:
                 break
-            chunk = _join_edges(chunk, at_point[apart], at_rep[apart])
+            joined = _join_edges(chunk, at_point, at_rep)
+            pos = ((chunk == points) & (joined != points)).ravel().nonzero()[0]
+            chunk = joined
         out[lo:hi] = chunk
     return out
 
@@ -520,9 +562,10 @@ _ELEMENT_BYTES = 17
 # associative: its own image bitmap (1) and the hi and lo codes of its
 # generators (8 + 8).
 _GENERATOR_BYTES = 17
-# Bytes per evaluated argument tuple: two table gathers (up to 2 each), the
-# key (up to 4) and the intp copy of it that the bitmap scatter makes.
-_CELL_BYTES = 16
+# Bytes per evaluated argument tuple: two table gathers (up to 2 each) and
+# the key (8), built as intp so that the bitmap scatter indexes with it as
+# it is, with no copy.
+_CELL_BYTES = 12
 
 
 def _closure_bytes(algebra, by_projections=False):
@@ -624,7 +667,6 @@ def _close(tables, associative, base, seen):
     seen nothing can be new.  Argument tuples are evaluated in boxes
     whose keys and gathered table rows fit one chunk (limits.fits).
     """
-    key_dtype = narrow_dtype(base * base)
     mark = np.zeros_like(seen)
     hi, lo = np.divmod(np.flatnonzero(seen), base)
     # per associative table: its image bitmap, its generators' hi and lo
@@ -652,8 +694,7 @@ def _close(tables, associative, base, seen):
                 his, los = (hi,) * k, (lo,) * k
             for spans in products:
                 for box in _boxes(spans, _CELL_BYTES, row_bytes):
-                    key = _gather(table, his, box).astype(key_dtype)
-                    key *= base
+                    key = np.multiply(_gather(table, his, box), base, dtype=np.intp)
                     key += _gather(table, los, box)
                     images[key] = True
             if j in gens:

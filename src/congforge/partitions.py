@@ -272,15 +272,17 @@ def _join_edges(lab, u, v):
     offset = np.arange(0, k * n, n, dtype=dtype)[:, None]
     root = (lab + offset).astype(dtype, copy=False).ravel()
     u, v = root[u], root[v]
+    # count_nonzero, not any() or all(): a third of their call cost on the
+    # small rows that congruence generation joins
     while True:
         cross = u != v
-        if not cross.any():
+        if not np.count_nonzero(cross):
             return root.reshape(k, n) - offset
         u, v = u[cross], v[cross]
         np.minimum.at(root, np.maximum(u, v), np.minimum(u, v))
         while True:
             up = root[root]
-            if (up == root).all():
+            if not np.count_nonzero(up != root):
                 break
             root = up
         u, v = root[u], root[v]

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congforge import fixtures, limits
+from congforge import algebras, fixtures, limits
 from congforge.algebras import (
     FiniteAlgebra,
     Operation,
+    _delta,
     _generate,
+    _translations,
     alpha_power_algebra,
     con_lattice,
     congruence_from_pairs,
@@ -35,14 +37,13 @@ def moves_by_all_columns(tables, n):
     return np.concatenate(cols, axis=1) if cols else np.empty((n, 0), dtype=np.intp)
 
 
-def congruence_by_union_find(algebra, pairs, start=None):
-    """Least congruence containing the pairs (and the start partition), by
-    a Python union-find: whenever two classes merge, every unary
-    translation by a basic operation is applied to the merged pair, until
-    no merge produces new identifications."""
-    n = algebra.size
-    translations = moves_by_all_columns(algebra.by_name.values(), n)
-    parent = list(range(n))
+def closure_by_union_find(translations, pairs):
+    """Canonical reps of the least partition of the points 0..m-1 that
+    relates the pairs and is compatible with every column of the (m, C)
+    table translations, by a Python union-find: whenever two classes
+    merge, every column is applied to the merged pair, until no merge
+    produces new identifications."""
+    parent = list(range(len(translations)))
 
     def find(x):
         while parent[x] != x:
@@ -61,9 +62,6 @@ def congruence_by_union_find(algebra, pairs, start=None):
         parent[rb] = ra
         worklist.append((ra, rb))
 
-    if start is not None:
-        for i, r in enumerate(start.rep):
-            union(r, i)
     for a, b in pairs:
         union(int(a), int(b))
     while worklist:
@@ -71,7 +69,16 @@ def congruence_by_union_find(algebra, pairs, start=None):
         ra, rb = translations[a], translations[b]
         for j in np.flatnonzero(ra != rb):
             union(int(ra[j]), int(rb[j]))
-    return Partition(tuple(find(i) for i in range(n)))
+    return tuple(find(i) for i in range(len(parent)))
+
+
+def congruence_by_union_find(algebra, pairs, start=None):
+    """Least congruence containing the pairs (and the start partition),
+    closed under every unary translation by a basic operation."""
+    translations = moves_by_all_columns(algebra.by_name.values(), algebra.size)
+    if start is not None:
+        pairs = [(r, i) for i, r in enumerate(start.rep)] + list(pairs)
+    return Partition(closure_by_union_find(translations, pairs))
 
 
 def principal_rows(n):
@@ -179,6 +186,108 @@ def algebras_with_inputs(draw):
 def test_generation_matches_union_find_on_random_algebras(case):
     alg, pairs, start = case
     assert_generation_matches_union_find(alg, pairs, start)
+
+
+@pytest.mark.parametrize("orders", [(2, 2, 2, 2), (3, 3, 3)])
+def test_principal_rows_of_powers_match_union_find(orders):
+    # Z2^4 and Z3^3: 120 and 351 rows, each generated with the others
+    alg = fixtures.abelian_group(orders)
+    n = alg.size
+    batch = _generate(alg._moves, principal_rows(n))
+    for row, (a, b) in zip(batch.tolist(), itertools.combinations(range(n), 2)):
+        assert Partition(tuple(row)) == congruence_by_union_find(alg, [(a, b)]), (a, b)
+
+
+def test_each_row_pushes_its_start_points_and_absorbed_roots_once(monkeypatch,
+                                                                   algebra_corpus):
+    # a row pushes each point that is not its own rep once, then each root
+    # that a join absorbs once: nontrivial + blocks(start) - blocks(result)
+    # points, at most nontrivial + n - 1
+    cases = [(alg, rows) for _, alg, _ in algebra_corpus
+             for rows in (principal_rows(alg.size),
+                          np.array([_some_partition(alg.size, seed).rep for seed in range(6)]))]
+    cases += [(fixtures.abelian_group(orders), principal_rows(3 ** len(orders)))
+              for orders in ((3, 3), (3, 3, 3))]
+    monkeypatch.setattr(limits, "CHUNK_BYTES", 1 << 30)  # one range, so a row is pos // n
+    pushed, push = [], algebras._pushed
+
+    def counted(reps, pos, moves):
+        pushed.append(pos // reps.shape[1])
+        return push(reps, pos, moves)
+
+    monkeypatch.setattr(algebras, "_pushed", counted)
+    for alg, rows in cases:
+        n = alg.size
+        points = np.arange(n)
+        pushed.clear()
+        got = _generate(alg._moves, rows)
+        counts = np.bincount(np.concatenate(pushed + [np.empty(0, dtype=np.intp)]),
+                             minlength=len(rows))
+        nontrivial = np.count_nonzero(rows != points, axis=1)
+        blocks = np.count_nonzero(rows == points, axis=1) - np.count_nonzero(got == points, axis=1)
+        assert np.array_equal(counts, nontrivial + blocks)
+        assert (counts <= nontrivial + n - 1).all()
+
+
+def delta_by_union_find(alg, alpha, beta):
+    """Delta_{alpha,beta}'s reps over the points of A(alpha), in _delta's
+    order, by the union-find closure of the generators ((a,a), (b,b)) for
+    a beta b under the translations of A(alpha)."""
+    n = alg.size
+    arep = np.asarray(alpha.rep)
+    x, y = np.nonzero(arep[:, None] == arep)
+    index = np.zeros(n * n, dtype=np.intp)
+    index[x * n + y] = np.arange(x.size)
+    diagonal = index[np.arange(n) * (n + 1)]
+    pairs = [(diagonal[a], diagonal[b]) for a, b in enumerate(beta.rep)]
+    return closure_by_union_find(_translations(alg, x, y, index), pairs)
+
+
+def assert_delta_matches_union_find(alg, alpha, beta):
+    x, y, reps = _delta(alg, alpha, beta)
+    assert tuple(reps.tolist()) == delta_by_union_find(alg, alpha, beta), (alpha, beta)
+
+
+def test_delta_matches_union_find_on_fixtures(algebra_corpus):
+    for _, alg, _ in algebra_corpus:
+        congruences = con_lattice(alg).congruences
+        for alpha, beta in itertools.product(congruences, repeat=2):
+            assert_delta_matches_union_find(alg, alpha, beta)
+
+
+@st.composite
+def delta_inputs(draw):
+    """An algebra of at most 4 points with a congruence alpha and any
+    partition beta.  The algebra is Maltsev (affine Z_n, or Z_n with mul
+    and inv, beside up to one random operation of arity at most 2),
+    nullary-only, or random, most often not congruence permutable."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["maltsev", "nullary", "random"]))
+    if kind == "maltsev":
+        x, y, z = np.ogrid[:n, :n, :n]
+        ops = ([Operation("p", 3, (x - y + z) % n)] if draw(st.booleans())
+               else list(fixtures.cyclic_group(n).operations))
+        arities = draw(st.lists(st.sampled_from([0, 1, 2]), max_size=1))
+    else:
+        ops = []
+        arities = draw(st.lists(st.sampled_from([0] if kind == "nullary" else [0, 1, 2, 3]),
+                                max_size=3))
+    for j, k in enumerate(arities):
+        table = draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k))
+        ops.append(make_operation("f%d" % j, k, table, n))
+    alg = FiniteAlgebra(n, ops)
+    congruences = con_lattice(alg).congruences
+    alpha = congruences[draw(st.integers(0, len(congruences) - 1))]
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    first = {}
+    beta = Partition(tuple(first.setdefault(lab, i) for i, lab in enumerate(labels)))
+    return alg, alpha, beta
+
+
+@settings(max_examples=80, deadline=None)
+@given(delta_inputs())
+def test_delta_matches_union_find_on_random_algebras(case):
+    assert_delta_matches_union_find(*case)
 
 
 def test_one_point_algebra_has_no_principal_pairs():
