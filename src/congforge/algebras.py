@@ -11,9 +11,10 @@ the algebra's distinct unary translations, cached as one (n, C) table,
 by a worklist that pushes each generating pair (a, rep[a]) once, the
 start's first and then each root a join absorbs, and joins into its
 row the images (t(a), t(rep[a])) it does not yet relate
-(partitions._join_edges), in the row ranges of limits.chunks.  The table is built by _translations, the one builder of
-translation tables, as that of A(0), the diagonal of A^2, which is A
-itself; the Delta route below builds those of A(alpha) the same way.
+(partitions._join_edges), in the row ranges of limits.chunks.  The
+table is built by _translations, the one builder of translation
+tables, as that of A(0), the diagonal of A^2, which is A itself; the
+Delta route below builds those of A(alpha) the same way.
 Con(A) is the join-closure of bottom and the principal congruences,
 which are generated in the row ranges of limits.chunks, their distinct
 count meeting the CONGFORGE_CAP check after every range: the semi-naive
